@@ -105,7 +105,6 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
         pre_norms.append(z)
         norms.append(n)
         total += prev
-    adj_t = adj.normalized.transpose_cached()
 
     def vjp(upstream):
         # every layer output feeds the sum directly, deeper layers also chain
@@ -115,7 +114,8 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
             g_layer = g + chain
             g_z = _row_normalize_vjp(pre_norms[l], norms[l], g_layer)
             g_x = g_z * _activate_grad(pre_acts[l], cfg)
-            chain = spmm(adj_t, g_x)
+            # the normalized adjacency is its own transpose (see normalize)
+            chain = spmm(adj.normalized, g_x)
         return g + chain
 
     return total, vjp

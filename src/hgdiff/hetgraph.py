@@ -60,7 +60,7 @@ class HeteroGraph:
                 if rel.edges.size and (rel.edges[:, side].min() < 0
                                        or rel.edges[:, side].max() >= self.node_counts[t]):
                     raise GraphError(f"relation {rel.name!r} has endpoint outside type {t!r}")
-            if rel.edges.shape[0] != len({(int(u), int(v)) for u, v in rel.edges}):
+            if not _first_occurrences(rel.edges).all():
                 raise GraphError(f"relation {rel.name!r} contains duplicate edges")
 
     def relation_names(self):
@@ -108,6 +108,15 @@ class HeteroGraph:
 
 @dataclass
 class RelationAdjacency:
+    """One relation's symmetrized 0/1 adjacency and its degree normalization.
+
+    Both matrices are square over the global index space and equal their own
+    transpose bit for bit: same pattern, and `normalized[i, j]` and
+    `normalized[j, i]` are the same product inv_sqrt[i] * inv_sqrt[j]. The
+    encoder's backward pass relies on this and multiplies by `normalized`
+    where it would otherwise need the transpose.
+    """
+
     relation: str
     raw: CsrMatrix
     normalized: CsrMatrix
@@ -262,7 +271,10 @@ def normalize(g: HeteroGraph, relation, self_loops=False) -> RelationAdjacency:
     space: entry (i,j) becomes 1/sqrt(d_i d_j), zero-degree rows/cols stay zero.
 
     Bipartite relations land in the off-diagonal blocks of a square matrix over
-    both endpoint types, symmetrized so one product updates both sides.
+    both endpoint types, symmetrized so one product updates both sides. The
+    pattern is symmetric and every raw value is exactly 1.0, so each scaled
+    entry is the commutative product inv_sqrt[i] * inv_sqrt[j] and the
+    normalized matrix is bitwise equal to its transpose.
     """
     if relation not in g.relations:
         raise GraphError(f"unknown relation {relation!r}")
@@ -366,7 +378,7 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
         if n_rand:
             edges[~copy, 0] = rng.integers(0, n_users, size=n_rand)
             edges[~copy, 1] = rng.integers(0, n_items, size=n_rand)
-        edges = _dedupe_ordered(edges)
+        edges = edges[_first_occurrences(edges)]
         relations.append(Relation(f"aux{r + 1}", "user", "item", edges))
     graph = HeteroGraph({"user": n_users, "item": n_items}, relations, "interact")
     labels = LabelSet("user", np.arange(n_users), user_comm, 2)
@@ -379,15 +391,20 @@ def _balanced_communities(n, rng):
     return comm[rng.permutation(n)]
 
 
-def _dedupe_ordered(edges):
-    seen = set()
-    keep = np.zeros(edges.shape[0], dtype=bool)
-    for i, (u, v) in enumerate(edges):
-        key = (int(u), int(v))
-        if key not in seen:
-            seen.add(key)
-            keep[i] = True
-    return edges[keep]
+def _first_occurrences(edges):
+    """Mask of the edges whose (u, v) pair has not occurred earlier.
+
+    A stable lexsort keeps equal pairs in edge order, so the first of each
+    run of equal pairs is the first occurrence. Sorting on the two columns
+    rather than on a packed u * n + v key cannot overflow.
+    """
+    order = np.lexsort((edges[:, 1], edges[:, 0]))
+    s = edges[order]
+    first = np.ones(order.size, dtype=bool)
+    first[1:] = np.any(s[1:] != s[:-1], axis=1)
+    keep = np.zeros(order.size, dtype=bool)
+    keep[order[first]] = True
+    return keep
 
 
 def write_dataset_files(g: HeteroGraph, labels, out_dir):

@@ -66,10 +66,13 @@ class CsrMatrix:
         if self.col_indices.size:
             if self.col_indices.min() < 0 or self.col_indices.max() >= self.cols:
                 raise ShapeError("column index out of range")
-            for r in range(self.rows):
-                lo, hi = self.row_offsets[r], self.row_offsets[r + 1]
-                if hi - lo > 1 and np.any(np.diff(self.col_indices[lo:hi]) <= 0):
-                    raise ShapeError(f"column indices not strictly increasing in row {r}")
+            bad = np.diff(self.col_indices) <= 0
+            # a column index may drop where a new row starts
+            starts = self.row_offsets[1:-1]
+            bad[starts[(0 < starts) & (starts < self.nnz)] - 1] = False
+            if bad.any():
+                r = np.searchsorted(self.row_offsets, np.argmax(bad), side="right") - 1
+                raise ShapeError(f"column indices not strictly increasing in row {r}")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("sparse values must be finite")
 
@@ -118,13 +121,28 @@ class CsrMatrix:
         row_of = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets))
         return CsrMatrix.from_coo(self.cols, self.rows, self.col_indices, row_of, self.values)
 
-    def transpose_cached(self):
-        """Transpose memoized on the instance; safe because values are
-        immutable by convention after construction."""
-        cached = getattr(self, "_transpose", None)
+    def degree_buckets(self):
+        """Rows grouped by nonzero count, memoized on the instance (safe
+        because values are immutable by convention after construction).
+
+        One `(rows, cols, vals)` triple per nonzero count k > 0: the rows
+        with k nonzeros, ascending, and their column indices and values as
+        (len(rows), k) arrays in stored order.
+        """
+        cached = getattr(self, "_buckets", None)
         if cached is None:
-            cached = self.transpose()
-            self._transpose = cached
+            counts = np.diff(self.row_offsets)
+            order = np.argsort(counts, kind="stable")
+            per_count = np.bincount(counts)
+            ends = np.cumsum(per_count)
+            cached = []
+            for k in per_count.nonzero()[0]:
+                if k == 0:
+                    continue
+                rows = order[ends[k] - per_count[k]:ends[k]]
+                pos = self.row_offsets[rows][:, None] + np.arange(k)
+                cached.append((rows, self.col_indices[pos], self.values[pos]))
+            self._buckets = cached
         return cached
 
     def row_sums(self):
@@ -144,19 +162,20 @@ class CsrMatrix:
 
 
 def spmm(a: CsrMatrix, b) -> np.ndarray:
-    """Sparse @ dense product. Segment sums run in fixed row order, so the
-    result is identical however the call is scheduled."""
+    """Sparse @ dense product, O(nnz * d) with no per-row Python work.
+
+    Rows are grouped by nonzero count k (:meth:`CsrMatrix.degree_buckets`);
+    each group of n rows is one gather of its (n, k, d) operand rows and one
+    contraction over k. A row's k products are summed in an order fixed by
+    k and d alone (stored column order when d > 1), whatever the other rows
+    hold, so reruns are bit-identical. Rows with no nonzeros stay zero.
+    """
     b = as_matrix(b, "dense operand")
     if a.cols != b.shape[0]:
         raise ShapeError(f"spmm shape mismatch: {a.rows}x{a.cols} @ {b.shape}")
     out = np.zeros((a.rows, b.shape[1]))
-    if a.nnz == 0:
-        return out
-    contrib = b[a.col_indices]
-    contrib *= a.values[:, None]
-    counts = np.diff(a.row_offsets)
-    nz = np.flatnonzero(counts)
-    out[nz] = np.add.reduceat(contrib, a.row_offsets[nz], axis=0)
+    for rows, cols, vals in a.degree_buckets():
+        out[rows] = np.einsum("nk,nkd->nd", vals, b[cols])
     return out
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgdiff import hetgraph
 from hgdiff.hetgraph import (
     GraphError,
     HeteroGraph,
@@ -28,6 +29,19 @@ relation Cart user item
 relation Purchase user item
 target Purchase
 """
+
+
+def first_occurrences_loop(edges):
+    """Reference for hetgraph._first_occurrences: marks each edge whose
+    (u, v) pair has not occurred earlier in the edge order."""
+    seen = set()
+    keep = np.zeros(edges.shape[0], dtype=bool)
+    for i, (u, v) in enumerate(edges):
+        key = (int(u), int(v))
+        if key not in seen:
+            seen.add(key)
+            keep[i] = True
+    return keep
 
 
 def toy_graph():
@@ -146,6 +160,24 @@ class TestNormalize:
         dense = normalize(g, "e", self_loops=True).normalized.to_dense()
         # both nodes reach degree 2, so every entry is 1/2
         assert np.allclose(dense, np.full((2, 2), 0.5))
+
+    def test_normalized_is_its_own_transpose(self):
+        # the encoder's backward multiplies by `normalized` in place of its
+        # transpose, so the two must agree bit for bit
+        rng = np.random.default_rng(5)
+        edges = np.unique(rng.integers(0, 9, size=(40, 2)), axis=0)
+        graphs = [
+            (HeteroGraph({"n": 9}, [Relation("e", "n", "n", edges)], "e"), "e"),
+            (toy_graph(), "buy"),   # user -> item, item offset 3
+            (toy_graph(), "view"),  # user 2 and item 0 isolated
+        ]
+        for g, rel in graphs:
+            for self_loops in (False, True):
+                a = normalize(g, rel, self_loops=self_loops).normalized
+                t = a.transpose()
+                assert np.array_equal(a.row_offsets, t.row_offsets)
+                assert np.array_equal(a.col_indices, t.col_indices)
+                assert np.array_equal(a.values, t.values)
 
     def test_unknown_relation(self):
         with pytest.raises(GraphError):
@@ -266,6 +298,23 @@ class TestSynthetic:
         assert labels.n_classes == 2
         assert labels.class_ids.sum() == 25
 
+    def test_dedupe_matches_loop_reference(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        for n, m in ((1, 1), (3, 20), (10, 200), (50, 5000)):
+            edges = rng.integers(0, n, size=(m, 2))
+            assert np.array_equal(hetgraph._first_occurrences(edges),
+                                  first_occurrences_loop(edges))
+        assert hetgraph._first_occurrences(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+        # generated edge arrays, hence fingerprints, are those of the loop
+        def fingerprints():
+            return [generate_synthetic(*size, seed=seed)[0].fingerprint()
+                    for size in ((40, 30, 2, 0.1, 0.3), (200, 100, 2, 0.05, 0.9))
+                    for seed in (1, 2, 3)]
+
+        fast = fingerprints()
+        monkeypatch.setattr(hetgraph, "_first_occurrences", first_occurrences_loop)
+        assert fingerprints() == fast
+
     def test_bad_params_rejected(self):
         with pytest.raises(GraphError):
             generate_synthetic(0, 10, 1, 0.1, 0.5, seed=1)
@@ -311,6 +360,11 @@ class TestGraphValidation:
     def test_duplicate_edges_rejected(self):
         with pytest.raises(GraphError):
             HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 1), (0, 1)])], "e")
+        with pytest.raises(GraphError, match="duplicate"):  # repeat far apart
+            HeteroGraph({"n": 3}, [Relation("e", "n", "n",
+                                            [(2, 1), (0, 1), (1, 0), (2, 2), (0, 1)])], "e")
+        # reversed pairs and shared endpoints are distinct edges
+        HeteroGraph({"n": 3}, [Relation("e", "n", "n", [(0, 1), (1, 0), (0, 2), (2, 1)])], "e")
 
     def test_missing_target_rejected(self):
         with pytest.raises(GraphError):

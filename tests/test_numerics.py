@@ -38,14 +38,36 @@ class TestCsr:
 
     def test_spmm_matches_dense_oracle(self):
         rng = Rng(7)
+        cases = []
         for trial in range(25):
             rows = int(rng.integers(1, 33))
             inner = int(rng.integers(1, 33))
             cols = int(rng.integers(1, 9))
-            a = random_csr(rng.derive(f"a{trial}"), rows, inner)
-            b = rng.derive(f"b{trial}").standard_normal((inner, cols))
+            cases.append((random_csr(rng.derive(f"a{trial}"), rows, inner),
+                          rng.derive(f"b{trial}").standard_normal((inner, cols))))
+        # empty rows between and around filled ones
+        gaps = rng.derive("gaps")
+        cases.append((CsrMatrix.from_coo(7, 5, [1, 1, 4, 4, 4], [0, 3, 1, 2, 4],
+                                         gaps.standard_normal(5)),
+                      gaps.standard_normal((5, 3))))
+        # skewed degrees: one row holds most nonzeros
+        skew = rng.derive("skew")
+        r = np.concatenate([np.zeros(60, dtype=np.int64), [2, 5, 5]])
+        c = np.concatenate([np.arange(60), [3, 7, 59]])
+        cases.append((CsrMatrix.from_coo(9, 60, r, c, skew.standard_normal(r.size)),
+                      skew.standard_normal((60, 4))))
+        # nnz == 0
+        cases.append((CsrMatrix.from_coo(4, 6, [], [], []),
+                      rng.derive("zero").standard_normal((6, 2))))
+        # d = 1 and d = 32
+        for d in (1, 32):
+            wide = rng.derive(f"d{d}")
+            cases.append((random_csr(wide, 40, 30), wide.standard_normal((30, d))))
+        for a, b in cases:
             expect = a.to_dense() @ b
-            assert np.max(np.abs(spmm(a, b) - expect)) < 1e-12
+            out = spmm(a, b)
+            assert np.max(np.abs(out - expect)) < 1e-12
+            assert np.array_equal(spmm(a, b), out)
 
     def test_spmm_shape_mismatch(self):
         a = CsrMatrix.identity(3)
@@ -78,6 +100,18 @@ class TestCsr:
             CsrMatrix(1, 2, [0, 2], [1, 0], [1.0, 1.0])  # not increasing
         with pytest.raises(ValueError):
             CsrMatrix(1, 1, [0, 1], [0], [np.nan])
+
+    def test_validate_checks_order_within_rows_only(self):
+        # columns may drop or repeat where a row starts, empty rows included
+        CsrMatrix(4, 4, [0, 2, 2, 3, 5], [1, 3, 0, 0, 2], np.ones(5))
+        cases = [
+            ([0, 1, 4, 4, 5], [2, 0, 1, 1, 0], 1),  # equal pair in a middle row
+            ([0, 1, 4, 4, 5], [2, 0, 3, 2, 0], 1),  # descending pair in a middle row
+            ([0, 1, 1, 3, 4], [2, 3, 1, 0], 2),     # descending after an empty row
+        ]
+        for offsets, cols, row in cases:
+            with pytest.raises(ShapeError, match=f"not strictly increasing in row {row}$"):
+                CsrMatrix(4, 4, offsets, cols, np.ones(len(cols)))
 
 
 class TestRng:
