@@ -154,7 +154,7 @@ class DenoiserParams:
     w2: np.ndarray  # (d, d)
     b2: np.ndarray  # (d,)
     time_emb: np.ndarray  # (T, d)
-    slope: float = 0.2
+    slope: float = 0.2  # leaky_relu slope; the forward needs 0 <= slope <= 1
 
     @classmethod
     def init(cls, dim, steps, rng: Rng, scale=0.01):
@@ -207,36 +207,57 @@ class DenoiserGrads:
                      (params.w1, params.b1, params.w2, params.b2, params.time_emb)))
 
 
-def denoise_predict(params: DenoiserParams, h_t, t):
-    out, _ = denoise_predict_vjp(params, h_t, t)
-    return out
+def _denoise_forward(params: DenoiserParams, h_t, t):
+    """The denoiser's one forward pass, shared by inference and training.
 
-
-def denoise_predict_vjp(params: DenoiserParams, h_t, t):
-    """Predict clean rows from corrupted rows at step t (scalar or per-row).
-
-    Per row: linear(leaky_relu(linear(h_t || s_t))). Returns the prediction
-    and a closure mapping upstream gradients to (DenoiserGrads, d/d h_t).
+    Returns (x, pre, hidden, out) where x = h_t || s_t is the first layer's
+    input, pre its pre-activation, hidden = leaky_relu(pre) and out the
+    prediction. A scalar `t` writes its single step-embedding row into the
+    time half of x by broadcast instead of gathering one row per input row.
     """
     h_t = np.asarray(h_t, dtype=np.float64)
     d = params.dim
     if h_t.ndim != 2 or h_t.shape[1] != d:
         raise ShapeError(f"expected rows of width {d}, got {h_t.shape}")
     steps = params.time_emb.shape[0]
+    x = np.empty((h_t.shape[0], 2 * d))
+    x[:, :d] = h_t
     if np.ndim(t) == 0:
         if not 1 <= t <= steps:
             raise ShapeError(f"step {t} outside 1..{steps}")
-        t_rows = np.full(h_t.shape[0], int(t), dtype=np.int64)
+        x[:, d:] = params.time_emb[int(t) - 1]
     else:
         t_rows = np.asarray(t, dtype=np.int64)
         if t_rows.shape != (h_t.shape[0],):
             raise ShapeError(f"per-row steps {t_rows.shape} vs {h_t.shape[0]} rows")
         if t_rows.size and (t_rows.min() < 1 or t_rows.max() > steps):
             raise ShapeError(f"steps outside 1..{steps}")
-    x = np.concatenate([h_t, params.time_emb[t_rows - 1]], axis=1)
-    pre = x @ params.w1 + params.b1
-    hidden = np.where(pre >= 0, pre, params.slope * pre)
-    out = hidden @ params.w2 + params.b2
+        x[:, d:] = params.time_emb[t_rows - 1]
+    pre = x @ params.w1
+    pre += params.b1
+    # leaky_relu(pre) equals max(pre, slope*pre) bit for bit, signed zeros
+    # included, only while 0 <= slope <= 1 (DenoiserParams.slope is 0.2)
+    hidden = np.multiply(pre, params.slope)
+    np.maximum(pre, hidden, out=hidden)
+    out = hidden @ params.w2
+    out += params.b2
+    return x, pre, hidden, out
+
+
+def denoise_predict(params: DenoiserParams, h_t, t):
+    """Predict clean rows from corrupted rows at step t (scalar or per-row),
+    forward only: linear(leaky_relu(linear(h_t || s_t))) per row."""
+    return _denoise_forward(params, h_t, t)[3]
+
+
+def denoise_predict_vjp(params: DenoiserParams, h_t, t):
+    """:func:`denoise_predict` plus a closure mapping upstream gradients to
+    (DenoiserGrads, d/d h_t)."""
+    x, pre, hidden, out = _denoise_forward(params, h_t, t)
+    d = params.dim
+    # the step-embedding gradient accumulates row by row in row order
+    t_rows = np.full(x.shape[0], int(t), dtype=np.int64) if np.ndim(t) == 0 \
+        else np.asarray(t, dtype=np.int64)
 
     def vjp(upstream):
         g = np.asarray(upstream, dtype=np.float64)
@@ -340,14 +361,16 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     if infer_steps == 0:
         return source.copy()
     h = q_sample(source, infer_steps, schedule, rng=rng, noise=noise)
-    for t in range(infer_steps, 0, -1):
+    # denoise_predict is looked up as a module global at every step, so a
+    # caller may replace it; its result is never written to
+    for t in range(infer_steps, 1, -1):
         pred = denoise_predict(params, h, t)
-        if t == 1:
-            h = pred
-            break
         ab = schedule.alpha_bar_at(t)
         ab_prev = schedule.alpha_bar_before(t)
         coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
         coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
-        h = coef_pred * pred + coef_h * h
-    return h
+        # h is q_sample's fresh array; updating it in place gives
+        # coef_pred*pred + coef_h*h bit for bit (addition commutes)
+        h *= coef_h
+        h += coef_pred * pred
+    return denoise_predict(params, h, 1)

@@ -193,10 +193,10 @@ def leave_one_out_split(g: HeteroGraph) -> LinkSplit:
     Users with no target edge are excluded from the test set and counted.
     """
     rel = g.relations[g.target]
-    last = {}
-    for i, (u, _) in enumerate(rel.edges):
-        last[int(u)] = i
-    held = np.array(sorted(last.values()), dtype=np.int64)
+    # last edge index per user; max is order-free, so repeats are safe here
+    last = np.full(g.node_counts[rel.src_type], -1, dtype=np.int64)
+    np.maximum.at(last, rel.edges[:, 0], np.arange(rel.edges.shape[0]))
+    held = np.sort(last[last >= 0])
     keep = np.ones(rel.edges.shape[0], dtype=bool)
     keep[held] = False
     train_rel = Relation(rel.name, rel.src_type, rel.dst_type, rel.edges[keep])
@@ -204,7 +204,7 @@ def leave_one_out_split(g: HeteroGraph) -> LinkSplit:
     train_graph = HeteroGraph(g.node_counts, rels, g.target)
     test_users = rel.edges[held, 0]
     test_items = rel.edges[held, 1]
-    n_excluded = g.node_counts[rel.src_type] - len(last)
+    n_excluded = last.size - held.size
     return LinkSplit(train_graph, test_users, test_items, n_excluded)
 
 
@@ -699,10 +699,13 @@ class TrainedModel:
         users = fused[trainer.side_slice(trainer.user_type)]
         items = fused[trainer.side_slice(trainer.item_type)]
         scores = users[split.test_users] @ items.T
-        for row, u in enumerate(split.test_users):
-            pos = trainer.positives.get(int(u))
-            if pos:
-                scores[row, sorted(pos)] = -np.inf
+        # mask every test user's training positives in one assignment. Test
+        # users are unique, so a user -> score row map suffices, and every
+        # user with a training edge had one held out, so is a test user.
+        row_of = np.zeros(users.shape[0], dtype=np.int64)
+        row_of[split.test_users] = np.arange(split.test_users.size)
+        train_edges = split.train_graph.relations[self.graph.target].edges
+        scores[row_of[train_edges[:, 0]], train_edges[:, 1]] = -np.inf
         recall, ndcg = rank_metrics(scores, split.test_items, cfg.k)
         metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
 
@@ -753,20 +756,34 @@ class TrainedModel:
                 arrays[f"classifier.{name}"] = arr
         arrays["config_json"] = np.frombuffer(
             json.dumps(self.cfg.to_dict()).encode(), dtype=np.uint8)
+        arrays["dataset_fingerprint"] = np.frombuffer(
+            self.graph.fingerprint().encode(), dtype=np.uint8)
         np.savez(path, **arrays)
 
     @classmethod
     def load(cls, path, graph=None, labels=None):
-        data = np.load(path)
-        cfg = RunConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
-        trainer = Trainer(cfg, graph=graph, labels=labels)
-        trainer.params.e0[...] = data["e0"]
-        if trainer.params.denoiser is not None:
-            for name, arr in trainer.params.denoiser.arrays().items():
-                arr[...] = data[f"denoiser.{name}"]
-        if trainer.params.classifier is not None:
-            for name, arr in trainer.params.classifier.arrays().items():
-                arr[...] = data[f"classifier.{name}"]
+        """Rebuild a saved model on `graph`, or on the data its config names.
+
+        Raises GraphError unless that data has the fingerprint of the graph
+        the model was trained on.
+        """
+        with np.load(path) as data:
+            if "dataset_fingerprint" not in data.files:
+                raise GraphError(f"{path}: saved without a dataset fingerprint")
+            saved = bytes(data["dataset_fingerprint"]).decode()
+            cfg = RunConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
+            trainer = Trainer(cfg, graph=graph, labels=labels)
+            found = trainer.graph.fingerprint()
+            if found != saved:
+                raise GraphError(f"{path}: model was trained on dataset {saved}, "
+                                 f"not on {found}")
+            trainer.params.e0[...] = data["e0"]
+            if trainer.params.denoiser is not None:
+                for name, arr in trainer.params.denoiser.arrays().items():
+                    arr[...] = data[f"denoiser.{name}"]
+            if trainer.params.classifier is not None:
+                for name, arr in trainer.params.classifier.arrays().items():
+                    arr[...] = data[f"classifier.{name}"]
         return trainer.to_model()
 
 

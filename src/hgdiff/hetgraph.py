@@ -344,6 +344,9 @@ def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:
     return g.replace_relation(Relation(rel.name, rel.src_type, rel.dst_type, new_edges))
 
 
+_SYNTH_BLOCK_ELEMENTS = 1 << 20  # uniform draws held at once by the generator
+
+
 def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, seed):
     """Seeded two-community bipartite generator.
 
@@ -364,11 +367,19 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
     item_comm = _balanced_communities(n_items, rng)
     p_in = min(1.0, 1.6 * density)
     p_out = 2.0 * density - p_in
-    same = user_comm[:, None] == item_comm[None, :]
-    probs = np.where(same, p_in, p_out)
-    draws = rng.uniform((n_users, n_items))
-    tu, tv = np.nonzero(draws < probs)
-    target_edges = np.stack([tu, tv], axis=1).astype(np.int64)
+    # the users x items uniform draw is taken in row blocks: consecutive
+    # draws continue one Philox stream, so the edges equal those of a single
+    # dense draw while memory stays O(block)
+    block = max(1, _SYNTH_BLOCK_ELEMENTS // n_items)
+    tu, tv = [], []
+    for start in range(0, n_users, block):
+        comm = user_comm[start:start + block]
+        probs = np.where(comm[:, None] == item_comm[None, :], p_in, p_out)
+        rows, cols = np.nonzero(rng.uniform(probs.shape) < probs)
+        tu.append(rows + start)
+        tv.append(cols)
+    target_edges = np.stack([np.concatenate(tu), np.concatenate(tv)],
+                            axis=1).astype(np.int64)
 
     relations = [Relation("interact", "user", "item", target_edges)]
     for r in range(n_aux_relations):

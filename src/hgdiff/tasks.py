@@ -196,6 +196,9 @@ def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
     return float(main) + cfg.lam * float(deno) + reg, parts
 
 
+_RANK_BLOCK_ELEMENTS = 1 << 17  # scores compared per block in rank_metrics
+
+
 def rank_metrics(scores, truth, k):
     """Leave-one-out Recall@k and NDCG@k averaged over users.
 
@@ -207,12 +210,20 @@ def rank_metrics(scores, truth, k):
     truth = np.asarray(truth, dtype=np.int64)
     if scores.ndim != 2 or truth.shape != (scores.shape[0],):
         raise ShapeError("scores must be (users, items) with one truth per user")
-    n = scores.shape[0]
-    true_scores = scores[np.arange(n), truth]
-    higher = (scores > true_scores[:, None]).sum(axis=1)
-    tied_before = np.array([
-        int(np.sum(scores[i, :truth[i]] == true_scores[i])) for i in range(n)])
-    rank = 1 + higher + tied_before
+    n, n_items = scores.shape
+    true_scores = scores[np.arange(n), truth][:, None]
+    cols = np.arange(n_items)
+    rank = np.ones(n, dtype=np.int64)
+    # both comparisons run on one cache-sized block of rows at a time; the
+    # per-row counts are below n_items, so int32 sums are exact
+    step = max(1, _RANK_BLOCK_ELEMENTS // max(1, n_items))
+    for start in range(0, n, step):
+        rows = slice(start, start + step)
+        block, t = scores[rows], true_scores[rows]
+        tied_before = block == t
+        tied_before &= cols < truth[rows, None]
+        rank[rows] += (block > t).sum(axis=1, dtype=np.int32)
+        rank[rows] += tied_before.sum(axis=1, dtype=np.int32)
     hit = rank <= k
     recall = float(hit.mean())
     ndcg = float(np.where(hit, 1.0 / np.log2(rank + 1), 0.0).mean())

@@ -92,6 +92,33 @@ class TestModelCommands:
         assert np.array_equal(read_embeddings(emb_path)["table"],
                               read_embeddings(out_path)["table"])
 
+    def test_eval_refuses_changed_data(self, capsys, tmp_path):
+        data, model_path = tmp_path / "ds", tmp_path / "m.npz"
+        synth = ("synth", "--users", "25", "--items", "15", "--aux", "1",
+                 "--density", "0.2", "--out-dir", str(data))
+        assert run_cli(capsys, *synth, "--seed", "3")[0] == 0
+        code, _, _ = run_cli(capsys, "train", "--edge-file", str(data / "edges.txt"),
+                             "--schema-file", str(data / "schema.txt"), "--epochs", "1",
+                             "--k", "5", "--dim", "8", "--steps", "8",
+                             "--save", str(model_path))
+        assert code == 0
+        assert run_cli(capsys, "eval", "--model", str(model_path))[0] == 0
+        # the files the config names now hold another dataset
+        assert run_cli(capsys, *synth, "--seed", "4")[0] == 0
+        code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
+        assert code == 2
+        assert "data error" in err and "trained on dataset" in err
+
+    def test_eval_refuses_model_without_fingerprint(self, capsys, tmp_path):
+        model_path = tmp_path / "m.npz"
+        assert run_cli(capsys, "train", *BASE, "--save", str(model_path))[0] == 0
+        with np.load(model_path) as data:
+            arrays = {k: data[k] for k in data.files if k != "dataset_fingerprint"}
+        np.savez(model_path, **arrays)
+        code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
+        assert code == 2
+        assert "fingerprint" in err
+
 
 class TestSynth:
     def test_synth_round_trip(self, capsys, tmp_path):

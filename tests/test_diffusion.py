@@ -110,6 +110,30 @@ class TestQSample:
             q_sample(np.ones((2, 2)), 0, s, noise=np.zeros((2, 2)))
 
 
+def reference_predict(params, h_t, t):
+    """Reference denoiser: gathered step rows, a concatenated layer input
+    and np.where for the activation."""
+    t_rows = np.full(h_t.shape[0], t) if np.ndim(t) == 0 else np.asarray(t)
+    x = np.concatenate([h_t, params.time_emb[t_rows - 1]], axis=1)
+    pre = x @ params.w1 + params.b1
+    hidden = np.where(pre >= 0, pre, params.slope * pre)
+    return hidden @ params.w2 + params.b2
+
+
+def reference_reverse(params, schedule, source, infer_steps, rng):
+    """Reverse walk with a fresh array per step."""
+    h = q_sample(source, infer_steps, schedule, rng=rng)
+    for t in range(infer_steps, 0, -1):
+        pred = denoise_predict(params, h, t)
+        if t == 1:
+            return pred
+        ab = schedule.alpha_bar_at(t)
+        ab_prev = schedule.alpha_bar_before(t)
+        coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
+        coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
+        h = coef_pred * pred + coef_h * h
+
+
 def zero_denoiser(dim, steps, constant=0.0):
     return DenoiserParams(
         w1=np.zeros((2 * dim, dim)), b1=np.zeros(dim),
@@ -143,6 +167,25 @@ class TestDenoiser:
         expect = 2.0 * hidden - 0.3
         out = denoise_predict(params, np.array([[x]]), 2)
         assert abs(out[0, 0] - expect) < 1e-15
+
+    @pytest.mark.parametrize("dim", [3, 32])
+    def test_forward_matches_vjp_and_reference(self, dim):
+        steps = 10
+        rng = Rng(dim)
+        random = DenoiserParams.init(dim, steps, rng)
+        random.w1 = random.w1 + rng.normal(2 * dim, dim)
+        # a zero first layer makes pre equal b1: exact zeros and negatives
+        flat = zero_denoiser(dim, steps)
+        flat.b1 = np.tile([0.0, -1.5, 2.0], dim)[:dim]
+        flat.w2 = rng.normal(dim, dim)
+        for params in (random, flat):
+            for rows in (1, 9):
+                h = rng.normal(rows, dim)
+                per_row = np.asarray(rng.integers(1, steps + 1, size=rows))
+                for t in (1, steps // 2, steps, per_row):
+                    out = denoise_predict(params, h, t)
+                    assert np.array_equal(out, diffusion.denoise_predict_vjp(params, h, t)[0])
+                    assert np.array_equal(out, reference_predict(params, h, t))
 
     def test_shape_rejection(self):
         params = zero_denoiser(3, steps=2)
@@ -278,9 +321,21 @@ class TestReverse:
         truth = Rng(7).normal(5, 3)
         monkeypatch.setattr(diffusion, "denoise_predict", lambda p, h, t: truth)
         params = zero_denoiser(3, 8)
+        before = truth.copy()
         for steps in (1, 3, 8):
             out = reverse_denoise(params, s, Rng(8).normal(5, 3), steps, rng=Rng(9))
             assert np.array_equal(out, truth)
+        assert np.array_equal(truth, before)
+
+    def test_matches_reference_walk(self):
+        steps = 12
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(4, steps, Rng(10))
+        source = Rng(11).normal(6, 4)
+        for infer in (1, 2, steps):
+            out = reverse_denoise(params, s, source, infer, rng=Rng(12))
+            expect = reference_reverse(params, s, source, infer, Rng(12))
+            assert np.array_equal(out, expect)
 
     def test_too_many_steps_rejected(self):
         s = small_schedule()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from hgdiff import harness
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.encoder import EncoderConfig
 from hgdiff.harness import (
@@ -21,7 +22,7 @@ from hgdiff.harness import (
     run_noise_robustness,
     train,
 )
-from hgdiff.hetgraph import HeteroGraph, Relation
+from hgdiff.hetgraph import GraphError, HeteroGraph, NoiseSpec, Relation, inject_edge_noise
 from hgdiff.tasks import JointLossConfig
 
 
@@ -36,6 +37,19 @@ def small_cfg(**kw):
     )
     defaults.update(kw)
     return RunConfig(**defaults)
+
+
+def split_loop(g):
+    """Reference leave-one-out split: a dict of each user's last edge index."""
+    rel = g.relations[g.target]
+    last = {}
+    for i, (u, _) in enumerate(rel.edges):
+        last[int(u)] = i
+    held = np.array(sorted(last.values()), dtype=np.int64)
+    keep = np.ones(rel.edges.shape[0], dtype=bool)
+    keep[held] = False
+    return (rel.edges[keep], rel.edges[held, 0], rel.edges[held, 1],
+            g.node_counts[rel.src_type] - len(last))
 
 
 class TestSplit:
@@ -60,6 +74,27 @@ class TestSplit:
         held = set(zip(split.test_users.tolist(), split.test_items.tolist()))
         assert train_edges | held == {tuple(e) for e in g.relations["buy"].edges}
         assert not train_edges & held
+
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(5)
+        graphs = [self.graph(), load_dataset(small_cfg())[0],
+                  HeteroGraph({"user": 3, "item": 2},
+                              [Relation("buy", "user", "item", np.zeros((0, 2), int))],
+                              "buy")]
+        for users, items, m in ((6, 5, 12), (40, 30, 300)):
+            pairs = np.stack([rng.integers(0, users, m), rng.integers(0, items, m)], 1)
+            _, first = np.unique(pairs, axis=0, return_index=True)
+            edges = pairs[np.sort(first)]  # distinct pairs, users repeated in any order
+            graphs.append(HeteroGraph({"user": users + 2, "item": items},
+                                      [Relation("buy", "user", "item", edges)], "buy"))
+        for g in graphs:
+            split = leave_one_out_split(g)
+            train_edges, users, items, excluded = split_loop(g)
+            assert np.array_equal(split.train_graph.relations[g.target].edges, train_edges)
+            assert np.array_equal(split.test_users, users)
+            assert np.array_equal(split.test_items, items)
+            assert split.test_users.dtype == users.dtype
+            assert split.n_excluded == excluded
 
 
 class TestVariants:
@@ -207,6 +242,27 @@ class TestEvaluation:
             for pos in trainer.positives.get(int(u), ()):
                 assert pos != split.test_items[row]
 
+    def test_masked_scores_match_per_user_loop(self, monkeypatch):
+        trainer = Trainer(small_cfg(epochs=2))
+        model, _ = trainer.train()
+        seen = []
+        real = harness.rank_metrics
+        monkeypatch.setattr(harness, "rank_metrics",
+                            lambda scores, truth, k: seen.append(scores.copy())
+                            or real(scores, truth, k))
+        model.evaluate()
+        fused = model.inference_tables()["fused"]
+        split = model.split
+        users = fused[trainer.side_slice(trainer.user_type)]
+        items = fused[trainer.side_slice(trainer.item_type)]
+        expect = users[split.test_users] @ items.T
+        for row, u in enumerate(split.test_users):
+            pos = trainer.positives.get(int(u))
+            if pos:
+                expect[row, sorted(pos)] = -np.inf
+        assert np.isinf(expect).any()
+        assert np.array_equal(seen[0], expect)
+
     def test_report_embeds_config(self):
         cfg = small_cfg(epochs=1)
         _, trace = train(cfg)
@@ -285,6 +341,30 @@ class TestPersistenceAndExport:
         a = loaded.evaluate().reproducible_payload()
         b = model.evaluate().reproducible_payload()
         assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+
+    def test_load_refuses_other_data(self, tmp_path):
+        cfg = small_cfg(epochs=1)
+        model, _ = train(cfg)
+        path = tmp_path / "model.npz"
+        model.save(path)
+        other = inject_edge_noise(model.graph, NoiseSpec("aux1", 0.5, 3))
+        with pytest.raises(GraphError, match="trained on dataset"):
+            TrainedModel.load(path, graph=other, labels=model.labels)
+        other_seed = load_dataset(small_cfg(seed=8))[0]
+        with pytest.raises(GraphError):
+            TrainedModel.load(path, graph=other_seed)
+        # the graph it was trained on is accepted
+        TrainedModel.load(path, graph=model.graph, labels=model.labels)
+
+    def test_load_refuses_model_without_fingerprint(self, tmp_path):
+        model, _ = train(small_cfg(epochs=1))
+        path = tmp_path / "model.npz"
+        model.save(path)
+        with np.load(path) as data:
+            arrays = {k: data[k] for k in data.files if k != "dataset_fingerprint"}
+        np.savez(path, **arrays)
+        with pytest.raises(GraphError, match="fingerprint"):
+            TrainedModel.load(path)
 
     def test_export_round_trip_bitwise(self, tmp_path):
         model, _ = train(small_cfg(epochs=2))

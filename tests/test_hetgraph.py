@@ -18,6 +18,7 @@ from hgdiff.hetgraph import (
     sparsity_buckets,
     split_target_auxiliary,
 )
+from hgdiff.numerics import Rng
 
 TMALL_SCHEMA = """
 # e-commerce style multi-behavior schema
@@ -42,6 +43,32 @@ def first_occurrences_loop(edges):
             seen.add(key)
             keep[i] = True
     return keep
+
+
+def generate_synthetic_dense(n_users, n_items, n_aux_relations, density, fidelity, seed):
+    """Reference for generate_synthetic: the whole users x items uniform
+    matrix drawn at once."""
+    rng = Rng(seed).derive("synth")
+    user_comm = hetgraph._balanced_communities(n_users, rng)
+    item_comm = hetgraph._balanced_communities(n_items, rng)
+    p_in = min(1.0, 1.6 * density)
+    p_out = 2.0 * density - p_in
+    same = user_comm[:, None] == item_comm[None, :]
+    probs = np.where(same, p_in, p_out)
+    draws = rng.uniform((n_users, n_items))
+    tu, tv = np.nonzero(draws < probs)
+    target_edges = np.stack([tu, tv], axis=1).astype(np.int64)
+    relations = [Relation("interact", "user", "item", target_edges)]
+    for r in range(n_aux_relations):
+        copy = rng.uniform(target_edges.shape[0]) < fidelity
+        edges = target_edges.copy()
+        n_rand = int((~copy).sum())
+        if n_rand:
+            edges[~copy, 0] = rng.integers(0, n_users, size=n_rand)
+            edges[~copy, 1] = rng.integers(0, n_items, size=n_rand)
+        edges = edges[hetgraph._first_occurrences(edges)]
+        relations.append(Relation(f"aux{r + 1}", "user", "item", edges))
+    return HeteroGraph({"user": n_users, "item": n_items}, relations, "interact")
 
 
 def toy_graph():
@@ -314,6 +341,24 @@ class TestSynthetic:
         fast = fingerprints()
         monkeypatch.setattr(hetgraph, "_first_occurrences", first_occurrences_loop)
         assert fingerprints() == fast
+
+    def test_row_blocks_match_dense_draw(self, monkeypatch):
+        sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (500, 300, 1, 0.02, 0.9)]
+
+        def check(cases):
+            for size in cases:
+                for seed in (1, 2):
+                    g, _ = generate_synthetic(*size, seed=seed)
+                    ref = generate_synthetic_dense(*size, seed=seed)
+                    assert g.fingerprint() == ref.fingerprint()
+
+        # more items than the block budget: one row per block
+        check([(3, hetgraph._SYNTH_BLOCK_ELEMENTS + 5, 1, 2e-5, 0.5)])
+        check(sizes)
+        # a budget that cuts blocks of one, two and several rows
+        for budget in (1, 50, 700):
+            monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", budget)
+            check(sizes)
 
     def test_bad_params_rejected(self):
         with pytest.raises(GraphError):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hgdiff import tasks
 from hgdiff.hetgraph import LabelSet
 from hgdiff.numerics import Rng, ShapeError, grad_check
 from hgdiff.tasks import (
@@ -244,15 +245,21 @@ class TestRankMetrics:
         recall, ndcg = rank_metrics(scores, [20], k=20)
         assert recall == 0.0 and ndcg == 0.0
 
-    def test_matches_brute_force_small_instances(self):
+    def test_matches_brute_force_small_instances(self, monkeypatch):
         rng = np.random.default_rng(11)
-        for _ in range(60):
+        for trial in range(180):
+            # the default block holds every instance whole; 7 elements splits most
+            if trial == 90:
+                monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
             users = int(rng.integers(1, 6))
             items = int(rng.integers(2, 11))
             k = int(rng.integers(1, items + 1))
-            # coarse grid of scores makes ties common
-            scores = rng.integers(0, 4, size=(users, items)).astype(float)
+            # coarse grids of integer scores make ties common, a 0/1 grid heavy
+            top = 2 if trial % 3 == 2 else 4
+            scores = rng.integers(0, top, size=(users, items)).astype(float)
             truth = rng.integers(0, items, size=users)
+            if trial % 3 == 1:  # truth in the first and last column
+                truth = np.where(np.arange(users) % 2 == 0, 0, items - 1)
             recall, ndcg = rank_metrics(scores, truth, k)
             per_user = [brute_rank(scores[i], int(truth[i]), k) for i in range(users)]
             assert abs(recall - np.mean([r for r, _ in per_user])) < 1e-12
