@@ -10,7 +10,7 @@ breakdowns.
 """
 
 from .diffusion import DiffusionConfig, DiffusionSchedule, build_schedule
-from .encoder import EncoderConfig, encode, encode_views
+from .encoder import EncoderConfig, encode
 from .harness import (
     EvalReport,
     RunConfig,
@@ -32,7 +32,6 @@ from .hetgraph import (
     load_labels,
     load_schema,
     normalize,
-    split_target_auxiliary,
 )
 from .numerics import Rng
 from .tasks import JointLossConfig
@@ -41,11 +40,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DiffusionConfig", "DiffusionSchedule", "build_schedule",
-    "EncoderConfig", "encode", "encode_views",
+    "EncoderConfig", "encode",
     "EvalReport", "RunConfig", "SyntheticSpec", "TrainedModel",
     "export_embeddings", "run_ablation", "run_noise_robustness", "train",
     "HeteroGraph", "LabelSet", "NoiseSpec", "Relation",
     "generate_synthetic", "inject_edge_noise", "load_edge_list",
-    "load_labels", "load_schema", "normalize", "split_target_auxiliary",
+    "load_labels", "load_schema", "normalize",
     "Rng", "JointLossConfig",
 ]

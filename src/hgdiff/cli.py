@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 
-from .diffusion import ScheduleError
+from .diffusion import DiffusionConfig, ScheduleError
 from .harness import (
     ConfigError,
     DivergenceError,
@@ -105,10 +105,9 @@ def build_config(args) -> RunConfig:
     put_sub("encoder", "pooling", args.pooling)
     put_sub("diffusion", "steps", args.steps)
     if args.noise_scale is not None:
-        put_sub("diffusion", "b_max", max(1e-12, 1.0 - args.noise_scale))
-        put_sub("diffusion", "b_min",
-                min(max(1e-12, 1.0 - args.noise_scale),
-                    max(1e-12, 1.0 - 10.0 * args.noise_scale)))
+        preset = DiffusionConfig.from_noise_scale(args.noise_scale)
+        put_sub("diffusion", "b_max", preset.b_max)
+        put_sub("diffusion", "b_min", preset.b_min)
     put_sub("diffusion", "b_max", args.b_max)
     put_sub("diffusion", "b_min", args.b_min)
     put_sub("diffusion", "infer_steps", args.infer_steps)
@@ -125,10 +124,7 @@ def build_config(args) -> RunConfig:
     merged = _deep_merge(data, over)
     if "synthetic" not in merged and not merged.get("edge_file"):
         merged["synthetic"] = {}  # default desk-scale dataset
-    try:
-        return RunConfig.from_dict(merged)
-    except TypeError as exc:
-        raise ConfigError(f"bad config field: {exc}") from None
+    return RunConfig.from_dict(merged)
 
 
 def _emit(report, path):

@@ -28,7 +28,6 @@ class DiffusionConfig:
     b_max: float = 1.0 - 1e-4
     b_min: float = 1.0 - 1e-3
     infer_steps: int | None = None
-    fixed_variance: bool = True
     per_row_t: bool = False
 
     def __post_init__(self):
@@ -39,8 +38,6 @@ class DiffusionConfig:
                 f"need 0 < b_min <= b_max < 1, got ({self.b_min}, {self.b_max})")
         if self.infer_steps is not None and not (0 <= self.infer_steps <= self.steps):
             raise ScheduleError("inference steps must lie in [0, steps]")
-        if not self.fixed_variance:
-            raise ScheduleError("learned reverse variance is not supported")
 
     @classmethod
     def from_noise_scale(cls, scale, steps=100, **kw):
@@ -196,11 +193,6 @@ class DenoiserGrads:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "time_emb": self.time_emb}
 
-    def add_(self, other):
-        for name, arr in self.arrays().items():
-            arr += other.arrays()[name]
-        return self
-
     @classmethod
     def zeros_like(cls, params: DenoiserParams):
         return cls(*(np.zeros_like(a) for a in
@@ -296,13 +288,11 @@ def _loss_weight_rows(schedule, t_rows):
 @dataclass
 class DiffusionLossResult:
     loss: float
-    t: int
     denoised: np.ndarray       # clean-signal prediction for the sampled step
     grads: DenoiserGrads
     grad_source: np.ndarray
     grad_target: np.ndarray    # label slot is an encoder output, so it gets one
     predict_vjp: object        # reusable closure for extra upstream gradients
-    weight: float
     scale: float               # sqrt(alpha_bar_t), chains h_t grads to source
 
 
@@ -335,18 +325,15 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
     pred, vjp = denoise_predict_vjp(params, h_t, t)
     diff = pred - target
     if np.ndim(t) == 0:
-        w = loss_weight(schedule, t)
+        w_rows = loss_weight(schedule, t)
         scale = math.sqrt(schedule.alpha_bar_at(t))
-        w_rows = w
     else:
         w_rows = _loss_weight_rows(schedule, np.asarray(t, dtype=np.int64))[:, None]
-        w = float(w_rows.mean())
         scale = np.sqrt(_alpha_bar_rows(schedule, t, n))[:, None]
     loss = float((w_rows * diff * diff).sum()) / n
     g_pred = (2.0 / n) * w_rows * diff
     grads, g_ht = vjp(g_pred)
-    return DiffusionLossResult(loss, t, pred, grads, scale * g_ht, -g_pred,
-                               vjp, w, scale)
+    return DiffusionLossResult(loss, pred, grads, scale * g_ht, -g_pred, vjp, scale)
 
 
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import GraphError, HeteroGraph, RelationAdjacency, normalize, split_target_auxiliary
+from .hetgraph import GraphError, HeteroGraph, RelationAdjacency, normalize
 from .numerics import ShapeError, spmm
 
 
@@ -23,7 +23,6 @@ class EncoderConfig:
     activation: str = "leaky_relu"  # or "identity"
     leaky_slope: float = 0.2
     pooling: str = "mean"  # or "sum"
-    shared_initial: bool = True
 
     def __post_init__(self):
         if self.layers < 0 or self.dim < 1:
@@ -69,51 +68,51 @@ def _row_normalize_vjp(z, norms, upstream):
     return out
 
 
-def propagate_relation(adj: RelationAdjacency, e0, cfg: EncoderConfig,
-                       collect_layers=False):
-    """Multi-order propagation sum for one relation: e0 plus L refined layers."""
+def _propagate(adj: RelationAdjacency, e0, cfg: EncoderConfig, outputs=None, saved=None):
+    """The one forward pass of a relation: e0 plus the sum of L refined layers.
+
+    Appends each layer's output to `outputs` and its (pre-activation,
+    activation, row norms) to `saved` when those lists are given; the
+    backward needs only `saved`, so a forward-only call keeps nothing.
+    """
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[0] != adj.normalized.rows:
         raise ShapeError(f"embedding rows {e0.shape[0]} vs adjacency {adj.normalized.rows}")
-    total = e0.copy()
-    layers = [e0]
-    prev = e0
-    for _ in range(cfg.layers):
-        z = _activate(spmm(adj.normalized, prev), cfg)
-        prev, _ = _row_normalize(z)
-        total += prev
-        if collect_layers:
-            layers.append(prev)
-    if collect_layers:
-        return total, layers
-    return total
-
-
-def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
-    """Forward pass plus a closure mapping upstream gradients to d/d e0."""
-    e0 = np.asarray(e0, dtype=np.float64)
-    if e0.shape[0] != adj.normalized.rows:
-        raise ShapeError(f"embedding rows {e0.shape[0]} vs adjacency {adj.normalized.rows}")
-    pre_acts, pre_norms, norms = [], [], []
     total = e0.copy()
     prev = e0
     for _ in range(cfg.layers):
         x = spmm(adj.normalized, prev)
         z = _activate(x, cfg)
-        prev, n = _row_normalize(z)
-        pre_acts.append(x)
-        pre_norms.append(z)
-        norms.append(n)
+        prev, norms = _row_normalize(z)
         total += prev
+        if outputs is not None:
+            outputs.append(prev)
+        if saved is not None:
+            saved.append((x, z, norms))
+    return total
+
+
+def propagate_relation(adj: RelationAdjacency, e0, cfg: EncoderConfig,
+                       collect_layers=False):
+    """Multi-order propagation sum for one relation: e0 plus L refined layers."""
+    if not collect_layers:
+        return _propagate(adj, e0, cfg)
+    layers = [np.asarray(e0, dtype=np.float64)]
+    return _propagate(adj, e0, cfg, outputs=layers), layers
+
+
+def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
+    """Forward pass plus a closure mapping upstream gradients to d/d e0."""
+    saved = []
+    total = _propagate(adj, e0, cfg, saved=saved)
 
     def vjp(upstream):
         # every layer output feeds the sum directly, deeper layers also chain
         g = np.asarray(upstream, dtype=np.float64)
         chain = np.zeros_like(g)
-        for l in range(cfg.layers - 1, -1, -1):
-            g_layer = g + chain
-            g_z = _row_normalize_vjp(pre_norms[l], norms[l], g_layer)
-            g_x = g_z * _activate_grad(pre_acts[l], cfg)
+        for x, z, norms in reversed(saved):
+            g_z = _row_normalize_vjp(z, norms, g + chain)
+            g_x = g_z * _activate_grad(x, cfg)
             # the normalized adjacency is its own transpose (see normalize)
             chain = spmm(adj.normalized, g_x)
         return g + chain
@@ -121,53 +120,36 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
     return total, vjp
 
 
-def encode(adjacencies, e0, cfg: EncoderConfig) -> EncoderOutput:
-    """Propagate every relation then pool elementwise across relations.
+def _pool(tables, cfg: EncoderConfig) -> EncoderOutput:
+    if not tables:
+        raise GraphError("encode needs at least one relation")
+    stack = np.stack(list(tables.values()))
+    pooled = stack.mean(axis=0) if cfg.pooling == "mean" else stack.sum(axis=0)
+    return EncoderOutput(tables, pooled)
 
-    `e0` is one shared table, or a mapping relation name -> table when
-    per-relation initial embeddings are configured.
-    """
-    out, _ = encode_vjp(adjacencies, e0, cfg)
-    return out
+
+def encode(adjacencies, e0, cfg: EncoderConfig) -> EncoderOutput:
+    """Propagate every relation from one shared initial table, then pool
+    elementwise across relations."""
+    return _pool({name: _propagate(adj, e0, cfg) for name, adj in adjacencies.items()},
+                 cfg)
 
 
 def encode_vjp(adjacencies, e0, cfg: EncoderConfig):
-    if not adjacencies:
-        raise GraphError("encode needs at least one relation")
-    names = list(adjacencies)
-    shared = not isinstance(e0, dict)
-    tables = {}
-    vjps = {}
-    for name in names:
-        base = e0 if shared else e0[name]
-        tables[name], vjps[name] = propagate_relation_vjp(adjacencies[name], base, cfg)
-    stack = np.stack([tables[n] for n in names])
-    pooled = stack.mean(axis=0) if cfg.pooling == "mean" else stack.sum(axis=0)
+    """:func:`encode` plus a closure mapping upstream gradients of the pooled
+    table to d/d e0."""
+    packs = {name: propagate_relation_vjp(adj, e0, cfg) for name, adj in adjacencies.items()}
+    out = _pool({name: table for name, (table, _) in packs.items()}, cfg)
 
     def vjp(upstream):
-        branch = upstream / len(names) if cfg.pooling == "mean" else upstream
-        if shared:
-            total = np.zeros_like(np.asarray(upstream, dtype=np.float64))
-            for name in names:
-                total += vjps[name](branch)
-            return total
-        return {name: vjps[name](branch) for name in names}
+        branch = upstream / len(packs) if cfg.pooling == "mean" else upstream
+        total = np.zeros_like(np.asarray(upstream, dtype=np.float64))
+        for _, back in packs.values():
+            total += back(branch)
+        return total
 
-    return EncoderOutput(tables, pooled), vjp
+    return out, vjp
 
 
 def relation_adjacencies(g: HeteroGraph, self_loops=False):
     return {name: normalize(g, name, self_loops=self_loops) for name in g.relations}
-
-
-def encode_views(g: HeteroGraph, e0, cfg: EncoderConfig, adjacencies=None):
-    """Target-view and source-view embeddings from one shared initial table.
-
-    Returns ((target EncoderOutput, vjp), (source EncoderOutput, vjp)).
-    """
-    target_graph, aux_graph = split_target_auxiliary(g)
-    if adjacencies is None:
-        adjacencies = relation_adjacencies(g)
-    target_adj = {g.target: adjacencies[g.target]}
-    aux_adj = {n: adjacencies[n] for n in aux_graph.relations}
-    return encode_vjp(target_adj, e0, cfg), encode_vjp(aux_adj, e0, cfg)

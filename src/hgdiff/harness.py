@@ -19,13 +19,14 @@ from .diffusion import (
     DenoiserGrads,
     DenoiserParams,
     DiffusionConfig,
+    DiffusionLossResult,
     build_schedule,
     denoise_predict,
     denoise_predict_vjp,
     diffusion_loss,
     reverse_denoise,
 )
-from .encoder import EncoderConfig, encode_vjp, relation_adjacencies
+from .encoder import EncoderConfig, encode, encode_vjp, relation_adjacencies
 from .hetgraph import (
     GraphError,
     HeteroGraph,
@@ -102,8 +103,6 @@ class RunConfig:
     variant: str = "full"
     k: int = 20
     bucket_boundaries: tuple = (2, 4, 8, 16)
-    use_diffusion: bool = True
-    stop_grad_denoised: bool = False
     train_labels_per_class: int = 20
     init_scale: float = 0.1
     patience: int = 0  # stop after this many non-improving evals; 0 = fixed epochs
@@ -115,7 +114,6 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("epochs >= 0, batch_size >= 1, lr > 0 required")
-        self.loss = replace(self.loss, task=self.task)
         self.bucket_boundaries = tuple(self.bucket_boundaries)
 
     def to_dict(self):
@@ -125,20 +123,29 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, d):
+        """Build a config from plain values. A bad value raises ConfigError
+        naming the group it is in; an unknown field is named by its key."""
         d = dict(d)
-        if d.get("synthetic") is not None:
-            d["synthetic"] = SyntheticSpec(**d["synthetic"])
-        for key, sub in (("encoder", EncoderConfig), ("diffusion", DiffusionConfig),
-                         ("loss", JointLossConfig)):
-            if key in d and isinstance(d[key], dict):
-                d[key] = sub(**d[key])
+        for key, sub in (("synthetic", SyntheticSpec), ("encoder", EncoderConfig),
+                         ("diffusion", DiffusionConfig), ("loss", JointLossConfig)):
+            if isinstance(d.get(key), dict):
+                d[key] = _build(sub, d[key], key)
         if "bucket_boundaries" in d:
             d["bucket_boundaries"] = tuple(d["bucket_boundaries"])
-        return cls(**d)
+        return _build(cls, d, "run")
 
     def fingerprint(self):
         blob = json.dumps(self.to_dict(), sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
+
+
+def _build(cls, values, where):
+    try:
+        return cls(**values)
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where} config: {exc}") from None
 
 
 @dataclass
@@ -161,7 +168,7 @@ def resolve_variant(cfg: RunConfig, graph: HeteroGraph) -> VariantPlan:
     lam = cfg.loss.lam
     v = cfg.variant
     if v == "full":
-        active = sides if cfg.use_diffusion else ()
+        active = sides
     elif v == "-D":
         active, lam = (), 0.0
     elif v == "-U":
@@ -199,9 +206,8 @@ def leave_one_out_split(g: HeteroGraph) -> LinkSplit:
     held = np.sort(last[last >= 0])
     keep = np.ones(rel.edges.shape[0], dtype=bool)
     keep[held] = False
-    train_rel = Relation(rel.name, rel.src_type, rel.dst_type, rel.edges[keep])
-    rels = [train_rel if r.name == rel.name else r for r in g.relations.values()]
-    train_graph = HeteroGraph(g.node_counts, rels, g.target)
+    train_graph = g.replace_relation(
+        Relation(rel.name, rel.src_type, rel.dst_type, rel.edges[keep]))
     test_users = rel.edges[held, 0]
     test_items = rel.edges[held, 1]
     n_excluded = last.size - held.size
@@ -258,6 +264,16 @@ class ModelParams:
     denoiser: DenoiserParams | None
     classifier: ClassifierParams | None
 
+    def arrays(self):
+        """Every parameter array by name: e0, then denoiser.<name> and
+        classifier.<name>. Adam state and saved files use these names in
+        this order."""
+        out = {"e0": self.e0}
+        for group, params in (("denoiser", self.denoiser), ("classifier", self.classifier)):
+            if params is not None:
+                out.update((f"{group}.{name}", arr) for name, arr in params.arrays().items())
+        return out
+
 
 @dataclass
 class EpochDraws:
@@ -302,10 +318,9 @@ class Trainer:
         view = self.train_graph
         if not self.plan.has_source:
             view = view.with_relations([graph.target])
-        self.adjacencies = relation_adjacencies(view)
-        self.target_adj = {graph.target: self.adjacencies[graph.target]}
-        self.aux_adj = {n: self.adjacencies[n] for n in view.relations
-                        if n != graph.target}
+        adjacencies = relation_adjacencies(view)
+        self.target_adj = {graph.target: adjacencies[graph.target]}
+        self.aux_adj = {n: adjacencies[n] for n in view.relations if n != graph.target}
         self.schedule = build_schedule(cfg.diffusion)
 
         init_rng = self.rngs["init"]
@@ -325,13 +340,8 @@ class Trainer:
             classifier = ClassifierParams.init(cfg.encoder.dim, labels.n_classes,
                                                init_rng.derive("classifier"))
         self.params = ModelParams(e0, denoiser, classifier)
-        self.adam = {"e0": AdamState.for_param(e0, lr=cfg.lr)}
-        if denoiser is not None:
-            for name, arr in denoiser.arrays().items():
-                self.adam[f"denoiser.{name}"] = AdamState.for_param(arr, lr=cfg.lr)
-        if classifier is not None:
-            for name, arr in classifier.arrays().items():
-                self.adam[f"classifier.{name}"] = AdamState.for_param(arr, lr=cfg.lr)
+        self.adam = {key: AdamState.for_param(arr, lr=cfg.lr)
+                     for key, arr in self.params.arrays().items()}
 
         if cfg.task == "link":
             rel = self.train_graph.relations[graph.target]
@@ -345,10 +355,6 @@ class Trainer:
                 self.positives.setdefault(int(u), set()).add(int(v))
 
     # -- helpers
-
-    def side_slice(self, node_type):
-        off = self.graph.offset(node_type)
-        return slice(off, off + self.graph.node_counts[node_type])
 
     def draw_epoch(self) -> EpochDraws:
         cfg, plan = self.cfg, self.plan
@@ -379,33 +385,32 @@ class Trainer:
         """
         cfg, plan = self.cfg, self.plan
         params = params or self.params
-        (target_out, vjp_t), source_pack = self._encode(params.e0)
+        target_out, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
         e_target = target_out.pooled
-        e_source, vjp_s = (source_pack[0].pooled, source_pack[1]) if source_pack \
-            else (None, None)
+        e_source = vjp_s = denoised = None
+        if plan.has_source:
+            source_out, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
+            e_source = source_out.pooled
+            denoised = e_source.copy()
 
         side_results = {}
         deno_parts = []
-        denoised = e_source.copy() if e_source is not None else None
-        sigma_dae = float(np.sqrt(1.0 - self.schedule.alpha_bar[-1]))
         for side in plan.diffusion_sides:
-            sl = self.side_slice(side)
+            sl = self.graph.type_slice(side)
             if plan.dae:
-                corrupted = e_source[sl] + sigma_dae * draws.side_noise[side]
+                corrupted = _dae_corrupt(self.schedule, e_source[sl], draws.side_noise[side])
                 pred, vjp_pred = denoise_predict_vjp(params.denoiser, corrupted,
                                                      self.schedule.steps)
                 diff = pred - e_target[sl]
                 n = pred.shape[0]
-                loss = float((diff * diff).sum()) / n
                 g_pred = (2.0 / n) * diff
                 grads, g_h = vjp_pred(g_pred)
-                res = _SideResult(loss, pred, grads, g_h, -g_pred, vjp_pred, 1.0)
+                res = DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
+                                          -g_pred, vjp_pred, 1.0)
             else:
-                out = diffusion_loss(params.denoiser, self.schedule, e_source[sl],
+                res = diffusion_loss(params.denoiser, self.schedule, e_source[sl],
                                      e_target[sl], t=draws.side_t[side],
                                      noise=draws.side_noise[side])
-                res = _SideResult(out.loss, out.denoised, out.grads, out.grad_source,
-                                  out.grad_target, out.predict_vjp, out.scale)
             side_results[side] = res
             deno_parts.append(res.loss)
             denoised[sl] = res.denoised
@@ -437,47 +442,34 @@ class Trainer:
 
         # backward: fusion is an elementwise sum, so upstream passes through
         g_e_target = g_fused.copy()
-        grads = {}
+        acc = None
         if plan.has_source:
             g_source = np.zeros_like(e_source)
-            g_denoised = np.zeros_like(g_fused) if cfg.stop_grad_denoised else g_fused
             for side in plan.raw_sides:
-                sl = self.side_slice(side)
-                g_source[sl] += g_denoised[sl]
+                sl = self.graph.type_slice(side)
+                g_source[sl] += g_fused[sl]
             if plan.diffusion_sides:
                 coef = plan.lam / len(plan.diffusion_sides)
                 acc = DenoiserGrads.zeros_like(params.denoiser)
                 for side in plan.diffusion_sides:
-                    sl = self.side_slice(side)
+                    sl = self.graph.type_slice(side)
                     res = side_results[side]
                     for name, arr in res.grads.arrays().items():
                         acc.arrays()[name] += coef * arr
                     g_source[sl] += coef * res.grad_source
                     g_e_target[sl] += coef * res.grad_target
-                    up = g_denoised[sl]
+                    up = g_fused[sl]
                     if np.any(up):
                         extra, g_h = res.predict_vjp(up)
                         for name, arr in extra.arrays().items():
                             acc.arrays()[name] += arr
                         g_source[sl] += res.scale * g_h
-                for name, arr in acc.arrays().items():
-                    grads[f"denoiser.{name}"] = arr
             g_e0 = vjp_t(g_e_target) + vjp_s(g_source)
         else:
             g_e0 = vjp_t(g_e_target)
         g_e0 += 2.0 * cfg.loss.l2 * params.e0
-        grads["e0"] = g_e0
-        if clf_grads is not None:
-            for name, arr in clf_grads.arrays().items():
-                grads[f"classifier.{name}"] = arr
-        return total, parts, grads
-
-    def _encode(self, e0):
-        target_pack = encode_vjp(self.target_adj, e0, self.cfg.encoder)
-        source_pack = None
-        if self.plan.has_source:
-            source_pack = encode_vjp(self.aux_adj, e0, self.cfg.encoder)
-        return target_pack, source_pack
+        # gradients are shaped like the parameters, so they share their names
+        return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()
 
     def _bpr_over_chunks(self, fused, triplets):
         total = len(triplets)
@@ -500,17 +492,8 @@ class Trainer:
         return parts
 
     def _apply(self, grads):
-        adam_step(self.adam["e0"], self.params.e0, grads["e0"])
-        if self.params.denoiser is not None:
-            for name, arr in self.params.denoiser.arrays().items():
-                key = f"denoiser.{name}"
-                if key in grads:
-                    adam_step(self.adam[key], arr, grads[key])
-        if self.params.classifier is not None:
-            for name, arr in self.params.classifier.arrays().items():
-                key = f"classifier.{name}"
-                if key in grads:
-                    adam_step(self.adam[key], arr, grads[key])
+        for key, arr in self.params.arrays().items():
+            adam_step(self.adam[key], arr, grads[key])
 
     def train(self):
         cfg = self.cfg
@@ -542,21 +525,13 @@ class Trainer:
         return model, trace
 
     def to_model(self):
-        return TrainedModel(self.cfg, self.plan, self.graph, self.labels,
-                            self.split, self.adjacencies, self.schedule,
-                            self.params, self)
+        return TrainedModel(self.cfg, self.plan, self.graph, self.labels, self.split,
+                            self.target_adj, self.aux_adj, self.schedule, self.params)
 
 
-class _SideResult:
-    def __init__(self, loss, denoised, grads, grad_source, grad_target,
-                 predict_vjp, scale):
-        self.loss = loss
-        self.denoised = denoised
-        self.grads = grads
-        self.grad_source = grad_source
-        self.grad_target = grad_target
-        self.predict_vjp = predict_vjp
-        self.scale = scale
+def _dae_corrupt(schedule, rows, noise):
+    """The autoencoder variant's input: rows corrupted at the last step's level."""
+    return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
 
 
 def _slice_batch(batch, start, stop):
@@ -635,10 +610,10 @@ class TrainedModel:
     graph: HeteroGraph
     labels: LabelSet | None
     split: object
-    adjacencies: dict
+    target_adj: dict
+    aux_adj: dict
     schedule: object
     params: ModelParams
-    _trainer: Trainer | None = None
 
     def inference_tables(self, tag="final"):
         """Deterministic embedding tables for evaluation and export.
@@ -647,28 +622,26 @@ class TrainedModel:
         reconstruction for the autoencoder variant), seeded by `tag`.
         """
         cfg, plan = self.cfg, self.plan
-        trainer = self._require_trainer()
-        (target_out, _), source_pack = trainer._encode(self.params.e0)
+        target_out = encode(self.target_adj, self.params.e0, cfg.encoder)
         tables = {"target": target_out.pooled}
         for name, table in target_out.per_relation.items():
             tables[f"relation:{name}"] = table
         if not plan.has_source:
             tables["fused"] = target_out.pooled
             return tables
-        source_out = source_pack[0]
+        source_out = encode(self.aux_adj, self.params.e0, cfg.encoder)
         tables["source"] = source_out.pooled
         for name, table in source_out.per_relation.items():
             tables[f"relation:{name}"] = table
         denoised = source_out.pooled.copy()
         rng = Rng(cfg.seed).derive(f"eval:{tag}")
         for side in plan.diffusion_sides:
-            sl = trainer.side_slice(side)
+            sl = self.graph.type_slice(side)
             side_rng = rng.derive(side)
             if plan.dae:
-                sigma = float(np.sqrt(1.0 - self.schedule.alpha_bar[-1]))
                 noise = side_rng.standard_normal(denoised[sl].shape)
                 denoised[sl] = denoise_predict(self.params.denoiser,
-                                               denoised[sl] + sigma * noise,
+                                               _dae_corrupt(self.schedule, denoised[sl], noise),
                                                self.schedule.steps)
             else:
                 denoised[sl] = reverse_denoise(
@@ -693,18 +666,17 @@ class TrainedModel:
         return report
 
     def _evaluate_link(self, fused):
-        cfg = self.cfg
-        trainer = self._require_trainer()
-        split = self.split
-        users = fused[trainer.side_slice(trainer.user_type)]
-        items = fused[trainer.side_slice(trainer.item_type)]
+        cfg, graph, split = self.cfg, self.graph, self.split
+        target = graph.relations[graph.target]
+        users = fused[graph.type_slice(target.src_type)]
+        items = fused[graph.type_slice(target.dst_type)]
         scores = users[split.test_users] @ items.T
         # mask every test user's training positives in one assignment. Test
         # users are unique, so a user -> score row map suffices, and every
         # user with a training edge had one held out, so is a test user.
         row_of = np.zeros(users.shape[0], dtype=np.int64)
         row_of[split.test_users] = np.arange(split.test_users.size)
-        train_edges = split.train_graph.relations[self.graph.target].edges
+        train_edges = split.train_graph.relations[graph.target].edges
         scores[row_of[train_edges[:, 0]], train_edges[:, 1]] = -np.inf
         recall, ndcg = rank_metrics(scores, split.test_items, cfg.k)
         metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
@@ -739,21 +711,10 @@ class TrainedModel:
             config_fingerprint=self.cfg.fingerprint(),
             dataset_fingerprint=self.graph.fingerprint())
 
-    def _require_trainer(self):
-        if self._trainer is None:
-            raise RuntimeError("model is not attached to a trainer")
-        return self._trainer
-
     # -- persistence
 
     def save(self, path):
-        arrays = {"e0": self.params.e0}
-        if self.params.denoiser is not None:
-            for name, arr in self.params.denoiser.arrays().items():
-                arrays[f"denoiser.{name}"] = arr
-        if self.params.classifier is not None:
-            for name, arr in self.params.classifier.arrays().items():
-                arrays[f"classifier.{name}"] = arr
+        arrays = self.params.arrays()
         arrays["config_json"] = np.frombuffer(
             json.dumps(self.cfg.to_dict()).encode(), dtype=np.uint8)
         arrays["dataset_fingerprint"] = np.frombuffer(
@@ -777,13 +738,8 @@ class TrainedModel:
             if found != saved:
                 raise GraphError(f"{path}: model was trained on dataset {saved}, "
                                  f"not on {found}")
-            trainer.params.e0[...] = data["e0"]
-            if trainer.params.denoiser is not None:
-                for name, arr in trainer.params.denoiser.arrays().items():
-                    arr[...] = data[f"denoiser.{name}"]
-            if trainer.params.classifier is not None:
-                for name, arr in trainer.params.classifier.arrays().items():
-                    arr[...] = data[f"classifier.{name}"]
+            for key, arr in trainer.params.arrays().items():
+                arr[...] = data[key]
         return trainer.to_model()
 
 

@@ -85,10 +85,14 @@ class HeteroGraph:
         out[:, 1] += self.offset(rel.dst_type)
         return out
 
-    def with_relations(self, names, target=None):
-        rels = [self.relations[n] for n in names]
-        tgt = target if target is not None else (self.target if self.target in names else names[0])
-        return HeteroGraph(self.node_counts, rels, tgt)
+    def type_slice(self, node_type):
+        """Rows of `node_type` in the global node index space."""
+        off = self.offset(node_type)
+        return slice(off, off + self.node_counts[node_type])
+
+    def with_relations(self, names):
+        """The same nodes with only the named relations; the target must be one."""
+        return HeteroGraph(self.node_counts, [self.relations[n] for n in names], self.target)
 
     def replace_relation(self, relation: Relation):
         rels = [relation if r.name == relation.name else r for r in self.relations.values()]
@@ -295,16 +299,6 @@ def normalize(g: HeteroGraph, relation, self_loops=False) -> RelationAdjacency:
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     return RelationAdjacency(relation, raw, raw.scale_rows_cols(inv_sqrt, inv_sqrt))
-
-
-def split_target_auxiliary(g: HeteroGraph):
-    """Partition the graph into (target-only view, everything-else view)."""
-    aux = g.auxiliary_names()
-    if not aux:
-        raise GraphError("cannot split a single-relation graph: no auxiliary view")
-    target_graph = g.with_relations([g.target])
-    aux_graph = g.with_relations(aux, target=aux[0])
-    return target_graph, aux_graph
 
 
 def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:

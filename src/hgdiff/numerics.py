@@ -225,11 +225,6 @@ class Rng:
         return self._gen.permutation(n)
 
 
-def gaussian_like(rng: Rng, rows, cols) -> np.ndarray:
-    """Fresh rows x cols matrix of i.i.d. standard normal draws."""
-    return rng.normal(rows, cols)
-
-
 @dataclass
 class AdamState:
     """Moment accumulators for one parameter array."""

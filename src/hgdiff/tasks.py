@@ -176,13 +176,11 @@ def ce_loss(emb, clf: ClassifierParams, labels: LabelSet, row_offset=0):
 class JointLossConfig:
     lam: float = 0.5
     l2: float = 1e-3
-    task: str = "link"
 
     def __post_init__(self):
         if self.lam < 0 or self.l2 < 0:
-            raise ValueError("loss weights must be nonnegative")
-        if self.task not in ("link", "node"):
-            raise ValueError(f"unknown task {self.task!r}")
+            raise ValueError(f"loss weights must be nonnegative, got lam={self.lam}, "
+                             f"l2={self.l2}")
 
 
 def joint_loss(main, deno, cfg: JointLossConfig, embed_table):

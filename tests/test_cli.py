@@ -3,6 +3,7 @@ import json
 import numpy as np
 
 from hgdiff.cli import main
+from hgdiff.diffusion import DiffusionConfig
 from hgdiff.harness import read_embeddings
 
 
@@ -51,6 +52,30 @@ class TestTrain:
     def test_exit_code_config_error(self, capsys):
         code, _, err = run_cli(capsys, "train", *BASE, "--variant", "full",
                                "--b-max", "1.5")
+        assert code == 1
+        assert "config error" in err
+
+    def test_bad_field_values_are_config_errors(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "train", *BASE, "--lam", "-1")
+        assert code == 1
+        assert "config error" in err and "lam" in err
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"encoder": {"activation": "relu"}}))
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+        assert code == 1
+        assert "config error" in err and "activation" in err
+
+    def test_noise_scale_uses_the_library_preset(self, capsys, tmp_path):
+        report = tmp_path / "r.json"
+        for scale in (1e-4, 1e-3, 0.05):
+            code, _, _ = run_cli(capsys, "train", *BASE, "--epochs", "1",
+                                 "--noise-scale", str(scale), "--report", str(report))
+            assert code == 0
+            preset = DiffusionConfig.from_noise_scale(scale)
+            diffusion = json.loads(report.read_text())["config"]["diffusion"]
+            assert (diffusion["b_max"], diffusion["b_min"]) == (preset.b_max, preset.b_min)
+        # below the clamp both endpoints meet, which a multi-step schedule refuses
+        code, _, err = run_cli(capsys, "train", *BASE, "--noise-scale", "1e-13")
         assert code == 1
         assert "config error" in err
 
@@ -118,6 +143,20 @@ class TestModelCommands:
         code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
         assert code == 2
         assert "fingerprint" in err
+
+    def test_eval_refuses_model_with_removed_config_field(self, capsys, tmp_path):
+        # a model saved with a config field this version no longer has
+        model_path = tmp_path / "m.npz"
+        assert run_cli(capsys, "train", *BASE, "--save", str(model_path))[0] == 0
+        with np.load(model_path) as data:
+            arrays = {k: data[k] for k in data.files}
+        cfg = json.loads(bytes(arrays["config_json"]).decode())
+        cfg["encoder"]["shared_initial"] = True
+        arrays["config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
+        np.savez(model_path, **arrays)
+        code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
+        assert code == 1
+        assert "config error" in err and "shared_initial" in err
 
 
 class TestSynth:

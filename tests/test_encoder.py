@@ -5,10 +5,12 @@ from hgdiff.encoder import (
     EncoderConfig,
     encode,
     encode_vjp,
-    encode_views,
     propagate_relation,
+    propagate_relation_vjp,
     relation_adjacencies,
 )
+from hgdiff.diffusion import DiffusionConfig
+from hgdiff.harness import RunConfig, Trainer
 from hgdiff.hetgraph import GraphError, HeteroGraph, Relation, normalize
 from hgdiff.numerics import Rng, ShapeError, grad_check
 
@@ -111,25 +113,20 @@ class TestEncode:
         with pytest.raises(GraphError):
             encode({}, np.ones((2, 2)), EncoderConfig(layers=1, dim=2))
 
-    def test_per_relation_initial_tables(self):
-        adjs = self.make_two_relation()
-        rng = Rng(8)
-        e0 = {"a": rng.normal(4, 3), "b": rng.normal(4, 3)}
-        cfg = EncoderConfig(layers=1, dim=3, shared_initial=False)
-        out, vjp = encode_vjp(adjs, e0, cfg)
-        upstream = rng.normal(4, 3)
-        grads = vjp(upstream)
-        assert set(grads) == {"a", "b"}
 
 
 class TestEncodeViews:
+    # the target view is the target relation, the source view every other one
     def test_auxiliary_copy_matches_target(self):
         edges = [(0, 0), (1, 1), (2, 0)]
         g = HeteroGraph({"user": 3, "item": 2},
                         [Relation("buy", "user", "item", edges),
                          Relation("view", "user", "item", edges)], "buy")
+        adjs = relation_adjacencies(g)
         e0 = Rng(5).normal(5, 4)
-        (tgt, _), (src, _) = encode_views(g, e0, EncoderConfig(layers=2, dim=4))
+        cfg = EncoderConfig(layers=2, dim=4)
+        tgt = encode({"buy": adjs["buy"]}, e0, cfg)
+        src = encode({"view": adjs["view"]}, e0, cfg)
         assert np.array_equal(tgt.pooled, src.pooled)
 
     def test_empty_auxiliary_gives_initial(self):
@@ -137,22 +134,69 @@ class TestEncodeViews:
                         [Relation("buy", "user", "item", [(0, 0), (1, 1)]),
                          Relation("view", "user", "item", np.empty((0, 2)))], "buy")
         e0 = Rng(6).normal(5, 4)
-        (_, _), (src, _) = encode_views(g, e0, EncoderConfig(layers=3, dim=4))
+        src = encode({"view": relation_adjacencies(g)["view"]}, e0,
+                     EncoderConfig(layers=3, dim=4))
         assert np.array_equal(src.pooled, e0)
 
     def test_compositional_three_relations(self):
+        # a trained model's views are the encodings of those relation subsets
         g = HeteroGraph({"user": 4, "item": 3},
-                        [Relation("buy", "user", "item", [(0, 0), (1, 2), (3, 1)]),
+                        [Relation("buy", "user", "item",
+                                  [(0, 0), (0, 2), (1, 2), (1, 1), (3, 1), (3, 0)]),
                          Relation("view", "user", "item", [(0, 1), (2, 2)]),
                          Relation("cart", "user", "item", [(1, 0)])], "buy")
-        e0 = Rng(7).normal(7, 4)
-        cfg = EncoderConfig(layers=2, dim=4)
-        (tgt, _), (src, _) = encode_views(g, e0, cfg)
-        adjs = relation_adjacencies(g)
-        expect_tgt = encode({"buy": adjs["buy"]}, e0, cfg)
-        expect_src = encode({"view": adjs["view"], "cart": adjs["cart"]}, e0, cfg)
-        assert np.array_equal(tgt.pooled, expect_tgt.pooled)
-        assert np.array_equal(src.pooled, expect_src.pooled)
+        cfg = RunConfig(epochs=0, encoder=EncoderConfig(layers=2, dim=4),
+                        diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9))
+        trainer = Trainer(cfg, graph=g)
+        tables = trainer.to_model().inference_tables()
+        adjs = relation_adjacencies(trainer.train_graph)
+        e0 = trainer.params.e0
+        expect_tgt = encode({"buy": adjs["buy"]}, e0, cfg.encoder)
+        expect_src = encode({"view": adjs["view"], "cart": adjs["cart"]}, e0, cfg.encoder)
+        assert np.array_equal(tables["target"], expect_tgt.pooled)
+        assert np.array_equal(tables["source"], expect_src.pooled)
+
+
+class TestSharedForward:
+    """The forward-only functions and their _vjp twins run one forward pass."""
+
+    def graphs(self):
+        rng = Rng(40)
+        for trial in range(4):
+            g = random_graph(rng.derive(f"g{trial}"), 9, 6 + 3 * trial)
+            # node 9 has no edge in either relation
+            rels = [Relation("e", "n", "n", g.relations["e"].edges),
+                    Relation("f", "n", "n", random_graph(rng.derive(f"f{trial}"), 9, 7)
+                             .relations["e"].edges)]
+            yield HeteroGraph({"n": 10}, rels, "e"), rng.derive(f"e0{trial}").normal(10, 5)
+
+    def configs(self):
+        for layers in (0, 1, 3):
+            for activation in ("leaky_relu", "identity"):
+                yield EncoderConfig(layers=layers, dim=5, activation=activation)
+        yield EncoderConfig(layers=2, dim=5, pooling="sum")
+
+    def test_propagate_matches_vjp_forward(self):
+        for g, e0 in self.graphs():
+            adj = normalize(g, "e")
+            for cfg in self.configs():
+                out = propagate_relation(adj, e0, cfg)
+                assert np.array_equal(out, propagate_relation_vjp(adj, e0, cfg)[0])
+                total, layers = propagate_relation(adj, e0, cfg, collect_layers=True)
+                assert np.array_equal(total, out) and len(layers) == cfg.layers + 1
+                if cfg.layers:
+                    assert np.array_equal(layers[-1][9], np.zeros(5))  # isolated
+
+    def test_encode_matches_vjp_forward(self):
+        for g, e0 in self.graphs():
+            adjs = relation_adjacencies(g)
+            for cfg in self.configs():
+                out = encode(adjs, e0, cfg)
+                twin, _ = encode_vjp(adjs, e0, cfg)
+                assert np.array_equal(out.pooled, twin.pooled)
+                assert list(out.per_relation) == list(twin.per_relation) == ["e", "f"]
+                for name, table in out.per_relation.items():
+                    assert np.array_equal(table, twin.per_relation[name])
 
 
 class TestStructuralProperties:

@@ -5,7 +5,7 @@ import pytest
 
 from hgdiff import harness
 from hgdiff.diffusion import DiffusionConfig
-from hgdiff.encoder import EncoderConfig
+from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
     ConfigError,
     DivergenceError,
@@ -118,16 +118,49 @@ class TestVariants:
         with pytest.raises(ConfigError):
             small_cfg(variant="-X")
 
-    def test_minus_d_equals_lam_zero_without_diffusion(self):
-        # the harness invariant: -D is exactly (lam=0, bypass denoising)
-        cfg_d = small_cfg(variant="-D")
-        cfg_eq = small_cfg(variant="full", use_diffusion=False,
-                           loss=JointLossConfig(lam=0.0, l2=1e-3))
-        _, trace_d = train(cfg_d)
-        _, trace_eq = train(cfg_eq)
-        for a, b in zip(trace_d.losses, trace_eq.losses):
-            assert a == b
-        assert trace_d.evals[-1].metrics == trace_eq.evals[-1].metrics
+
+class TestViewSplit:
+    """The trainer's target view is the target relation; its source view is
+    every other relation of the training graph."""
+
+    def graph(self, names=("buy", "view", "cart")):
+        edges = {"buy": [(0, 0), (0, 1), (1, 0), (1, 1), (2, 1), (2, 0)],
+                 "view": [(0, 1), (1, 1)], "cart": [(2, 0)]}
+        return HeteroGraph({"user": 3, "item": 2},
+                           [Relation(n, "user", "item", edges[n]) for n in names], "buy")
+
+    def cfg(self, **kw):
+        return small_cfg(synthetic=None, epochs=2, batch_size=4,
+                         diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9), **kw)
+
+    def test_partition(self):
+        for g in (self.graph(), load_dataset(small_cfg())[0]):
+            for variant in harness.VARIANTS:
+                trainer = Trainer(self.cfg(variant=variant), graph=g)
+                assert list(trainer.target_adj) == [g.target]
+                expect_aux = [] if variant == "-H" else g.auxiliary_names()
+                assert list(trainer.aux_adj) == expect_aux
+                assert not set(trainer.target_adj) & set(trainer.aux_adj)
+                if variant != "-H":
+                    assert set(trainer.target_adj) | set(trainer.aux_adj) == set(g.relations)
+                    # the source view keeps every auxiliary edge
+                    for name in expect_aux:
+                        assert trainer.aux_adj[name].normalized.nnz \
+                            == 2 * g.edge_count(name)
+
+    def test_two_relations(self):
+        trainer = Trainer(self.cfg(), graph=self.graph(("buy", "view")))
+        assert list(trainer.aux_adj) == ["view"]
+
+    def test_single_relation_rejected(self):
+        g = self.graph(("buy",))
+        for variant in harness.VARIANTS:
+            if variant == "-H":
+                _, trace = Trainer(self.cfg(variant=variant), graph=g).train()
+                assert len(trace.losses) == 2
+            else:
+                with pytest.raises(ConfigError, match="needs auxiliary relations"):
+                    Trainer(self.cfg(variant=variant), graph=g)
 
 
 class TestTraining:
@@ -235,8 +268,8 @@ class TestEvaluation:
         model, _ = trainer.train()
         split = model.split
         tables = model.inference_tables()
-        users = tables["fused"][trainer.side_slice(trainer.user_type)]
-        items = tables["fused"][trainer.side_slice(trainer.item_type)]
+        users = tables["fused"][model.graph.type_slice(trainer.user_type)]
+        items = tables["fused"][model.graph.type_slice(trainer.item_type)]
         scores = users[split.test_users] @ items.T
         for row, u in enumerate(split.test_users):
             for pos in trainer.positives.get(int(u), ()):
@@ -253,8 +286,8 @@ class TestEvaluation:
         model.evaluate()
         fused = model.inference_tables()["fused"]
         split = model.split
-        users = fused[trainer.side_slice(trainer.user_type)]
-        items = fused[trainer.side_slice(trainer.item_type)]
+        users = fused[model.graph.type_slice(trainer.user_type)]
+        items = fused[model.graph.type_slice(trainer.item_type)]
         expect = users[split.test_users] @ items.T
         for row, u in enumerate(split.test_users):
             pos = trainer.positives.get(int(u))
@@ -262,6 +295,24 @@ class TestEvaluation:
                 expect[row, sorted(pos)] = -np.inf
         assert np.isinf(expect).any()
         assert np.array_equal(seen[0], expect)
+
+    def test_inference_tables_match_training_encodings(self):
+        # inference encodes forward only; training encodes with encode_vjp
+        for variant in ("full", "DAE", "-H"):
+            trainer = Trainer(small_cfg(epochs=2, variant=variant))
+            model, _ = trainer.train()
+            tables = model.inference_tables()
+            target, _ = encode_vjp(trainer.target_adj, model.params.e0, trainer.cfg.encoder)
+            assert np.array_equal(tables["target"], target.pooled)
+            for name, table in target.per_relation.items():
+                assert np.array_equal(tables[f"relation:{name}"], table)
+            if variant == "-H":
+                assert "source" not in tables
+                continue
+            source, _ = encode_vjp(trainer.aux_adj, model.params.e0, trainer.cfg.encoder)
+            assert np.array_equal(tables["source"], source.pooled)
+            for name, table in source.per_relation.items():
+                assert np.array_equal(tables[f"relation:{name}"], table)
 
     def test_report_embeds_config(self):
         cfg = small_cfg(epochs=1)
@@ -408,7 +459,3 @@ class TestConfig:
     def test_needs_dataset(self):
         with pytest.raises(ConfigError):
             load_dataset(RunConfig(synthetic=None))
-
-    def test_task_synced_into_loss_config(self):
-        cfg = small_cfg(task="node")
-        assert cfg.loss.task == "node"

@@ -16,7 +16,6 @@ from hgdiff.hetgraph import (
     normalize,
     parse_schema,
     sparsity_buckets,
-    split_target_auxiliary,
 )
 from hgdiff.numerics import Rng
 
@@ -209,29 +208,6 @@ class TestNormalize:
     def test_unknown_relation(self):
         with pytest.raises(GraphError):
             normalize(toy_graph(), "nope")
-
-
-class TestSplit:
-    def test_partition(self):
-        g = toy_graph()
-        tgt, aux = split_target_auxiliary(g)
-        assert tgt.relation_names() == ["buy"]
-        assert sorted(aux.relation_names()) == ["cart", "view"]
-        assert tgt.edge_count() + aux.edge_count() == g.edge_count()
-        # re-union reproduces the original edge multiset exactly, per relation
-        for name, rel in g.relations.items():
-            again = (tgt if name == "buy" else aux).relations[name]
-            assert np.array_equal(again.edges, rel.edges)
-
-    def test_two_relations(self):
-        g = toy_graph().with_relations(["buy", "view"], target="buy")
-        _, aux = split_target_auxiliary(g)
-        assert aux.relation_names() == ["view"]
-
-    def test_single_relation_rejected(self):
-        g = toy_graph().with_relations(["buy"])
-        with pytest.raises(GraphError):
-            split_target_auxiliary(g)
 
 
 def hundred_edge_graph(seed=0):

@@ -8,7 +8,6 @@ from hgdiff.numerics import (
     Rng,
     ShapeError,
     adam_step,
-    gaussian_like,
     grad_check,
     spmm,
 )
@@ -116,23 +115,23 @@ class TestCsr:
 
 class TestRng:
     def test_same_seed_same_stream(self):
-        a = gaussian_like(Rng(123), 4, 5)
-        b = gaussian_like(Rng(123), 4, 5)
+        a = Rng(123).normal(4, 5)
+        b = Rng(123).normal(4, 5)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        a = gaussian_like(Rng(1), 3, 3)
-        b = gaussian_like(Rng(2), 3, 3)
+        a = Rng(1).normal(3, 3)
+        b = Rng(2).normal(3, 3)
         assert np.any(a != b)
 
     def test_moments(self):
-        samples = gaussian_like(Rng(99), 1000, 100)
+        samples = Rng(99).normal(1000, 100)
         assert abs(samples.mean()) < 0.02
         assert abs(samples.var() - 1.0) < 0.05
 
     def test_zero_sized_rejected(self):
         with pytest.raises(ShapeError):
-            gaussian_like(Rng(0), 0, 4)
+            Rng(0).normal(0, 4)
 
     def test_derive_is_deterministic_and_independent(self):
         r = Rng(5)
