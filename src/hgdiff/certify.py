@@ -30,9 +30,9 @@ def _small_graph(seed):
                        [Relation("a", "n", "n", g1), Relation("b", "n", "n", g2)], "a")
 
 
-def _encoder_check(n_points, h):
+def _encoder_check(n_points, h, activation="leaky_relu"):
     adjs = relation_adjacencies(_small_graph(seed=51))
-    cfg = EncoderConfig(layers=2, dim=3)
+    cfg = EncoderConfig(layers=2, dim=3, activation=activation)
     probe = Rng(52).normal(8, 3)
 
     def f(e0):
@@ -95,18 +95,22 @@ def _denoiser_point(seed):
     return DenoiserParams.init(4, 6, Rng(seed))
 
 
-def _bpr_check(n_points, h):
-    batch = TripletBatch([0, 1, 2], [3, 4, 5], [5, 3, 4])
-
+def _bpr_check(n_points, h, batch, rows, chunk=None):
     def f(flat):
-        return bpr_loss(flat.reshape(6, 2), batch)[0]
+        return bpr_loss(flat.reshape(rows, 2), batch, chunk=chunk)[0]
 
     worst = 0.0
     for i in range(n_points):
-        emb = Rng(570 + i).normal(6, 2)
-        _, grad = bpr_loss(emb, batch)
+        emb = Rng(570 + i).normal(rows, 2)
+        _, grad = bpr_loss(emb, batch, chunk=chunk)
         worst = max(worst, grad_check(f, grad, emb, h=h))
     return worst
+
+
+# chunks of 3, 3 and 1 triplets: user row 0 repeats within the first chunk and
+# across all three, and item rows 4-7 recur across chunks as positive and negative
+_CHUNKED_BATCH = TripletBatch([0, 1, 0, 2, 0, 1, 0], [4, 5, 6, 4, 7, 5, 6],
+                              [5, 4, 7, 6, 4, 6, 5])
 
 
 def _ce_checks(n_points, h):
@@ -226,8 +230,11 @@ def named_gradient_checks(n_points=10, h=1e-6):
     """Yield (name, runner) pairs; each runner returns the worst relative
     error across its random points."""
     yield "encoder.e0", (lambda: _encoder_check(n_points, h))
+    yield "encoder.e0_identity", (lambda: _encoder_check(n_points, h, "identity"))
     yield from _diffusion_checks(n_points, h)
-    yield "bpr.embeddings", (lambda: _bpr_check(n_points, h))
+    yield "bpr.embeddings", (lambda: _bpr_check(
+        n_points, h, TripletBatch([0, 1, 2], [3, 4, 5], [5, 3, 4]), rows=6))
+    yield "bpr.chunked", (lambda: _bpr_check(n_points, h, _CHUNKED_BATCH, rows=8, chunk=3))
     yield from _ce_checks(n_points, h)
     yield from _joint_checks(n_points, h)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, ShapeError
+from .numerics import Rng, ShapeError, scatter_add
 
 
 class ScheduleError(ValueError):
@@ -260,8 +260,7 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g_b1 = g_pre.sum(axis=0)
         g_w1 = x.T @ g_pre
         g_x = g_pre @ params.w1.T
-        g_temb = np.zeros_like(params.time_emb)
-        np.add.at(g_temb, t_rows - 1, g_x[:, d:])
+        g_temb = scatter_add(t_rows - 1, g_x[:, d:], params.time_emb.shape[0])
         return DenoiserGrads(g_w1, g_b1, g_w2, g_b2, g_temb), g_x[:, :d]
 
     return out, vjp

@@ -21,7 +21,7 @@ class EncoderConfig:
     layers: int = 3
     dim: int = 32
     activation: str = "leaky_relu"  # or "identity"
-    leaky_slope: float = 0.2
+    leaky_slope: float = 0.2  # in [0, 1]: the forward takes max(x, slope * x)
     pooling: str = "mean"  # or "sum"
 
     def __post_init__(self):
@@ -31,6 +31,8 @@ class EncoderConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
         if self.pooling not in ("mean", "sum"):
             raise ValueError(f"unknown pooling {self.pooling!r}")
+        if not 0.0 <= self.leaky_slope <= 1.0:
+            raise ValueError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
 
 
 @dataclass
@@ -42,13 +44,10 @@ class EncoderOutput:
 def _activate(x, cfg):
     if cfg.activation == "identity":
         return x
-    return np.where(x >= 0, x, cfg.leaky_slope * x)
-
-
-def _activate_grad(x, cfg):
-    if cfg.activation == "identity":
-        return np.ones_like(x)
-    return np.where(x >= 0, 1.0, cfg.leaky_slope)
+    # leaky_relu(x) equals max(x, slope*x) bit for bit, signed zeros
+    # included, while 0 <= slope <= 1 (EncoderConfig checks it)
+    z = np.multiply(x, cfg.leaky_slope)
+    return np.maximum(x, z, out=z)
 
 
 def _row_normalize(z):
@@ -58,14 +57,18 @@ def _row_normalize(z):
 
 
 def _row_normalize_vjp(z, norms, upstream):
-    # y = z / |z| per row; dL/dz = (u - y (u.y)) / |z|, zero rows pass nothing
-    out = np.zeros_like(z)
+    """Gradient through y = z / |z| per row, (u - y (u.y)) / |z|, written
+    over `upstream` and returned; rows of norm 0 pass exactly 0."""
     nz = norms > 0
-    if np.any(nz):
-        y = z[nz] / norms[nz, None]
-        u = upstream[nz]
-        out[nz] = (u - y * (u * y).sum(axis=1, keepdims=True)) / norms[nz, None]
-    return out
+    # rows of norm 0 divide by 1 here and are zeroed at the end
+    safe = np.where(nz, norms, 1.0)[:, None]
+    y = z / safe
+    dot = (upstream * y).sum(axis=1, keepdims=True)
+    upstream -= np.multiply(y, dot, out=y)
+    upstream /= safe
+    if not nz.all():
+        upstream[~nz] = 0.0
+    return upstream
 
 
 def _propagate(adj: RelationAdjacency, e0, cfg: EncoderConfig, outputs=None, saved=None):
@@ -111,8 +114,11 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
         g = np.asarray(upstream, dtype=np.float64)
         chain = np.zeros_like(g)
         for x, z, norms in reversed(saved):
-            g_z = _row_normalize_vjp(z, norms, g + chain)
-            g_x = g_z * _activate_grad(x, cfg)
+            chain += g  # equals g + chain: addition commutes bit for bit
+            g_x = _row_normalize_vjp(z, norms, chain)
+            if cfg.activation != "identity":
+                # the slope where x < 0 or NaN, as np.where(x >= 0, g, slope * g)
+                np.multiply(g_x, cfg.leaky_slope, out=g_x, where=~(x >= 0))
             # the normalized adjacency is its own transpose (see normalize)
             chain = spmm(adj.normalized, g_x)
         return g + chain

@@ -45,13 +45,13 @@ from .numerics import AdamState, Rng, adam_step
 from .tasks import (
     ClassifierParams,
     JointLossConfig,
-    TripletBatch,
     bpr_loss,
     ce_loss,
     class_metrics,
     classifier_logits,
     fuse,
     joint_loss,
+    positive_keys,
     rank_metrics,
     sample_triplets,
 )
@@ -350,9 +350,7 @@ class Trainer:
                 raise ConfigError("leave-one-out split left no training edges; "
                                   "the dataset is too sparse to train on")
             self.user_type, self.item_type = rel.src_type, rel.dst_type
-            self.positives = {}
-            for u, v in rel.edges:
-                self.positives.setdefault(int(u), set()).add(int(v))
+            self.positives = positive_keys(rel.edges, graph.node_counts[rel.dst_type])
 
     # -- helpers
 
@@ -423,7 +421,7 @@ class Trainer:
 
         clf_grads = None
         if cfg.task == "link":
-            main, g_fused = self._bpr_over_chunks(fused, draws.triplets)
+            main, g_fused = bpr_loss(fused, draws.triplets, chunk=cfg.batch_size)
         else:
             main, g_fused, clf_grads = ce_loss(
                 fused, params.classifier, self.split.train,
@@ -470,18 +468,6 @@ class Trainer:
         g_e0 += 2.0 * cfg.loss.l2 * params.e0
         # gradients are shaped like the parameters, so they share their names
         return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()
-
-    def _bpr_over_chunks(self, fused, triplets):
-        total = len(triplets)
-        grad = np.zeros_like(fused)
-        loss = 0.0
-        for start in range(0, total, self.cfg.batch_size):
-            chunk = _slice_batch(triplets, start, start + self.cfg.batch_size)
-            weight = len(chunk) / total
-            part, g = bpr_loss(fused, chunk)
-            loss += weight * part
-            grad += weight * g
-        return loss, grad
 
     def run_epoch(self, epoch):
         draws = self.draw_epoch()
@@ -532,11 +518,6 @@ class Trainer:
 def _dae_corrupt(schedule, rows, noise):
     """The autoencoder variant's input: rows corrupted at the last step's level."""
     return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
-
-
-def _slice_batch(batch, start, stop):
-    return TripletBatch(batch.users[start:stop], batch.pos[start:stop],
-                        batch.neg[start:stop])
 
 
 # ------------------------------------------------------------------ reports

@@ -179,6 +179,26 @@ def spmm(a: CsrMatrix, b) -> np.ndarray:
     return out
 
 
+def scatter_add(index, values, rows):
+    """``np.add.at(np.zeros(...), index, values)`` over `rows` rows, bit for bit.
+
+    `values` is 1-d or (len(index), d). np.bincount adds each value into its
+    bin in input order starting from +0.0, which is the order add.at uses,
+    without add.at's per-element dispatch.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    if values.shape[:1] != index.shape or values.ndim > 2:
+        raise ShapeError(f"scatter values {values.shape} vs index {index.shape}")
+    if index.size and (index.min() < 0 or index.max() >= rows):
+        raise ShapeError(f"scatter index outside 0..{rows - 1}")
+    d = values.shape[1] if values.ndim == 2 else 1
+    keys = (index[:, None] * d + np.arange(d)).ravel()
+    # bincount returns int64 zeros when it is given no values at all
+    out = np.bincount(keys, weights=values.ravel(), minlength=rows * d)
+    return out.astype(np.float64, copy=False).reshape((rows,) + values.shape[1:])
+
+
 _STREAM_SALT = b"hgdiff-stream"
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hetgraph import LabelSet
-from .numerics import Rng, ShapeError
+from .numerics import Rng, ShapeError, scatter_add
 
 
 def fuse(target_emb, denoised):
@@ -44,50 +44,90 @@ class TripletBatch:
         return self.users.size
 
 
+def positive_keys(edges, n_items):
+    """Sorted int64 keys ``user * n_items + item`` of (user, item) edges in
+    local ids: the known positives :func:`sample_triplets` avoids."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    return np.sort(edges[:, 0] * n_items + edges[:, 1])
+
+
+def _is_positive(keys, users, items, n_items):
+    probe = users * n_items + items
+    if keys.size == 0:
+        return np.zeros(probe.shape, dtype=bool)
+    at = np.minimum(np.searchsorted(keys, probe), keys.size - 1)
+    return keys[at] == probe
+
+
 def sample_triplets(edges, n_items, user_offset, item_offset, rng: Rng,
                     positives=None):
     """One uniformly drawn negative per observed edge, avoiding each user's
     known positives. Edge order is shuffled; everything comes off `rng`.
 
-    Negatives are drawn in vectorized rounds, redrawing only the slots that
-    collided with a known positive.
+    `positives` holds the :func:`positive_keys` of the known positives, by
+    default those of `edges`. Negatives are drawn in vectorized rounds,
+    redrawing only the slots that collided with a known positive.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.shape[0] == 0:
         raise ShapeError("no edges to sample triplets from")
     if positives is None:
-        positives = {}
-        for u, v in edges:
-            positives.setdefault(int(u), set()).add(int(v))
+        positives = positive_keys(edges, n_items)
     order = rng.permutation(edges.shape[0])
     users = edges[order, 0]
     pos = edges[order, 1]
     neg = np.asarray(rng.integers(0, n_items, size=users.size), dtype=np.int64)
-    pending = np.flatnonzero([int(v) in positives.get(int(u), ())
-                              for u, v in zip(users, neg)])
+    pending = np.flatnonzero(_is_positive(positives, users, neg, n_items))
     while pending.size:
         neg[pending] = rng.integers(0, n_items, size=pending.size)
-        pending = pending[[int(neg[i]) in positives.get(int(users[i]), ())
-                           for i in pending]]
+        pending = pending[_is_positive(positives, users[pending], neg[pending], n_items)]
     return TripletBatch(users + user_offset, pos + item_offset, neg + item_offset)
 
 
-def bpr_loss(emb, batch: TripletBatch):
+def bpr_loss(emb, batch: TripletBatch, chunk=None):
     """Mean -log sigmoid(score difference) over triplets, plus the gradient
-    with respect to the fused table (nonzero only on touched rows)."""
+    with respect to the fused table (nonzero only on touched rows).
+
+    With `chunk`, the batch is cut into consecutive chunks of that many
+    triplets (the last may be shorter). Each chunk's mean loss and gradient
+    are weighted by its share of the triplets and added in chunk order, with
+    every sum taken in the order a per-chunk ``np.add.at`` loop takes it:
+    within a chunk the user, positive and negative terms in triplet order,
+    then the weighted chunk sums in chunk order.
+    """
     emb = np.asarray(emb, dtype=np.float64)
-    if len(batch) == 0:
+    n = len(batch)
+    if n == 0:
         raise ShapeError("empty triplet batch")
-    e_u, e_p, e_n = emb[batch.users], emb[batch.pos], emb[batch.neg]
-    diff = ((e_p - e_n) * e_u).sum(axis=1)
-    loss = float(np.logaddexp(0.0, -diff).mean())
-    # d/d diff of mean log(1+exp(-diff)) = -sigmoid(-diff)/B
-    coef = (-_sigmoid(-diff) / len(batch))[:, None]
-    grad = np.zeros_like(emb)
-    np.add.at(grad, batch.users, coef * (e_p - e_n))
-    np.add.at(grad, batch.pos, coef * e_u)
-    np.add.at(grad, batch.neg, -coef * e_u)
-    return loss, grad
+    chunk = n if chunk is None else int(chunk)
+    if chunk < 1:
+        raise ShapeError(f"chunk must be >= 1, got {chunk}")
+    e_u = emb[batch.users]
+    d_pn = emb[batch.pos]
+    d_pn -= emb[batch.neg]
+    diff = (d_pn * e_u).sum(axis=1)
+    terms = np.logaddexp(0.0, -diff)
+    starts = np.arange(0, n, chunk)
+    sizes = np.minimum(chunk, n - starts)
+    weights = sizes / n
+    loss = 0.0
+    for start, weight in zip(starts.tolist(), weights.tolist()):
+        loss += weight * float(terms[start:start + chunk].mean())
+    # d/d diff of a chunk's mean log(1+exp(-diff)) = -sigmoid(-diff)/chunk size
+    chunk_of = np.arange(n) // chunk
+    coef = (-_sigmoid(-diff) / sizes[chunk_of])[:, None]
+    grad_terms = np.empty((3, n, emb.shape[1]))
+    np.multiply(coef, d_pn, out=grad_terms[0])
+    np.multiply(coef, e_u, out=grad_terms[1])
+    np.negative(grad_terms[1], out=grad_terms[2])
+    n_rows = emb.shape[0]
+    rows = np.concatenate((batch.users, batch.pos, batch.neg))
+    # one group per (chunk, row): summed in input order, then weighted and
+    # summed per row in ascending chunk order
+    groups, group_of = np.unique(np.tile(chunk_of, 3) * n_rows + rows, return_inverse=True)
+    sums = scatter_add(group_of, grad_terms.reshape(3 * n, -1), groups.size)
+    sums *= weights[groups // n_rows, None]
+    return loss, scatter_add(groups % n_rows, sums, n_rows)
 
 
 def _sigmoid(x):
@@ -167,8 +207,7 @@ def ce_loss(emb, clf: ClassifierParams, labels: LabelSet, row_offset=0):
     g_b1 = g_pre.sum(axis=0)
     g_w1 = x.T @ g_pre
     g_x = g_pre @ clf.w1.T
-    grad_emb = np.zeros_like(emb)
-    np.add.at(grad_emb, rows, g_x)
+    grad_emb = scatter_add(rows, g_x, emb.shape[0])
     return loss, grad_emb, ClassifierGrads(g_w1, g_b1, g_w2, g_b2)
 
 

@@ -65,6 +65,21 @@ class TestTrain:
         assert code == 1
         assert "config error" in err and "activation" in err
 
+    def test_leaky_slope_outside_unit_interval_is_a_config_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
+        for slope in (-0.1, 1.5, float("nan")):
+            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
+                                            "encoder": {"leaky_slope": slope}}))
+            code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 1, slope
+            assert "config error" in err and "leaky_slope" in err
+        for slope in (0.0, 1.0):
+            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
+                                            "encoder": {"leaky_slope": slope, "dim": 4}}))
+            code, _, _ = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 0, slope
+
     def test_noise_scale_uses_the_library_preset(self, capsys, tmp_path):
         report = tmp_path / "r.json"
         for scale in (1e-4, 1e-3, 0.05):

@@ -12,7 +12,7 @@ from hgdiff.encoder import (
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.harness import RunConfig, Trainer
 from hgdiff.hetgraph import GraphError, HeteroGraph, Relation, normalize
-from hgdiff.numerics import Rng, ShapeError, grad_check
+from hgdiff.numerics import Rng, ShapeError, grad_check, spmm
 
 
 def line_graph(n, name="e"):
@@ -197,6 +197,89 @@ class TestSharedForward:
                 assert list(out.per_relation) == list(twin.per_relation) == ["e", "f"]
                 for name, table in out.per_relation.items():
                     assert np.array_equal(table, twin.per_relation[name])
+
+
+def reference_relation_vjp(adj, e0, cfg):
+    """The relation forward and backward with np.where activations and
+    boolean-mask copies of the nonzero-norm rows in the normalization
+    gradient."""
+    identity = cfg.activation == "identity"
+    saved = []
+    total = e0.copy()
+    prev = e0
+    for _ in range(cfg.layers):
+        x = spmm(adj.normalized, prev)
+        z = x if identity else np.where(x >= 0, x, cfg.leaky_slope * x)
+        norms = np.sqrt((z * z).sum(axis=1))
+        scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
+        prev = z * scale[:, None]
+        total += prev
+        saved.append((x, z, norms))
+
+    def normalize_vjp(z, norms, upstream):
+        out = np.zeros_like(z)
+        nz = norms > 0
+        if np.any(nz):
+            y = z[nz] / norms[nz, None]
+            u = upstream[nz]
+            out[nz] = (u - y * (u * y).sum(axis=1, keepdims=True)) / norms[nz, None]
+        return out
+
+    def vjp(upstream):
+        g = np.asarray(upstream, dtype=np.float64)
+        chain = np.zeros_like(g)
+        for x, z, norms in reversed(saved):
+            g_z = normalize_vjp(z, norms, g + chain)
+            slope = np.ones_like(x) if identity else np.where(x >= 0, 1.0, cfg.leaky_slope)
+            chain = spmm(adj.normalized, g_z * slope)
+        return g + chain
+
+    return total, vjp
+
+
+class TestReferenceBackward:
+    """The in-place backward equals the mask-copy reference bit for bit."""
+
+    def test_matches_mask_copy_reference(self):
+        rng = Rng(45)
+        for trial in range(4):
+            r = rng.derive(f"t{trial}")
+            edges = random_graph(r.derive("g"), 11, 8 + 4 * trial).relations["e"].edges
+            # node 11 has no edge: its rows have norm 0 in every layer. Node 12's
+            # only neighbour, 13, starts at zero, so node 12's first layer has
+            # norm 0 although it has an edge.
+            edges = np.vstack([edges, [[12, 13]]])
+            adj = normalize(HeteroGraph({"n": 14}, [Relation("e", "n", "n", edges)], "e"), "e")
+            e0 = r.normal(14, 6)
+            e0[13] = 0.0
+            if trial % 2:
+                e0[:, 2] = 0.0  # pre-activations exactly 0 in rows of nonzero norm
+            upstream = r.normal(14, 6)
+            upstream[0] = 0.0
+            upstream[1, :3] = -0.0  # signed zeros must survive the chain sums
+            for layers in (0, 1, 3):
+                for slope, activation in ((0.0, "leaky_relu"), (0.2, "leaky_relu"),
+                                          (1.0, "leaky_relu"), (0.2, "identity")):
+                    cfg = EncoderConfig(layers=layers, dim=6, activation=activation,
+                                        leaky_slope=slope)
+                    total, vjp = propagate_relation_vjp(adj, e0, cfg)
+                    ref_total, ref_vjp = reference_relation_vjp(adj, e0, cfg)
+                    assert np.array_equal(total.view(np.int64), ref_total.view(np.int64))
+                    kept = upstream.copy()
+                    grad = vjp(upstream)
+                    assert np.array_equal(grad.view(np.int64), ref_vjp(upstream).view(np.int64))
+                    assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
+                    # the saved forward state is left as it was
+                    assert np.array_equal(vjp(upstream).view(np.int64), grad.view(np.int64))
+                    if layers:
+                        assert np.array_equal(grad[11], upstream[11])  # isolated
+
+    def test_leaky_slope_must_lie_in_unit_interval(self):
+        for slope in (-0.01, 1.01, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="leaky_slope"):
+                EncoderConfig(leaky_slope=slope)
+        EncoderConfig(leaky_slope=0.0)
+        EncoderConfig(leaky_slope=1.0)
 
 
 class TestStructuralProperties:

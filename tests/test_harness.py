@@ -236,6 +236,15 @@ class TestTraining:
         assert np.isfinite(trace.losses[-1]["total"])
 
 
+def _train_positives(model):
+    """Each user's training positives, read from the split's training graph."""
+    graph = model.split.train_graph
+    positives = {}
+    for u, v in graph.relations[graph.target].edges:
+        positives.setdefault(int(u), set()).add(int(v))
+    return positives
+
+
 class TestEvaluation:
     def test_hand_set_scores_match_brute_force(self):
         # provided features + zero layers + no auxiliary view make the fused
@@ -272,7 +281,7 @@ class TestEvaluation:
         items = tables["fused"][model.graph.type_slice(trainer.item_type)]
         scores = users[split.test_users] @ items.T
         for row, u in enumerate(split.test_users):
-            for pos in trainer.positives.get(int(u), ()):
+            for pos in _train_positives(model).get(int(u), ()):
                 assert pos != split.test_items[row]
 
     def test_masked_scores_match_per_user_loop(self, monkeypatch):
@@ -289,8 +298,9 @@ class TestEvaluation:
         users = fused[model.graph.type_slice(trainer.user_type)]
         items = fused[model.graph.type_slice(trainer.item_type)]
         expect = users[split.test_users] @ items.T
+        positives = _train_positives(model)
         for row, u in enumerate(split.test_users):
-            pos = trainer.positives.get(int(u))
+            pos = positives.get(int(u))
             if pos:
                 expect[row, sorted(pos)] = -np.inf
         assert np.isinf(expect).any()

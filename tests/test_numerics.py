@@ -9,6 +9,7 @@ from hgdiff.numerics import (
     ShapeError,
     adam_step,
     grad_check,
+    scatter_add,
     spmm,
 )
 
@@ -111,6 +112,57 @@ class TestCsr:
         for offsets, cols, row in cases:
             with pytest.raises(ShapeError, match=f"not strictly increasing in row {row}$"):
                 CsrMatrix(4, 4, offsets, cols, np.ones(len(cols)))
+
+
+def bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+class TestScatterAdd:
+    """scatter_add is np.add.at into zeros, bit for bit."""
+
+    def reference(self, index, values, rows):
+        out = np.zeros((rows,) + np.shape(values)[1:])
+        np.add.at(out, index, values)
+        return out
+
+    def cases(self):
+        rng = Rng(70)
+        for trial, (n, rows, d) in enumerate([(1, 1, 3), (40, 5, 4), (300, 50, 32),
+                                              (500, 1000, 7), (64, 3, 1)]):
+            r = rng.derive(f"case{trial}")
+            index = r.integers(0, rows, size=n)
+            values = r.standard_normal((n, d)) * 10.0 ** r.integers(-3, 4, size=(n, 1))
+            yield index, values, rows
+        # signed zeros: add.at starts every row at +0.0, so -0.0 + -0.0 -> +0.0
+        yield np.array([0, 0, 1, 2]), np.array([[-0.0, 1.0], [-0.0, -1.0],
+                                                [-0.0, -0.0], [0.0, -0.0]]), 4
+        yield np.zeros(0, dtype=np.int64), np.zeros((0, 3)), 4
+
+    def test_matches_add_at(self):
+        for index, values, rows in self.cases():
+            assert np.array_equal(bits(scatter_add(index, values, rows)),
+                                  bits(self.reference(index, values, rows)))
+            column = values[:, 0]
+            assert np.array_equal(bits(scatter_add(index, column, rows)),
+                                  bits(self.reference(index, column, rows)))
+
+    def test_strided_values_and_dtype(self):
+        rng = Rng(71)
+        index = rng.integers(0, 6, size=30)
+        values = rng.standard_normal((30, 10))[:, 3:9:2]  # not contiguous
+        out = scatter_add(index, values, 6)
+        assert out.dtype == np.float64 and out.shape == (6, 3)
+        assert np.array_equal(bits(out), bits(self.reference(index, values, 6)))
+        assert scatter_add(np.zeros(0, dtype=np.int64), np.zeros(0), 2).dtype == np.float64
+
+    def test_rejects_bad_index_and_shape(self):
+        with pytest.raises(ShapeError):
+            scatter_add(np.array([0, 3]), np.ones((2, 2)), 3)
+        with pytest.raises(ShapeError):
+            scatter_add(np.array([-1]), np.ones((1, 2)), 3)
+        with pytest.raises(ShapeError):
+            scatter_add(np.array([0, 1]), np.ones((3, 2)), 3)
 
 
 class TestRng:

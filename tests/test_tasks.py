@@ -17,11 +17,59 @@ from hgdiff.tasks import (
     class_metrics,
     fuse,
     joint_loss,
+    positive_keys,
     rank_metrics,
     sample_triplets,
 )
 
 # ---------------------------------------------------------------- oracles
+
+
+def bits(x):
+    return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
+
+
+def reference_bpr(emb, batch, chunk):
+    """Chunked BPR as a loop: one full-table np.add.at gradient per chunk,
+    weighted by the chunk's share of the triplets and added in chunk order."""
+    total = len(batch)
+    grad = np.zeros_like(emb)
+    loss = 0.0
+    for start in range(0, total, chunk):
+        users = batch.users[start:start + chunk]
+        pos = batch.pos[start:start + chunk]
+        neg = batch.neg[start:start + chunk]
+        e_u, e_p, e_n = emb[users], emb[pos], emb[neg]
+        diff = ((e_p - e_n) * e_u).sum(axis=1)
+        part = float(np.logaddexp(0.0, -diff).mean())
+        coef = (-tasks._sigmoid(-diff) / users.size)[:, None]
+        g = np.zeros_like(emb)
+        np.add.at(g, users, coef * (e_p - e_n))
+        np.add.at(g, pos, coef * e_u)
+        np.add.at(g, neg, -coef * e_u)
+        weight = users.size / total
+        loss += weight * part
+        grad += weight * g
+    return loss, grad
+
+
+def reference_sample_triplets(edges, n_items, user_offset, item_offset, rng):
+    """Negative sampling with a dict of sets and a Python test per triplet."""
+    edges = np.asarray(edges, dtype=np.int64)
+    positives = {}
+    for u, v in edges:
+        positives.setdefault(int(u), set()).add(int(v))
+    order = rng.permutation(edges.shape[0])
+    users = edges[order, 0]
+    pos = edges[order, 1]
+    neg = np.asarray(rng.integers(0, n_items, size=users.size), dtype=np.int64)
+    pending = np.flatnonzero([int(v) in positives.get(int(u), ())
+                              for u, v in zip(users, neg)])
+    while pending.size:
+        neg[pending] = rng.integers(0, n_items, size=pending.size)
+        pending = pending[[int(neg[i]) in positives.get(int(users[i]), ())
+                           for i in pending]]
+    return TripletBatch(users + user_offset, pos + item_offset, neg + item_offset)
 
 
 def brute_rank(scores_row, truth, k):
@@ -125,6 +173,39 @@ class TestBpr:
     def test_empty_batch_rejected(self):
         with pytest.raises(ShapeError):
             bpr_loss(np.ones((2, 2)), TripletBatch([], [], []))
+        with pytest.raises(ShapeError):
+            bpr_loss(np.ones((2, 2)), TripletBatch([0], [1], [1]), chunk=0)
+
+    def batches(self):
+        rng = Rng(9)
+        for trial in range(3):
+            r = rng.derive(f"b{trial}")
+            n = 40 + 13 * trial
+            emb = r.normal(25, 6) * 10.0 ** (trial - 1)
+            # few users and items, so rows repeat within chunks and across them
+            yield emb, TripletBatch(r.integers(0, 5, size=n), r.integers(5, 25, size=n),
+                                    r.integers(5, 25, size=n))
+        # one node type: a row is a user in one triplet and an item in another
+        r = rng.derive("shared")
+        yield r.normal(6, 4), TripletBatch(r.integers(0, 6, size=30),
+                                           r.integers(0, 6, size=30),
+                                           r.integers(0, 6, size=30))
+
+    def test_chunked_matches_per_chunk_loop(self):
+        for emb, batch in self.batches():
+            n = len(batch)
+            for chunk in (1, 7, n - 1, n, n + 5):
+                loss, grad = bpr_loss(emb, batch, chunk=chunk)
+                ref_loss, ref_grad = reference_bpr(emb, batch, chunk)
+                assert np.array_equal(bits(loss), bits(ref_loss)), chunk
+                assert np.array_equal(bits(grad), bits(ref_grad)), chunk
+
+    def test_one_chunk_is_the_plain_mean(self):
+        for emb, batch in self.batches():
+            loss, grad = bpr_loss(emb, batch)
+            same_loss, same_grad = bpr_loss(emb, batch, chunk=len(batch))
+            assert np.array_equal(bits(loss), bits(same_loss))
+            assert np.array_equal(bits(grad), bits(same_grad))
 
 
 class TestSampleTriplets:
@@ -142,6 +223,34 @@ class TestSampleTriplets:
         a = sample_triplets(edges, 5, 0, 3, Rng(8))
         b = sample_triplets(edges, 5, 0, 3, Rng(8))
         assert np.array_equal(a.neg, b.neg) and np.array_equal(a.users, b.users)
+
+    def test_matches_dict_of_sets_reference(self):
+        graphs = Rng(12)
+        for trial in range(12):
+            r = graphs.derive(f"g{trial}")
+            n_users, n_items = int(r.integers(1, 30)), int(r.integers(2, 40))
+            # up to 90% of a user's items are positives, so redraws are common
+            dense = r.uniform((n_users, n_items)) < r.uniform() * 0.9
+            for u in range(n_users):
+                dense[u, r.integers(0, n_items)] = False  # one negative each
+            edges = np.argwhere(dense)
+            if edges.shape[0] == 0:
+                continue
+            edges = edges[r.permutation(edges.shape[0])]
+            for seed in range(3):
+                ref_rng, rng = Rng(100 * trial + seed), Rng(100 * trial + seed)
+                ref = reference_sample_triplets(edges, n_items, 3, 50, ref_rng)
+                keys = positive_keys(edges, n_items) if seed == 2 else None
+                got = sample_triplets(edges, n_items, 3, 50, rng, positives=keys)
+                for name in ("users", "pos", "neg"):
+                    assert np.array_equal(getattr(got, name), getattr(ref, name))
+                # the same number of draws left the stream at the same place
+                assert rng.integers(0, 1 << 62) == ref_rng.integers(0, 1 << 62)
+
+    def test_positive_keys(self):
+        keys = positive_keys(np.array([[2, 1], [0, 3], [0, 0]]), n_items=4)
+        assert keys.dtype == np.int64 and keys.tolist() == [0, 3, 9]
+        assert positive_keys(np.zeros((0, 2)), n_items=4).size == 0
 
 
 # ---------------------------------------------------------------- ce
