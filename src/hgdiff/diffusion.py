@@ -335,11 +335,21 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
     return DiffusionLossResult(loss, pred, grads, scale * g_ht, -g_pred, vjp, scale)
 
 
+_WALK_ROWS = 512  # rows per block of the reverse walk: ~0.5 MB of working set
+
+
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
                     source, infer_steps, rng: Rng = None, noise=None):
     """Corrupt the source rows to the requested step, then walk the posterior
     mean back to step zero. No sampling noise is added on the way down, so the
     output is a deterministic function of (params, source, corruption noise).
+
+    All rows are corrupted by one draw; the walk then takes contiguous,
+    near-equal blocks of about `_WALK_ROWS` rows through every step, so a
+    block's working set stays in cache. Rows of one matrix product never
+    depend on each other, but a one-row product takes another BLAS path and
+    rounds differently, so no block has a single row unless the input has
+    one. The output equals the whole-array walk bit for bit.
     """
     source = np.asarray(source, dtype=np.float64)
     if not 0 <= infer_steps <= schedule.steps:
@@ -347,16 +357,23 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     if infer_steps == 0:
         return source.copy()
     h = q_sample(source, infer_steps, schedule, rng=rng, noise=noise)
-    # denoise_predict is looked up as a module global at every step, so a
-    # caller may replace it; its result is never written to
+    walk = []
     for t in range(infer_steps, 1, -1):
-        pred = denoise_predict(params, h, t)
         ab = schedule.alpha_bar_at(t)
         ab_prev = schedule.alpha_bar_before(t)
         coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
         coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
-        # h is q_sample's fresh array; updating it in place gives
-        # coef_pred*pred + coef_h*h bit for bit (addition commutes)
-        h *= coef_h
-        h += coef_pred * pred
-    return denoise_predict(params, h, 1)
+        walk.append((t, coef_h, coef_pred))
+    n = h.shape[0]
+    n_blocks = max(1, min(-(-n // _WALK_ROWS), n // 2))
+    # each block is a view of q_sample's fresh array. denoise_predict is
+    # looked up as a module global at every step, so a caller may replace it;
+    # its result is never written to
+    for block in np.array_split(h, n_blocks):
+        for t, coef_h, coef_pred in walk:
+            pred = denoise_predict(params, block, t)
+            # coef_h*h + coef_pred*pred bit for bit (addition commutes)
+            block *= coef_h
+            block += coef_pred * pred
+        block[...] = denoise_predict(params, block, 1)
+    return h

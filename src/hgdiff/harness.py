@@ -349,6 +349,9 @@ class Trainer:
             if cfg.epochs > 0 and self.train_edges.shape[0] == 0:
                 raise ConfigError("leave-one-out split left no training edges; "
                                   "the dataset is too sparse to train on")
+            if self.split.test_users.size == 0:
+                raise ConfigError("the target relation has no edges, so the "
+                                  "leave-one-out split left no test users")
             self.user_type, self.item_type = rel.src_type, rel.dst_type
             self.positives = positive_keys(rel.edges, graph.node_counts[rel.dst_type])
 
@@ -659,20 +662,14 @@ class TrainedModel:
         row_of[split.test_users] = np.arange(split.test_users.size)
         train_edges = split.train_graph.relations[graph.target].edges
         scores[row_of[train_edges[:, 0]], train_edges[:, 1]] = -np.inf
-        recall, ndcg = rank_metrics(scores, split.test_items, cfg.k)
-        metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
-
-        buckets = {}
         ids = sparsity_buckets(split.train_graph, split.test_users,
                                cfg.bucket_boundaries)
+        recall, ndcg, per_bucket = rank_metrics(scores, split.test_items, cfg.k,
+                                                groups=ids)
+        metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
         labels = bucket_labels(cfg.bucket_boundaries)
-        for b, label in enumerate(labels):
-            mask = ids == b
-            if not mask.any():
-                continue
-            r, n = rank_metrics(scores[mask], split.test_items[mask], cfg.k)
-            buckets[label] = {f"recall@{cfg.k}": r, f"ndcg@{cfg.k}": n,
-                              "n_users": int(mask.sum())}
+        buckets = {labels[b]: {f"recall@{cfg.k}": r, f"ndcg@{cfg.k}": g, "n_users": m}
+                   for b, (r, g, m) in per_bucket.items()}
         return self._report(metrics, buckets, int(split.test_users.size),
                             split.n_excluded)
 

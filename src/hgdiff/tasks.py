@@ -236,18 +236,29 @@ def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
 _RANK_BLOCK_ELEMENTS = 1 << 17  # scores compared per block in rank_metrics
 
 
-def rank_metrics(scores, truth, k):
+def rank_metrics(scores, truth, k, groups=None):
     """Leave-one-out Recall@k and NDCG@k averaged over users.
 
     `scores` is (users, items); `truth` holds the single held-out item per
     user. An item outranks the truth when its score is higher, or equal with
     a smaller id (deterministic tie rule).
+
+    With `groups`, one nonnegative group id per user, a third value maps each
+    group id present to its (recall, ndcg, n_users): the means of the same
+    per-user hits and gains over that group's users, in row order, so a
+    group's metrics equal a separate call on its rows bit for bit.
     """
     scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
     if scores.ndim != 2 or truth.shape != (scores.shape[0],):
         raise ShapeError("scores must be (users, items) with one truth per user")
     n, n_items = scores.shape
+    if n == 0:
+        raise ShapeError("no test users to rank")
+    if groups is not None:
+        groups = np.asarray(groups, dtype=np.int64)
+        if groups.shape != (n,) or groups.min() < 0:
+            raise ShapeError("groups must hold one nonnegative id per user")
     true_scores = scores[np.arange(n), truth][:, None]
     cols = np.arange(n_items)
     rank = np.ones(n, dtype=np.int64)
@@ -262,9 +273,17 @@ def rank_metrics(scores, truth, k):
         rank[rows] += (block > t).sum(axis=1, dtype=np.int32)
         rank[rows] += tied_before.sum(axis=1, dtype=np.int32)
     hit = rank <= k
-    recall = float(hit.mean())
-    ndcg = float(np.where(hit, 1.0 / np.log2(rank + 1), 0.0).mean())
-    return recall, ndcg
+    gain = np.where(hit, 1.0 / np.log2(rank + 1), 0.0)
+    recall, ndcg = float(hit.mean()), float(gain.mean())
+    if groups is None:
+        return recall, ndcg
+    per_group = {}
+    for g in range(int(groups.max()) + 1):
+        mask = groups == g
+        size = int(np.count_nonzero(mask))
+        if size:
+            per_group[g] = (float(hit[mask].mean()), float(gain[mask].mean()), size)
+    return recall, ndcg, per_group
 
 
 @dataclass

@@ -94,6 +94,16 @@ class TestTrain:
         assert code == 1
         assert "config error" in err
 
+    def test_empty_target_relation_is_a_config_error(self, capsys, tmp_path):
+        schema, edges = tmp_path / "schema.txt", tmp_path / "edges.txt"
+        schema.write_text("node user 3\nnode item 2\nrelation buy user item\n"
+                          "relation view user item\ntarget buy\n")
+        edges.write_text("0 1 view\n1 0 view\n")
+        code, _, err = run_cli(capsys, "train", "--edge-file", str(edges),
+                               "--schema-file", str(schema), "--epochs", "0")
+        assert code == 1
+        assert "config error" in err and "no test users" in err
+
     def test_exit_code_data_error(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "train", "--edge-file", "/nonexistent/e.txt",
                                "--schema-file", "/nonexistent/s.txt")

@@ -318,12 +318,25 @@ class TestReverse:
 
     def test_perfect_denoiser_recovers_exactly(self, monkeypatch):
         s = build_schedule(DiffusionConfig(steps=8, b_max=0.95, b_min=0.4))
-        truth = Rng(7).normal(5, 3)
-        monkeypatch.setattr(diffusion, "denoise_predict", lambda p, h, t: truth)
+        truth = Rng(7).normal(11, 3)
+        # blocks of 3, 3, 3 and 2 rows: the walk takes each block through every
+        # step in row order, so the fake serves that block's rows of `truth`
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
+        start = [0]
+
+        def perfect(p, h, t):
+            rows = truth[start[0]:start[0] + h.shape[0]]
+            if t == 1:
+                start[0] += h.shape[0]
+            return rows
+
+        monkeypatch.setattr(diffusion, "denoise_predict", perfect)
         params = zero_denoiser(3, 8)
         before = truth.copy()
         for steps in (1, 3, 8):
-            out = reverse_denoise(params, s, Rng(8).normal(5, 3), steps, rng=Rng(9))
+            start[0] = 0
+            out = reverse_denoise(params, s, Rng(8).normal(11, 3), steps, rng=Rng(9))
+            assert start[0] == 11
             assert np.array_equal(out, truth)
         assert np.array_equal(truth, before)
 
@@ -336,6 +349,48 @@ class TestReverse:
             out = reverse_denoise(params, s, source, infer, rng=Rng(12))
             expect = reference_reverse(params, s, source, infer, Rng(12))
             assert np.array_equal(out, expect)
+
+    def test_blocked_walk_matches_full_array_walk(self, monkeypatch):
+        steps = 6
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(4, steps, Rng(13))
+        for rows in (2, 3, 8):
+            monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
+            for n in range(1, 41):
+                source = Rng(n).normal(n, 4)
+                out = reverse_denoise(params, s, source, steps, rng=Rng(14))
+                expect = reference_reverse(params, s, source, steps, Rng(14))
+                assert np.array_equal(out, expect), (rows, n)
+
+    def test_blocked_walk_matches_at_default_block_size(self):
+        # 513 rows at 512: two blocks of 257 and 256, never 512 and 1
+        steps = 5
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(32, steps, Rng(15))
+        assert diffusion._WALK_ROWS == 512
+        source = Rng(16).normal(513, 32)
+        out = reverse_denoise(params, s, source, steps, rng=Rng(17))
+        assert np.array_equal(out, reference_reverse(params, s, source, steps, Rng(17)))
+
+    def test_blocks_are_near_equal_and_never_one_row(self, monkeypatch):
+        steps = 3
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(2, steps, Rng(18))
+        calls = []
+        real = diffusion.denoise_predict
+        monkeypatch.setattr(diffusion, "denoise_predict",
+                            lambda p, h, t: calls.append((h.shape[0], t)) or real(p, h, t))
+        for rows in (2, 3, 8, 512):
+            monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
+            for n in (*range(1, 41), 513):
+                calls.clear()
+                reverse_denoise(params, s, Rng(n).normal(n, 2), steps, rng=Rng(19))
+                sizes = [m for m, t in calls if t == 1]
+                assert [t for _, t in calls] == [3, 2, 1] * len(sizes)
+                assert sum(sizes) == n
+                assert min(m for m, _ in calls) >= 2 or n == 1, (rows, n, sizes)
+                assert max(sizes) - min(sizes) <= 1
+                assert len(sizes) == max(1, min(-(-n // rows), n // 2))
 
     def test_too_many_steps_rejected(self):
         s = small_schedule()

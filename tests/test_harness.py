@@ -284,14 +284,24 @@ class TestEvaluation:
             for pos in _train_positives(model).get(int(u), ()):
                 assert pos != split.test_items[row]
 
+    def test_no_test_users_is_a_config_error(self):
+        # with no target edge there is no user to rank, and an untrained
+        # model would otherwise report NaN metrics
+        g = HeteroGraph({"user": 3, "item": 2},
+                        [Relation("buy", "user", "item", []),
+                         Relation("view", "user", "item", [(0, 1), (1, 0)])], "buy")
+        for variant in ("full", "-H"):
+            with pytest.raises(ConfigError, match="no test users"):
+                Trainer(small_cfg(synthetic=None, epochs=0, variant=variant), graph=g)
+
     def test_masked_scores_match_per_user_loop(self, monkeypatch):
         trainer = Trainer(small_cfg(epochs=2))
         model, _ = trainer.train()
         seen = []
         real = harness.rank_metrics
         monkeypatch.setattr(harness, "rank_metrics",
-                            lambda scores, truth, k: seen.append(scores.copy())
-                            or real(scores, truth, k))
+                            lambda scores, truth, k, groups=None: seen.append(scores.copy())
+                            or real(scores, truth, k, groups=groups))
         model.evaluate()
         fused = model.inference_tables()["fused"]
         split = model.split

@@ -374,6 +374,45 @@ class TestRankMetrics:
             assert abs(recall - np.mean([r for r, _ in per_user])) < 1e-12
             assert abs(ndcg - np.mean([n for _, n in per_user])) < 1e-12
 
+    def test_groups_equal_separate_calls(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for trial in range(120):
+            if trial == 60:
+                monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
+            users = int(rng.integers(1, 300 if trial % 4 == 0 else 12))
+            items = int(rng.integers(2, 11))
+            k = int(rng.integers(1, items + 1))
+            scores = rng.integers(0, 2 if trial % 2 else 4, size=(users, items)).astype(float)
+            truth = rng.integers(0, items, size=users)
+            kind = trial % 3
+            if kind == 0:    # ids 0, 2 and 5 only: 1, 3 and 4 are absent
+                groups = rng.choice([0, 2, 5], size=users)
+            elif kind == 1:  # a single group, not group 0
+                groups = np.full(users, 3)
+            else:            # one user per group
+                groups = rng.permutation(users)
+            recall, ndcg, per_group = rank_metrics(scores, truth, k, groups=groups)
+            assert (recall, ndcg) == rank_metrics(scores, truth, k)
+            expect = {}
+            for g in range(int(groups.max()) + 1):
+                mask = groups == g
+                if mask.any():
+                    expect[g] = (*rank_metrics(scores[mask], truth[mask], k),
+                                 int(mask.sum()))
+            assert per_group == expect
+            assert list(per_group) == sorted(per_group)
+
+    def test_bad_input_rejected(self):
+        with pytest.raises(ShapeError):
+            rank_metrics(np.zeros((0, 5)), [], k=2)
+        with pytest.raises(ShapeError):
+            rank_metrics(np.zeros((0, 5)), [], k=2, groups=[])
+        scores = np.zeros((3, 4))
+        with pytest.raises(ShapeError):
+            rank_metrics(scores, [0, 1, 2], k=2, groups=[0, 1])
+        with pytest.raises(ShapeError):
+            rank_metrics(scores, [0, 1, 2], k=2, groups=[0, -1, 1])
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
     def test_monotone_transform_invariance_and_k_monotone(self, seed):
