@@ -181,24 +181,6 @@ class DenoiserParams:
                               self.b2.copy(), self.time_emb.copy(), self.slope)
 
 
-@dataclass
-class DenoiserGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-    time_emb: np.ndarray
-
-    def arrays(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
-                "time_emb": self.time_emb}
-
-    @classmethod
-    def zeros_like(cls, params: DenoiserParams):
-        return cls(*(np.zeros_like(a) for a in
-                     (params.w1, params.b1, params.w2, params.b2, params.time_emb)))
-
-
 def _denoise_forward(params: DenoiserParams, h_t, t):
     """The denoiser's one forward pass, shared by inference and training.
 
@@ -244,7 +226,7 @@ def denoise_predict(params: DenoiserParams, h_t, t):
 
 def denoise_predict_vjp(params: DenoiserParams, h_t, t):
     """:func:`denoise_predict` plus a closure mapping upstream gradients to
-    (DenoiserGrads, d/d h_t)."""
+    (gradients as DenoiserParams, d/d h_t)."""
     x, pre, hidden, out = _denoise_forward(params, h_t, t)
     d = params.dim
     # the step-embedding gradient accumulates row by row in row order
@@ -261,7 +243,7 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g_w1 = x.T @ g_pre
         g_x = g_pre @ params.w1.T
         g_temb = scatter_add(t_rows - 1, g_x[:, d:], params.time_emb.shape[0])
-        return DenoiserGrads(g_w1, g_b1, g_w2, g_b2, g_temb), g_x[:, :d]
+        return DenoiserParams(g_w1, g_b1, g_w2, g_b2, g_temb), g_x[:, :d]
 
     return out, vjp
 
@@ -288,7 +270,7 @@ def _loss_weight_rows(schedule, t_rows):
 class DiffusionLossResult:
     loss: float
     denoised: np.ndarray       # clean-signal prediction for the sampled step
-    grads: DenoiserGrads
+    grads: DenoiserParams      # gradients, shaped like the parameters
     grad_source: np.ndarray
     grad_target: np.ndarray    # label slot is an encoder output, so it gets one
     predict_vjp: object        # reusable closure for extra upstream gradients
@@ -296,15 +278,13 @@ class DiffusionLossResult:
 
 
 def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
-                   source, target, rng: Rng = None, t=None, noise=None,
-                   per_row_t=False):
+                   source, target, t, noise):
     """Step-weighted squared error between the denoiser's clean-signal
     prediction and the target rows, with gradients for the denoiser and the
     source embeddings.
 
-    Steps are drawn uniformly from 1..T, one per call or (with per_row_t)
-    one per row; both the steps and the corruption noise are injectable for
-    tests.
+    `t` is one step for the batch or one per row, and `noise` the corruption
+    noise; the caller draws both.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -313,14 +293,7 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
     n = source.shape[0]
     if n == 0:
         raise ShapeError("empty batch")
-    if t is None:
-        if rng is None:
-            raise ValueError("diffusion_loss needs an rng or an injected t")
-        if per_row_t:
-            t = rng.integers(1, schedule.steps + 1, size=n)
-        else:
-            t = int(rng.integers(1, schedule.steps + 1))
-    h_t = q_sample(source, t, schedule, rng=rng, noise=noise)
+    h_t = q_sample(source, t, schedule, noise=noise)
     pred, vjp = denoise_predict_vjp(params, h_t, t)
     diff = pred - target
     if np.ndim(t) == 0:
@@ -339,7 +312,7 @@ _WALK_ROWS = 512  # rows per block of the reverse walk: ~0.5 MB of working set
 
 
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
-                    source, infer_steps, rng: Rng = None, noise=None):
+                    source, infer_steps, rng: Rng = None):
     """Corrupt the source rows to the requested step, then walk the posterior
     mean back to step zero. No sampling noise is added on the way down, so the
     output is a deterministic function of (params, source, corruption noise).
@@ -356,7 +329,7 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
         raise ShapeError(f"inference steps {infer_steps} outside 0..{schedule.steps}")
     if infer_steps == 0:
         return source.copy()
-    h = q_sample(source, infer_steps, schedule, rng=rng, noise=noise)
+    h = q_sample(source, infer_steps, schedule, rng=rng)
     walk = []
     for t in range(infer_steps, 1, -1):
         ab = schedule.alpha_bar_at(t)

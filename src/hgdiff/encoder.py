@@ -157,5 +157,5 @@ def encode_vjp(adjacencies, e0, cfg: EncoderConfig):
     return out, vjp
 
 
-def relation_adjacencies(g: HeteroGraph, self_loops=False):
-    return {name: normalize(g, name, self_loops=self_loops) for name in g.relations}
+def relation_adjacencies(g: HeteroGraph):
+    return {name: normalize(g, name) for name in g.relations}

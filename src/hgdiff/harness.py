@@ -12,12 +12,12 @@ import ctypes
 import hashlib
 import json
 import time
+import zipfile
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .diffusion import (
-    DenoiserGrads,
     DenoiserParams,
     DiffusionConfig,
     DiffusionLossResult,
@@ -256,7 +256,7 @@ def load_dataset(cfg: RunConfig):
     return graph, labels
 
 
-# ------------------------------------------------------------------ trainer
+# ------------------------------------------------------------------ model
 
 
 @dataclass
@@ -276,24 +276,12 @@ class ModelParams:
         return out
 
 
-@dataclass
-class EpochDraws:
-    side_t: dict
-    side_noise: dict
-    triplets: object = None
+class TrainedModel:
+    """The model on its data: variant plan, split, target and source views,
+    schedule, and the parameters, which start as None. :class:`Trainer`
+    initializes them; `load` reads them from a saved file."""
 
-
-@dataclass
-class TrainTrace:
-    losses: list = field(default_factory=list)
-    evals: list = field(default_factory=list)
-    epoch_seconds: list = field(default_factory=list)
-
-
-class Trainer:
-    """Owns one run: data, parameter groups, optimizer state, and rng streams."""
-
-    def __init__(self, cfg: RunConfig, graph=None, labels=None, features=None):
+    def __init__(self, cfg: RunConfig, graph=None, labels=None):
         self.cfg = cfg
         if graph is None:
             graph, loaded_labels = load_dataset(cfg)
@@ -301,13 +289,12 @@ class Trainer:
         self.graph = graph
         self.labels = labels
         self.plan = resolve_variant(cfg, graph)
-        root = Rng(cfg.seed)
-        self.rngs = {name: root.derive(name)
-                     for name in ("init", "triplets", "diffusion")}
-
         if cfg.task == "link":
             self.split = leave_one_out_split(graph)
             self.train_graph = self.split.train_graph
+            if self.split.test_users.size == 0:
+                raise ConfigError("the target relation has no edges, so the "
+                                  "leave-one-out split left no test users")
         else:
             if labels is None:
                 raise ConfigError("node task needs labels")
@@ -323,302 +310,7 @@ class Trainer:
         self.target_adj = {graph.target: adjacencies[graph.target]}
         self.aux_adj = {n: adjacencies[n] for n in view.relations if n != graph.target}
         self.schedule = build_schedule(cfg.diffusion)
-
-        init_rng = self.rngs["init"]
-        if features is not None:
-            e0 = np.array(features, dtype=np.float64)
-            if e0.shape != (graph.num_nodes, cfg.encoder.dim):
-                raise ConfigError(f"features must be {graph.num_nodes}x{cfg.encoder.dim}")
-        else:
-            e0 = init_rng.derive("e0").normal(graph.num_nodes, cfg.encoder.dim) \
-                * cfg.init_scale
-        denoiser = None
-        if self.plan.diffusion_sides:
-            denoiser = DenoiserParams.init(cfg.encoder.dim, cfg.diffusion.steps,
-                                           init_rng.derive("denoiser"))
-        classifier = None
-        if cfg.task == "node":
-            classifier = ClassifierParams.init(cfg.encoder.dim, labels.n_classes,
-                                               init_rng.derive("classifier"))
-        self.params = ModelParams(e0, denoiser, classifier)
-        self.adam = {key: AdamState.for_param(arr, lr=cfg.lr)
-                     for key, arr in self.params.arrays().items()}
-
-        if cfg.task == "link":
-            rel = self.train_graph.relations[graph.target]
-            self.train_edges = rel.edges
-            if cfg.epochs > 0 and self.train_edges.shape[0] == 0:
-                raise ConfigError("leave-one-out split left no training edges; "
-                                  "the dataset is too sparse to train on")
-            if self.split.test_users.size == 0:
-                raise ConfigError("the target relation has no edges, so the "
-                                  "leave-one-out split left no test users")
-            self.user_type, self.item_type = rel.src_type, rel.dst_type
-            self.positives = positive_keys(rel.edges, graph.node_counts[rel.dst_type])
-
-    # -- helpers
-
-    def draw_epoch(self) -> EpochDraws:
-        cfg, plan = self.cfg, self.plan
-        side_t, side_noise = {}, {}
-        rng = self.rngs["diffusion"]
-        for side in plan.diffusion_sides:
-            n = self.graph.node_counts[side]
-            if plan.dae:
-                side_t[side] = self.schedule.steps
-            elif cfg.diffusion.per_row_t:
-                side_t[side] = rng.integers(1, self.schedule.steps + 1, size=n)
-            else:
-                side_t[side] = int(rng.integers(1, self.schedule.steps + 1))
-            side_noise[side] = rng.standard_normal((n, cfg.encoder.dim))
-        triplets = None
-        if cfg.task == "link":
-            triplets = sample_triplets(
-                self.train_edges, self.graph.node_counts[self.item_type],
-                self.graph.offset(self.user_type), self.graph.offset(self.item_type),
-                self.rngs["triplets"], positives=self.positives)
-        return EpochDraws(side_t, side_noise, triplets)
-
-    def compute_losses(self, draws: EpochDraws, params: ModelParams = None):
-        """Pure joint forward/backward for one epoch's draws.
-
-        Returns (total, parts, grads) where grads maps parameter-group names
-        to arrays shaped like the parameters.
-        """
-        cfg, plan = self.cfg, self.plan
-        params = params or self.params
-        target_out, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
-        e_target = target_out.pooled
-        e_source = vjp_s = denoised = None
-        if plan.has_source:
-            source_out, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
-            e_source = source_out.pooled
-            denoised = e_source.copy()
-
-        side_results = {}
-        deno_parts = []
-        for side in plan.diffusion_sides:
-            sl = self.graph.type_slice(side)
-            if plan.dae:
-                corrupted = _dae_corrupt(self.schedule, e_source[sl], draws.side_noise[side])
-                pred, vjp_pred = denoise_predict_vjp(params.denoiser, corrupted,
-                                                     self.schedule.steps)
-                diff = pred - e_target[sl]
-                n = pred.shape[0]
-                g_pred = (2.0 / n) * diff
-                grads, g_h = vjp_pred(g_pred)
-                res = DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
-                                          -g_pred, vjp_pred, 1.0)
-            else:
-                res = diffusion_loss(params.denoiser, self.schedule, e_source[sl],
-                                     e_target[sl], t=draws.side_t[side],
-                                     noise=draws.side_noise[side])
-            side_results[side] = res
-            deno_parts.append(res.loss)
-            denoised[sl] = res.denoised
-        deno = float(np.mean(deno_parts)) if deno_parts else 0.0
-
-        if plan.has_source:
-            fused = fuse(e_target, denoised)
-        else:
-            fused = e_target
-
-        clf_grads = None
-        if cfg.task == "link":
-            main, g_fused = bpr_loss(fused, draws.triplets, chunk=cfg.batch_size)
-        else:
-            main, g_fused, clf_grads = ce_loss(
-                fused, params.classifier, self.split.train,
-                row_offset=self.graph.offset(self.cfg.labeled_type))
-
-        if np.isfinite(main) and np.isfinite(deno):
-            total, parts = joint_loss(main, deno, replace(cfg.loss, lam=plan.lam),
-                                      params.e0)
-        else:
-            # joint_loss requires finite components; report the blow-up as-is
-            reg = cfg.loss.l2 * float(np.square(params.e0).sum())
-            parts = {"main": float(main), "deno": float(deno),
-                     "deno_weighted": plan.lam * float(deno), "l2": reg}
-            total = float(main) + plan.lam * float(deno) + reg
-        parts["total"] = total
-
-        # backward: fusion is an elementwise sum, so upstream passes through
-        g_e_target = g_fused.copy()
-        acc = None
-        if plan.has_source:
-            g_source = np.zeros_like(e_source)
-            for side in plan.raw_sides:
-                sl = self.graph.type_slice(side)
-                g_source[sl] += g_fused[sl]
-            if plan.diffusion_sides:
-                coef = plan.lam / len(plan.diffusion_sides)
-                acc = DenoiserGrads.zeros_like(params.denoiser)
-                for side in plan.diffusion_sides:
-                    sl = self.graph.type_slice(side)
-                    res = side_results[side]
-                    for name, arr in res.grads.arrays().items():
-                        acc.arrays()[name] += coef * arr
-                    g_source[sl] += coef * res.grad_source
-                    g_e_target[sl] += coef * res.grad_target
-                    up = g_fused[sl]
-                    if np.any(up):
-                        extra, g_h = res.predict_vjp(up)
-                        for name, arr in extra.arrays().items():
-                            acc.arrays()[name] += arr
-                        g_source[sl] += res.scale * g_h
-            g_e0 = vjp_t(g_e_target) + vjp_s(g_source)
-        else:
-            g_e0 = vjp_t(g_e_target)
-        g_e0 += 2.0 * cfg.loss.l2 * params.e0
-        # gradients are shaped like the parameters, so they share their names
-        return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()
-
-    def run_epoch(self, epoch):
-        draws = self.draw_epoch()
-        total, parts, grads = self.compute_losses(draws)
-        if not np.isfinite(total):
-            raise DivergenceError(epoch, parts)
-        self._apply(grads)
-        return parts
-
-    def _apply(self, grads):
-        for key, arr in self.params.arrays().items():
-            adam_step(self.adam[key], arr, grads[key])
-
-    def train(self):
-        cfg = self.cfg
-        trace = TrainTrace()
-        best = None
-        stale = 0
-        last_epoch = 0
-        for epoch in range(1, cfg.epochs + 1):
-            started = time.perf_counter()
-            parts = self.run_epoch(epoch)
-            trace.epoch_seconds.append(time.perf_counter() - started)
-            parts["epoch"] = epoch
-            trace.losses.append(parts)
-            last_epoch = epoch
-            if cfg.eval_every and epoch % cfg.eval_every == 0 and epoch < cfg.epochs:
-                report = self.to_model().evaluate(epoch=epoch, trace=trace)
-                trace.evals.append(report)
-                if cfg.patience:
-                    score = next(iter(report.metrics.values()))
-                    if best is None or (score is not None and score > best):
-                        best, stale = score, 0
-                    else:
-                        stale += 1
-                        if stale >= cfg.patience:
-                            break
-        model = self.to_model()
-        trace.evals.append(model.evaluate(epoch=last_epoch, trace=trace,
-                                          tag="final"))
-        return model, trace
-
-    def to_model(self):
-        return TrainedModel(self.cfg, self.plan, self.graph, self.labels, self.split,
-                            self.target_adj, self.aux_adj, self.schedule, self.params)
-
-
-def _dae_corrupt(schedule, rows, noise):
-    """The autoencoder variant's input: rows corrupted at the last step's level."""
-    return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
-
-
-# ------------------------------------------------------------------ reports
-
-
-@dataclass
-class EvalReport:
-    task: str
-    metrics: dict
-    buckets: dict
-    n_test: int
-    n_excluded: int
-    seed: int
-    variant: str
-    epoch: int | None
-    config: dict
-    config_fingerprint: str
-    dataset_fingerprint: str
-    loss_trace: list = field(default_factory=list)
-    wall_clock_per_epoch: float | None = None
-
-    def reproducible_payload(self):
-        """Everything that must be bit-identical across reruns (no timing)."""
-        return {
-            "task": self.task,
-            "metrics": self.metrics,
-            "buckets": self.buckets,
-            "n_test": self.n_test,
-            "n_excluded": self.n_excluded,
-            "seed": self.seed,
-            "variant": self.variant,
-            "epoch": self.epoch,
-            "config": self.config,
-            "config_fingerprint": self.config_fingerprint,
-            "dataset_fingerprint": self.dataset_fingerprint,
-            "loss_trace": self.loss_trace,
-        }
-
-    def to_json(self):
-        payload = self.reproducible_payload()
-        payload["wall_clock_per_epoch"] = self.wall_clock_per_epoch
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def lines(self):
-        out = [f"task={self.task}", f"variant={self.variant}", f"seed={self.seed}",
-               f"dataset={self.dataset_fingerprint}", f"config={self.config_fingerprint}"]
-        for name, value in self.metrics.items():
-            out.append(f"{name}={_fmt(value)}")
-        for label, vals in self.buckets.items():
-            for name, value in vals.items():
-                out.append(f"bucket[{label}].{name}={_fmt(value)}")
-        out.append(f"n_test={self.n_test}")
-        out.append(f"n_excluded={self.n_excluded}")
-        if self.wall_clock_per_epoch is not None:
-            out.append(f"wall_clock_per_epoch={self.wall_clock_per_epoch:.6f}")
-        return out
-
-
-def _fmt(value):
-    if value is None:
-        return "undefined"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim  # glibc only
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
-
-
-def release_free_heap():
-    """Return the C heap's free pages to the operating system.
-
-    glibc keeps much of what numpy frees in its heap, where it still counts
-    as resident. How much it keeps (0 to ~64 MB after a mid-scale training)
-    depends on the exact order of earlier allocations, so a large array
-    allocated on top of it makes a peak that moves from run to run. After
-    this call the resident size is close to the live data alone. A no-op
-    where the C library has no `malloc_trim`.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
-
-
-@dataclass
-class TrainedModel:
-    cfg: RunConfig
-    plan: VariantPlan
-    graph: HeteroGraph
-    labels: LabelSet | None
-    split: object
-    target_adj: dict
-    aux_adj: dict
-    schedule: object
-    params: ModelParams
+        self.params = None
 
     def inference_tables(self, tag="final"):
         """Deterministic embedding tables for evaluation and export.
@@ -727,22 +419,336 @@ class TrainedModel:
     def load(cls, path, graph=None, labels=None):
         """Rebuild a saved model on `graph`, or on the data its config names.
 
-        Raises GraphError unless that data has the fingerprint of the graph
-        the model was trained on.
+        Raises GraphError unless `path` holds what `save` writes, every
+        parameter shaped as training makes it, and unless that data has the
+        fingerprint of the graph the model was trained on.
         """
-        with np.load(path) as data:
-            if "dataset_fingerprint" not in data.files:
-                raise GraphError(f"{path}: saved without a dataset fingerprint")
-            saved = bytes(data["dataset_fingerprint"]).decode()
-            cfg = RunConfig.from_dict(json.loads(bytes(data["config_json"]).decode()))
-            trainer = Trainer(cfg, graph=graph, labels=labels)
-            found = trainer.graph.fingerprint()
-            if found != saved:
-                raise GraphError(f"{path}: model was trained on dataset {saved}, "
-                                 f"not on {found}")
-            for key, arr in trainer.params.arrays().items():
-                arr[...] = data[key]
-        return trainer.to_model()
+        try:
+            with np.load(path) as data:
+                saved = {key: data[key] for key in data.files}
+            config = json.loads(bytes(saved.pop("config_json")).decode())
+            trained_on = bytes(saved.pop("dataset_fingerprint")).decode()
+        except KeyError as exc:
+            raise GraphError(f"{path}: not a saved model: no {exc.args[0]} array") from None
+        except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
+            raise GraphError(f"{path}: not a saved model: {exc}") from None
+        cfg = RunConfig.from_dict(config)
+        if graph is None:
+            graph, loaded_labels = load_dataset(cfg)
+            labels = labels if labels is not None else loaded_labels
+        found = graph.fingerprint()
+        if found != trained_on:
+            raise GraphError(f"{path}: model was trained on dataset {trained_on}, "
+                             f"not on {found}")
+        model = cls(cfg, graph, labels)
+        # every parameter array by name, with the shape training gives it
+        d = cfg.encoder.dim
+        shapes = {"e0": (graph.num_nodes, d)}
+        if model.plan.diffusion_sides:
+            shapes.update({"denoiser.w1": (2 * d, d), "denoiser.b1": (d,), "denoiser.w2": (d, d),
+                           "denoiser.b2": (d,), "denoiser.time_emb": (cfg.diffusion.steps, d)})
+        if cfg.task == "node":
+            n = model.labels.n_classes
+            shapes.update({"classifier.w1": (d, d), "classifier.b1": (d,),
+                           "classifier.w2": (d, n), "classifier.b2": (n,)})
+        if set(saved) != set(shapes):
+            raise GraphError(f"{path}: parameters {sorted(saved)}, expected {sorted(shapes)}")
+        for key, shape in shapes.items():
+            if saved[key].shape != shape or saved[key].dtype != np.float64:
+                raise GraphError(f"{path}: {key} is {saved[key].dtype} {saved[key].shape}, "
+                                 f"not float64 {shape}")
+        group = lambda name: {key.split(".")[1]: arr for key, arr in saved.items()
+                              if key.startswith(f"{name}.")}
+        model.params = ModelParams(
+            saved["e0"],
+            DenoiserParams(**group("denoiser")) if model.plan.diffusion_sides else None,
+            ClassifierParams(**group("classifier")) if cfg.task == "node" else None)
+        return model
+
+
+# ------------------------------------------------------------------ reports
+
+
+@dataclass
+class EvalReport:
+    task: str
+    metrics: dict
+    buckets: dict
+    n_test: int
+    n_excluded: int
+    seed: int
+    variant: str
+    epoch: int | None
+    config: dict
+    config_fingerprint: str
+    dataset_fingerprint: str
+    loss_trace: list = field(default_factory=list)
+    wall_clock_per_epoch: float | None = None
+
+    def reproducible_payload(self):
+        """Everything that must be bit-identical across reruns: every field
+        but the timing."""
+        payload = asdict(self)
+        del payload["wall_clock_per_epoch"]
+        return payload
+
+    def to_json(self):
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
+
+    def lines(self):
+        out = [f"task={self.task}", f"variant={self.variant}", f"seed={self.seed}",
+               f"dataset={self.dataset_fingerprint}", f"config={self.config_fingerprint}"]
+        for name, value in self.metrics.items():
+            out.append(f"{name}={_fmt(value)}")
+        for label, vals in self.buckets.items():
+            for name, value in vals.items():
+                out.append(f"bucket[{label}].{name}={_fmt(value)}")
+        out.append(f"n_test={self.n_test}")
+        out.append(f"n_excluded={self.n_excluded}")
+        if self.wall_clock_per_epoch is not None:
+            out.append(f"wall_clock_per_epoch={self.wall_clock_per_epoch:.6f}")
+        return out
+
+
+def _fmt(value):
+    if value is None:
+        return "undefined"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+try:
+    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim  # glibc only
+except (AttributeError, OSError, TypeError):
+    _MALLOC_TRIM = None
+
+
+def release_free_heap():
+    """Return the C heap's free pages to the operating system.
+
+    glibc keeps much of what numpy frees in its heap, where it still counts
+    as resident. How much it keeps (0 to ~64 MB after a mid-scale training)
+    depends on the exact order of earlier allocations, so a large array
+    allocated on top of it makes a peak that moves from run to run. After
+    this call the resident size is close to the live data alone. A no-op
+    where the C library has no `malloc_trim`.
+    """
+    if _MALLOC_TRIM is not None:
+        _MALLOC_TRIM(0)
+
+
+# ------------------------------------------------------------------ trainer
+
+
+@dataclass
+class EpochDraws:
+    side_t: dict
+    side_noise: dict
+    triplets: object = None
+
+
+@dataclass
+class TrainTrace:
+    losses: list = field(default_factory=list)
+    evals: list = field(default_factory=list)
+    epoch_seconds: list = field(default_factory=list)
+
+
+class Trainer(TrainedModel):
+    """A model in training: adds the rng streams, the initial parameters,
+    the optimizer state and the triplet sampler's inputs."""
+
+    def __init__(self, cfg: RunConfig, graph=None, labels=None, features=None):
+        super().__init__(cfg, graph, labels)
+        graph = self.graph
+        root = Rng(cfg.seed)
+        self.rngs = {name: root.derive(name)
+                     for name in ("init", "triplets", "diffusion")}
+
+        init_rng = self.rngs["init"]
+        if features is not None:
+            e0 = np.array(features, dtype=np.float64)
+            if e0.shape != (graph.num_nodes, cfg.encoder.dim):
+                raise ConfigError(f"features must be {graph.num_nodes}x{cfg.encoder.dim}")
+        else:
+            e0 = init_rng.derive("e0").normal(graph.num_nodes, cfg.encoder.dim) \
+                * cfg.init_scale
+        denoiser = None
+        if self.plan.diffusion_sides:
+            denoiser = DenoiserParams.init(cfg.encoder.dim, cfg.diffusion.steps,
+                                           init_rng.derive("denoiser"))
+        classifier = None
+        if cfg.task == "node":
+            classifier = ClassifierParams.init(cfg.encoder.dim, self.labels.n_classes,
+                                               init_rng.derive("classifier"))
+        self.params = ModelParams(e0, denoiser, classifier)
+        self.adam = {key: AdamState.for_param(arr, lr=cfg.lr)
+                     for key, arr in self.params.arrays().items()}
+
+        if cfg.task == "link":
+            rel = self.train_graph.relations[graph.target]
+            self.train_edges = rel.edges
+            if cfg.epochs > 0 and self.train_edges.shape[0] == 0:
+                raise ConfigError("leave-one-out split left no training edges; "
+                                  "the dataset is too sparse to train on")
+            self.user_type, self.item_type = rel.src_type, rel.dst_type
+            self.positives = positive_keys(rel.edges, graph.node_counts[rel.dst_type])
+
+    # -- helpers
+
+    def draw_epoch(self) -> EpochDraws:
+        cfg, plan = self.cfg, self.plan
+        side_t, side_noise = {}, {}
+        rng = self.rngs["diffusion"]
+        for side in plan.diffusion_sides:
+            n = self.graph.node_counts[side]
+            if plan.dae:
+                side_t[side] = self.schedule.steps
+            elif cfg.diffusion.per_row_t:
+                side_t[side] = rng.integers(1, self.schedule.steps + 1, size=n)
+            else:
+                side_t[side] = int(rng.integers(1, self.schedule.steps + 1))
+            side_noise[side] = rng.standard_normal((n, cfg.encoder.dim))
+        triplets = None
+        if cfg.task == "link":
+            triplets = sample_triplets(
+                self.train_edges, self.graph.node_counts[self.item_type],
+                self.graph.offset(self.user_type), self.graph.offset(self.item_type),
+                self.rngs["triplets"], positives=self.positives)
+        return EpochDraws(side_t, side_noise, triplets)
+
+    def compute_losses(self, draws: EpochDraws, params: ModelParams = None):
+        """Pure joint forward/backward for one epoch's draws.
+
+        Returns (total, parts, grads) where grads maps parameter-group names
+        to arrays shaped like the parameters.
+        """
+        cfg, plan = self.cfg, self.plan
+        params = params or self.params
+        target_out, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
+        e_target = target_out.pooled
+        e_source = vjp_s = denoised = None
+        if plan.has_source:
+            source_out, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
+            e_source = source_out.pooled
+            denoised = e_source.copy()
+
+        side_results = {}
+        deno_parts = []
+        for side in plan.diffusion_sides:
+            sl = self.graph.type_slice(side)
+            if plan.dae:
+                corrupted = _dae_corrupt(self.schedule, e_source[sl], draws.side_noise[side])
+                pred, vjp_pred = denoise_predict_vjp(params.denoiser, corrupted,
+                                                     self.schedule.steps)
+                diff = pred - e_target[sl]
+                n = pred.shape[0]
+                g_pred = (2.0 / n) * diff
+                grads, g_h = vjp_pred(g_pred)
+                res = DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
+                                          -g_pred, vjp_pred, 1.0)
+            else:
+                res = diffusion_loss(params.denoiser, self.schedule, e_source[sl],
+                                     e_target[sl], t=draws.side_t[side],
+                                     noise=draws.side_noise[side])
+            side_results[side] = res
+            deno_parts.append(res.loss)
+            denoised[sl] = res.denoised
+        deno = float(np.mean(deno_parts)) if deno_parts else 0.0
+
+        if plan.has_source:
+            fused = fuse(e_target, denoised)
+        else:
+            fused = e_target
+
+        clf_grads = None
+        if cfg.task == "link":
+            main, g_fused = bpr_loss(fused, draws.triplets, chunk=cfg.batch_size)
+        else:
+            main, g_fused, clf_grads = ce_loss(
+                fused, params.classifier, self.split.train,
+                row_offset=self.graph.offset(self.cfg.labeled_type))
+
+        total, parts = joint_loss(main, deno, replace(cfg.loss, lam=plan.lam), params.e0)
+        parts["total"] = total
+
+        # backward: fusion is an elementwise sum, so upstream passes through
+        g_e_target = g_fused.copy()
+        acc = None
+        if plan.has_source:
+            g_source = np.zeros_like(e_source)
+            for side in plan.raw_sides:
+                sl = self.graph.type_slice(side)
+                g_source[sl] += g_fused[sl]
+            if plan.diffusion_sides:
+                coef = plan.lam / len(plan.diffusion_sides)
+                acc = DenoiserParams(**{name: np.zeros_like(arr) for name, arr
+                                         in params.denoiser.arrays().items()})
+                for side in plan.diffusion_sides:
+                    sl = self.graph.type_slice(side)
+                    res = side_results[side]
+                    for name, arr in res.grads.arrays().items():
+                        acc.arrays()[name] += coef * arr
+                    g_source[sl] += coef * res.grad_source
+                    g_e_target[sl] += coef * res.grad_target
+                    up = g_fused[sl]
+                    if np.any(up):
+                        extra, g_h = res.predict_vjp(up)
+                        for name, arr in extra.arrays().items():
+                            acc.arrays()[name] += arr
+                        g_source[sl] += res.scale * g_h
+            g_e0 = vjp_t(g_e_target) + vjp_s(g_source)
+        else:
+            g_e0 = vjp_t(g_e_target)
+        g_e0 += 2.0 * cfg.loss.l2 * params.e0
+        # gradients are shaped like the parameters, so they share their names
+        return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()
+
+    def run_epoch(self, epoch):
+        draws = self.draw_epoch()
+        total, parts, grads = self.compute_losses(draws)
+        if not np.isfinite(total):
+            raise DivergenceError(epoch, parts)
+        self._apply(grads)
+        return parts
+
+    def _apply(self, grads):
+        for key, arr in self.params.arrays().items():
+            adam_step(self.adam[key], arr, grads[key])
+
+    def train(self):
+        """Run the epochs; returns (self, TrainTrace), the final report last."""
+        cfg = self.cfg
+        trace = TrainTrace()
+        best = None
+        stale = 0
+        last_epoch = 0
+        for epoch in range(1, cfg.epochs + 1):
+            started = time.perf_counter()
+            parts = self.run_epoch(epoch)
+            trace.epoch_seconds.append(time.perf_counter() - started)
+            parts["epoch"] = epoch
+            trace.losses.append(parts)
+            last_epoch = epoch
+            if cfg.eval_every and epoch % cfg.eval_every == 0 and epoch < cfg.epochs:
+                report = self.evaluate(epoch=epoch, trace=trace)
+                trace.evals.append(report)
+                if cfg.patience:
+                    score = next(iter(report.metrics.values()))
+                    if best is None or (score is not None and score > best):
+                        best, stale = score, 0
+                    else:
+                        stale += 1
+                        if stale >= cfg.patience:
+                            break
+        trace.evals.append(self.evaluate(epoch=last_epoch, trace=trace, tag="final"))
+        return self, trace
+
+
+def _dae_corrupt(schedule, rows, noise):
+    """The autoencoder variant's input: rows corrupted at the last step's level."""
+    return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
 
 
 def train(cfg: RunConfig, graph=None, labels=None, features=None):

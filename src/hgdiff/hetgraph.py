@@ -63,9 +63,6 @@ class HeteroGraph:
             if not _first_occurrences(rel.edges).all():
                 raise GraphError(f"relation {rel.name!r} contains duplicate edges")
 
-    def relation_names(self):
-        return list(self.relations)
-
     def auxiliary_names(self):
         return [n for n in self.relations if n != self.target]
 
@@ -112,17 +109,16 @@ class HeteroGraph:
 
 @dataclass
 class RelationAdjacency:
-    """One relation's symmetrized 0/1 adjacency and its degree normalization.
+    """One relation's symmetrized, degree-normalized adjacency.
 
-    Both matrices are square over the global index space and equal their own
-    transpose bit for bit: same pattern, and `normalized[i, j]` and
+    The matrix is square over the global index space and equals its own
+    transpose bit for bit: the pattern is symmetric, and `normalized[i, j]` and
     `normalized[j, i]` are the same product inv_sqrt[i] * inv_sqrt[j]. The
     encoder's backward pass relies on this and multiplies by `normalized`
     where it would otherwise need the transpose.
     """
 
     relation: str
-    raw: CsrMatrix
     normalized: CsrMatrix
 
 
@@ -270,7 +266,7 @@ def load_labels(path, node_type, n_classes=None) -> LabelSet:
     return LabelSet(node_type, np.array(ids), np.array(classes), n_classes)
 
 
-def normalize(g: HeteroGraph, relation, self_loops=False) -> RelationAdjacency:
+def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
     """Symmetric degree normalization of one relation over the global index
     space: entry (i,j) becomes 1/sqrt(d_i d_j), zero-degree rows/cols stay zero.
 
@@ -285,10 +281,6 @@ def normalize(g: HeteroGraph, relation, self_loops=False) -> RelationAdjacency:
     e = g.global_edges(relation)
     rows = np.concatenate([e[:, 0], e[:, 1]])
     cols = np.concatenate([e[:, 1], e[:, 0]])
-    if self_loops:
-        diag = np.arange(g.num_nodes, dtype=np.int64)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
     # duplicate coordinates (self edges, both directions given) collapse to 1
     raw = CsrMatrix.from_coo(g.num_nodes, g.num_nodes, rows, cols,
                              np.ones(rows.size))
@@ -298,7 +290,7 @@ def normalize(g: HeteroGraph, relation, self_loops=False) -> RelationAdjacency:
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    return RelationAdjacency(relation, raw, raw.scale_rows_cols(inv_sqrt, inv_sqrt))
+    return RelationAdjacency(relation, raw.scale_rows_cols(inv_sqrt, inv_sqrt))
 
 
 def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:

@@ -163,17 +163,6 @@ class ClassifierParams:
                                 self.w2.copy(), self.b2.copy(), self.slope)
 
 
-@dataclass
-class ClassifierGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: np.ndarray
-
-    def arrays(self):
-        return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-
 def classifier_logits(emb_rows, clf: ClassifierParams):
     pre = emb_rows @ clf.w1 + clf.b1
     hidden = np.where(pre >= 0, pre, clf.slope * pre)
@@ -182,7 +171,8 @@ def classifier_logits(emb_rows, clf: ClassifierParams):
 
 def ce_loss(emb, clf: ClassifierParams, labels: LabelSet, row_offset=0):
     """Mean negative log-likelihood of the true classes under the classifier's
-    softmax; gradients for classifier parameters and the embedding table."""
+    softmax, its gradient for the embedding table, and the classifier's
+    gradients as a ClassifierParams."""
     emb = np.asarray(emb, dtype=np.float64)
     if labels.node_ids.size == 0:
         raise ShapeError("no labeled nodes")
@@ -208,7 +198,7 @@ def ce_loss(emb, clf: ClassifierParams, labels: LabelSet, row_offset=0):
     g_w1 = x.T @ g_pre
     g_x = g_pre @ clf.w1.T
     grad_emb = scatter_add(rows, g_x, emb.shape[0])
-    return loss, grad_emb, ClassifierGrads(g_w1, g_b1, g_w2, g_b2)
+    return loss, grad_emb, ClassifierParams(g_w1, g_b1, g_w2, g_b2)
 
 
 @dataclass
@@ -224,9 +214,7 @@ class JointLossConfig:
 
 def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
     """Total objective main + lam*deno + l2*||E0||^2, with the addends kept
-    separate for logging."""
-    if not (np.isfinite(main) and np.isfinite(deno)):
-        raise ValueError("joint loss needs finite components")
+    separate for logging. Non-finite parts give a non-finite total."""
     reg = cfg.l2 * float((np.asarray(embed_table) ** 2).sum())
     parts = {"main": float(main), "deno": float(deno),
              "deno_weighted": cfg.lam * float(deno), "l2": reg}

@@ -215,7 +215,10 @@ class TestDiffusionLoss:
         s = small_schedule()
         rng = Rng(2)
         params = DenoiserParams.init(3, 2, rng)
-        res = diffusion_loss(params, s, rng.normal(5, 3), rng.normal(5, 3), rng=rng)
+        source, target = rng.normal(5, 3), rng.normal(5, 3)
+        t = int(rng.integers(1, s.steps + 1))
+        res = diffusion_loss(params, s, source, target, t=t,
+                             noise=rng.standard_normal((5, 3)))
         assert res.loss > 0
 
     def test_loss_nonnegative_random_sweep(self):
@@ -223,8 +226,10 @@ class TestDiffusionLoss:
         rng = Rng(33)
         for trial in range(30):
             params = DenoiserParams.init(3, 12, rng.derive(f"p{trial}"))
-            res = diffusion_loss(params, s, rng.normal(4, 3), rng.normal(4, 3),
-                                 rng=rng, per_row_t=bool(trial % 2))
+            source, target = rng.normal(4, 3), rng.normal(4, 3)
+            t = rng.integers(1, 13, size=4) if trial % 2 else int(rng.integers(1, 13))
+            res = diffusion_loss(params, s, source, target, t=t,
+                                 noise=rng.standard_normal((4, 3)))
             assert res.loss >= 0.0
 
     def test_per_row_t_matches_scalar_when_uniform(self):

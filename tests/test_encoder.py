@@ -148,7 +148,7 @@ class TestEncodeViews:
         cfg = RunConfig(epochs=0, encoder=EncoderConfig(layers=2, dim=4),
                         diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9))
         trainer = Trainer(cfg, graph=g)
-        tables = trainer.to_model().inference_tables()
+        tables = trainer.inference_tables()
         adjs = relation_adjacencies(trainer.train_graph)
         e0 = trainer.params.e0
         expect_tgt = encode({"buy": adjs["buy"]}, e0, cfg.encoder)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from hgdiff import harness
+from hgdiff import cli, harness
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
@@ -294,6 +294,23 @@ class TestEvaluation:
             with pytest.raises(ConfigError, match="no test users"):
                 Trainer(small_cfg(synthetic=None, epochs=0, variant=variant), graph=g)
 
+    def test_no_training_edges_is_a_config_error(self):
+        # each user has one target edge, and the split holds every one out
+        g = HeteroGraph({"user": 2, "item": 2},
+                        [Relation("buy", "user", "item", [(0, 0), (1, 1)]),
+                         Relation("view", "user", "item", [(0, 1)])], "buy")
+        with pytest.raises(ConfigError, match="no training edges"):
+            Trainer(small_cfg(synthetic=None, epochs=1), graph=g)
+
+    def test_node_task_without_labels_is_a_config_error(self):
+        graph, _ = load_dataset(small_cfg())
+        with pytest.raises(ConfigError, match="needs labels"):
+            Trainer(small_cfg(task="node"), graph=graph)
+
+    def test_features_of_another_shape_are_a_config_error(self):
+        with pytest.raises(ConfigError, match="features must be"):
+            Trainer(small_cfg(), features=np.zeros((3, 8)))
+
     def test_free_heap_released_before_scoring(self, monkeypatch):
         model, _ = Trainer(small_cfg(epochs=1)).train()
         order = []
@@ -433,6 +450,33 @@ class TestNoiseRobustness:
             run_noise_robustness(small_cfg(epochs=1), [1.5])
 
 
+def _resave(path, edit):
+    """Rewrite a saved model's arrays after `edit(arrays)` changes them."""
+    with np.load(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def _write_npy(path, array):
+    with open(path, "wb") as fh:
+        np.save(fh, array)
+
+
+MALFORMED = {
+    "one_row_e0": lambda p: _resave(p, lambda a: a.update(e0=a["e0"][:1])),
+    "short_denoiser_b1": lambda p: _resave(
+        p, lambda a: a.update({"denoiser.b1": a["denoiser.b1"][:1]})),
+    "missing_key": lambda p: _resave(p, lambda a: a.pop("denoiser.w2")),
+    "extra_key": lambda p: _resave(p, lambda a: a.update({"denoiser.w3": a["denoiser.w2"]})),
+    "text_file": lambda p: p.write_text("0 1 interact\n"),
+    "empty_file": lambda p: p.write_bytes(b""),
+    "truncated_file": lambda p: p.write_bytes(p.read_bytes()[:200]),
+    "npy_file": lambda p: _write_npy(p, np.zeros(3)),
+    "no_config_json": lambda p: _resave(p, lambda a: a.pop("config_json")),
+}
+
+
 class TestPersistenceAndExport:
     def test_save_load_round_trip(self, tmp_path):
         cfg = small_cfg(epochs=3)
@@ -456,8 +500,24 @@ class TestPersistenceAndExport:
         other_seed = load_dataset(small_cfg(seed=8))[0]
         with pytest.raises(GraphError):
             TrainedModel.load(path, graph=other_seed)
+        # the full variant cannot be built on a graph with no auxiliary
+        # relation, but that graph is refused as other data before it is tried
+        bare = model.graph.with_relations([model.graph.target])
+        with pytest.raises(GraphError, match="trained on dataset"):
+            TrainedModel.load(path, graph=bare, labels=model.labels)
         # the graph it was trained on is accepted
         TrainedModel.load(path, graph=model.graph, labels=model.labels)
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_load_refuses_a_malformed_file(self, tmp_path, capsys, damage):
+        model, _ = train(small_cfg(epochs=1))
+        path = tmp_path / "model.npz"
+        model.save(path)
+        MALFORMED[damage](path)
+        with pytest.raises(GraphError, match="model.npz"):
+            TrainedModel.load(path)
+        assert cli.main(["eval", "--model", str(path)]) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_load_refuses_model_without_fingerprint(self, tmp_path):
         model, _ = train(small_cfg(epochs=1))

@@ -104,7 +104,7 @@ class TestLoading:
         p.write_text("0 0 View\n0 0 Favorite\n1 1 Cart\n1 0 Purchase\n0 1 Purchase\n")
         g = load_edge_list(p, schema)
         assert g.target == "Purchase"
-        assert g.relation_names() == ["View", "Favorite", "Cart", "Purchase"]
+        assert list(g.relations) == ["View", "Favorite", "Cart", "Purchase"]
         assert g.node_counts == {"user": 2, "item": 2}  # inferred max index + 1
 
     def test_malformed_line_reports_number(self, tmp_path):
@@ -181,12 +181,6 @@ class TestNormalize:
             assert np.array_equal(adj.normalized.to_dense() != 0, a != 0)
             assert adj.normalized.values.max(initial=0.0) <= 1.0
 
-    def test_self_loop_option(self):
-        g = HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 1)])], "e")
-        dense = normalize(g, "e", self_loops=True).normalized.to_dense()
-        # both nodes reach degree 2, so every entry is 1/2
-        assert np.allclose(dense, np.full((2, 2), 0.5))
-
     def test_normalized_is_its_own_transpose(self):
         # the encoder's backward multiplies by `normalized` in place of its
         # transpose, so the two must agree bit for bit
@@ -198,12 +192,11 @@ class TestNormalize:
             (toy_graph(), "view"),  # user 2 and item 0 isolated
         ]
         for g, rel in graphs:
-            for self_loops in (False, True):
-                a = normalize(g, rel, self_loops=self_loops).normalized
-                t = a.transpose()
-                assert np.array_equal(a.row_offsets, t.row_offsets)
-                assert np.array_equal(a.col_indices, t.col_indices)
-                assert np.array_equal(a.values, t.values)
+            a = normalize(g, rel).normalized
+            t = a.transpose()
+            assert np.array_equal(a.row_offsets, t.row_offsets)
+            assert np.array_equal(a.col_indices, t.col_indices)
+            assert np.array_equal(a.values, t.values)
 
     def test_unknown_relation(self):
         with pytest.raises(GraphError):
