@@ -72,55 +72,38 @@ def _deep_merge(base, extra):
     return out
 
 
+# config group (None: top level) -> {flag's dest: field it sets}
+_FIELD_FLAGS = {
+    None: {key: key for key in ("task", "edge_file", "schema_file", "label_file",
+                                "labeled_type", "lr", "batch_size", "epochs", "eval_every",
+                                "seed", "variant", "k")},
+    "synthetic": {"synth_users": "users", "synth_items": "items", "synth_aux": "aux_relations",
+                  "synth_density": "density", "synth_fidelity": "fidelity",
+                  "synth_seed": "seed"},
+    "encoder": {key: key for key in ("dim", "layers", "activation", "pooling")},
+    "diffusion": {key: key for key in ("steps", "b_max", "b_min", "infer_steps", "per_row_t")},
+    "loss": {"lam": "lam", "l2": "l2"},
+}
+
+
 def build_config(args) -> RunConfig:
     data = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # not JSON, or not UTF-8 text
+                raise ConfigError(f"{args.config}: not valid JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise ConfigError(f"{args.config}: not a JSON object")
     over = {}
-
-    def put(key, value):
-        if value is not None:
-            over[key] = value
-
-    def put_sub(group, key, value):
-        if value is not None:
-            over.setdefault(group, {})[key] = value
-
-    put("task", args.task)
-    put("edge_file", args.edge_file)
-    put("schema_file", args.schema_file)
-    put("label_file", args.label_file)
-    put("labeled_type", args.labeled_type)
-    for name, value in (("users", args.synth_users), ("items", args.synth_items),
-                        ("aux_relations", args.synth_aux),
-                        ("density", args.synth_density),
-                        ("fidelity", args.synth_fidelity), ("seed", args.synth_seed)):
-        if value is not None:
-            over.setdefault("synthetic", data.get("synthetic") or {})
-            over["synthetic"][name] = value
-    put_sub("encoder", "dim", args.dim)
-    put_sub("encoder", "layers", args.layers)
-    put_sub("encoder", "activation", args.activation)
-    put_sub("encoder", "pooling", args.pooling)
-    put_sub("diffusion", "steps", args.steps)
-    if args.noise_scale is not None:
+    if args.noise_scale is not None:  # --b-max and --b-min override the preset
         preset = DiffusionConfig.from_noise_scale(args.noise_scale)
-        put_sub("diffusion", "b_max", preset.b_max)
-        put_sub("diffusion", "b_min", preset.b_min)
-    put_sub("diffusion", "b_max", args.b_max)
-    put_sub("diffusion", "b_min", args.b_min)
-    put_sub("diffusion", "infer_steps", args.infer_steps)
-    put_sub("diffusion", "per_row_t", args.per_row_t)
-    put_sub("loss", "lam", args.lam)
-    put_sub("loss", "l2", args.l2)
-    put("lr", args.lr)
-    put("batch_size", args.batch_size)
-    put("epochs", args.epochs)
-    put("eval_every", args.eval_every)
-    put("seed", args.seed)
-    put("variant", args.variant)
-    put("k", args.k)
+        over["diffusion"] = {"b_max": preset.b_max, "b_min": preset.b_min}
+    for group, flags in _FIELD_FLAGS.items():
+        for flag, key in flags.items():
+            if getattr(args, flag) is not None:
+                (over.setdefault(group, {}) if group else over)[key] = getattr(args, flag)
     merged = _deep_merge(data, over)
     if "synthetic" not in merged and not merged.get("edge_file"):
         merged["synthetic"] = {}  # default desk-scale dataset

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, scatter_add
+from .numerics import Rng, ShapeError, row_blocks, scatter_add
 
 
 class ScheduleError(ValueError):
@@ -317,12 +317,9 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     mean back to step zero. No sampling noise is added on the way down, so the
     output is a deterministic function of (params, source, corruption noise).
 
-    All rows are corrupted by one draw; the walk then takes contiguous,
-    near-equal blocks of about `_WALK_ROWS` rows through every step, so a
-    block's working set stays in cache. Rows of one matrix product never
-    depend on each other, but a one-row product takes another BLAS path and
-    rounds differently, so no block has a single row unless the input has
-    one. The output equals the whole-array walk bit for bit.
+    All rows are corrupted by one draw; the walk then takes each of the
+    :func:`numerics.row_blocks` of about `_WALK_ROWS` rows through every step
+    while its working set stays in cache, bit for bit as the whole array.
     """
     source = np.asarray(source, dtype=np.float64)
     if not 0 <= infer_steps <= schedule.steps:
@@ -337,12 +334,10 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
         coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
         coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
         walk.append((t, coef_h, coef_pred))
-    n = h.shape[0]
-    n_blocks = max(1, min(-(-n // _WALK_ROWS), n // 2))
     # each block is a view of q_sample's fresh array. denoise_predict is
     # looked up as a module global at every step, so a caller may replace it;
     # its result is never written to
-    for block in np.array_split(h, n_blocks):
+    for block in row_blocks(h, _WALK_ROWS):
         for t, coef_h, coef_pred in walk:
             pred = denoise_predict(params, block, t)
             # coef_h*h + coef_pred*pred bit for bit (addition commutes)

@@ -8,7 +8,6 @@ bit-reproducible; wall-clock timings are kept out of the reproducible payload.
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
 import json
 import time
@@ -52,6 +51,7 @@ from .tasks import (
     classifier_logits,
     fuse,
     joint_loss,
+    masked_scores,
     positive_keys,
     rank_metrics,
     sample_triplets,
@@ -131,6 +131,9 @@ class RunConfig:
                          ("diffusion", DiffusionConfig), ("loss", JointLossConfig)):
             if isinstance(d.get(key), dict):
                 d[key] = _build(sub, d[key], key)
+            elif key in d and not (isinstance(d[key], sub)
+                                   or key == "synthetic" and d[key] is None):
+                raise ConfigError(f"{key} config must be a JSON object, not {d[key]!r}")
         if "bucket_boundaries" in d:
             d["bucket_boundaries"] = tuple(d["bucket_boundaries"])
         return _build(cls, d, "run")
@@ -367,21 +370,18 @@ class TrainedModel:
         target = graph.relations[graph.target]
         users = fused[graph.type_slice(target.src_type)]
         items = fused[graph.type_slice(target.dst_type)]
-        # the score matrix is the largest array of a run: allocate it over
-        # live data only, so the peak it sets is the same from run to run
-        release_free_heap()
-        scores = users[split.test_users] @ items.T
-        # mask every test user's training positives in one assignment. Test
-        # users are unique, so a user -> score row map suffices, and every
-        # user with a training edge had one held out, so is a test user.
+        # training positives keyed by score row: test users are unique, and a
+        # user with a training edge had one held out, so is a test user
         row_of = np.zeros(users.shape[0], dtype=np.int64)
         row_of[split.test_users] = np.arange(split.test_users.size)
         train_edges = split.train_graph.relations[graph.target].edges
-        scores[row_of[train_edges[:, 0]], train_edges[:, 1]] = -np.inf
+        positives = positive_keys(
+            np.column_stack((row_of[train_edges[:, 0]], train_edges[:, 1])), items.shape[0])
         ids = sparsity_buckets(split.train_graph, split.test_users,
                                cfg.bucket_boundaries)
-        recall, ndcg, per_bucket = rank_metrics(scores, split.test_items, cfg.k,
-                                                groups=ids)
+        recall, ndcg, per_bucket = rank_metrics(
+            masked_scores(users[split.test_users], items, positives), split.test_items,
+            cfg.k, groups=ids)
         metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
         labels = bucket_labels(cfg.bucket_boundaries)
         buckets = {labels[b]: {f"recall@{cfg.k}": r, f"ndcg@{cfg.k}": g, "n_users": m}
@@ -428,6 +428,8 @@ class TrainedModel:
                 saved = {key: data[key] for key in data.files}
             config = json.loads(bytes(saved.pop("config_json")).decode())
             trained_on = bytes(saved.pop("dataset_fingerprint")).decode()
+            if not isinstance(config, dict):
+                raise ValueError("config_json is not a JSON object")
         except KeyError as exc:
             raise GraphError(f"{path}: not a saved model: no {exc.args[0]} array") from None
         except (ValueError, TypeError, EOFError, zipfile.BadZipFile) as exc:
@@ -516,26 +518,6 @@ def _fmt(value):
     if isinstance(value, float):
         return repr(value)
     return str(value)
-
-
-try:
-    _MALLOC_TRIM = ctypes.CDLL(None).malloc_trim  # glibc only
-except (AttributeError, OSError, TypeError):
-    _MALLOC_TRIM = None
-
-
-def release_free_heap():
-    """Return the C heap's free pages to the operating system.
-
-    glibc keeps much of what numpy frees in its heap, where it still counts
-    as resident. How much it keeps (0 to ~64 MB after a mid-scale training)
-    depends on the exact order of earlier allocations, so a large array
-    allocated on top of it makes a peak that moves from run to run. After
-    this call the resident size is close to the live data alone. A no-op
-    where the C library has no `malloc_trim`.
-    """
-    if _MALLOC_TRIM is not None:
-        _MALLOC_TRIM(0)
 
 
 # ------------------------------------------------------------------ trainer

@@ -199,6 +199,13 @@ def scatter_add(index, values, rows):
     return out.astype(np.float64, copy=False).reshape((rows,) + values.shape[1:])
 
 
+def row_blocks(a, rows):
+    """`a` cut by np.array_split into near-equal blocks of about `rows` rows.
+    A one-row matrix product takes another BLAS path and rounds differently,
+    so no block has a single row unless `a` has one."""
+    return np.array_split(a, max(1, min(-(-len(a) // rows), len(a) // 2)))
+
+
 _STREAM_SALT = b"hgdiff-stream"
 
 

@@ -8,12 +8,13 @@ with hand-derived gradients.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hetgraph import LabelSet
-from .numerics import Rng, ShapeError, scatter_add
+from .numerics import Rng, ShapeError, as_matrix, row_blocks, scatter_add
 
 
 def fuse(target_emb, denoised):
@@ -221,45 +222,77 @@ def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
     return float(main) + cfg.lam * float(deno) + reg, parts
 
 
-_RANK_BLOCK_ELEMENTS = 1 << 17  # scores compared per block in rank_metrics
+_RANK_BLOCK_ELEMENTS = 1 << 17  # scores per block in masked_scores and rank_metrics
+
+
+def masked_scores(queries, items, positives):
+    """Yield ``queries @ items.T`` in :func:`numerics.row_blocks` of about
+    `_RANK_BLOCK_ELEMENTS` scores, each a view of one reused buffer, with the
+    (query row, item) pairs whose :func:`positive_keys` are `positives` set
+    to -inf. Scores equal the whole product's where dot products are exact;
+    else OpenBLAS may round the last ``items % 8`` columns by a block's row
+    count (seen at 257 and 300 items), though link reports still equaled
+    the whole product's at 600x300, 3000x257 and 2000x1001 users x items."""
+    blocks = row_blocks(queries, max(1, _RANK_BLOCK_ELEMENTS // max(1, len(items))))
+    buffer = np.empty((len(blocks[0]), len(items)))
+    base = 0  # key of the block's first score
+    for block in blocks:
+        out = buffer[:block.shape[0]]
+        np.matmul(block, items.T, out=out)
+        lo, hi = np.searchsorted(positives, (base, base + out.size))
+        out.reshape(-1)[positives[lo:hi] - base] = -np.inf
+        base += out.size
+        yield out
 
 
 def rank_metrics(scores, truth, k, groups=None):
     """Leave-one-out Recall@k and NDCG@k averaged over users.
 
-    `scores` is (users, items); `truth` holds the single held-out item per
-    user. An item outranks the truth when its score is higher, or equal with
-    a smaller id (deterministic tie rule).
+    `scores` is (users, items), or an iterator over its row blocks in row
+    order, such as :func:`masked_scores`; a block of another width than the
+    first, or blocks that do not hold one row per user, raise ShapeError.
+    `truth` holds the single held-out item per user. An item outranks the
+    truth when its score is higher, or equal with a smaller id
+    (deterministic tie rule).
 
     With `groups`, one nonnegative group id per user, a third value maps each
     group id present to its (recall, ndcg, n_users): the means of the same
     per-user hits and gains over that group's users, in row order, so a
     group's metrics equal a separate call on its rows bit for bit.
     """
-    scores = np.asarray(scores, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.int64)
-    if scores.ndim != 2 or truth.shape != (scores.shape[0],):
-        raise ShapeError("scores must be (users, items) with one truth per user")
-    n, n_items = scores.shape
-    if n == 0:
-        raise ShapeError("no test users to rank")
+    n = truth.size
+    if not isinstance(scores, Iterator):
+        scores = as_matrix(scores, "scores")
+        step = max(1, _RANK_BLOCK_ELEMENTS // max(1, scores.shape[1]))
+        scores = iter(np.split(scores, range(step, len(scores), step)))
+    if truth.ndim != 1 or n == 0 or truth.min() < 0:
+        raise ShapeError("truth must hold one nonnegative item id per test user")
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (n,) or groups.min() < 0:
             raise ShapeError("groups must hold one nonnegative id per user")
-    true_scores = scores[np.arange(n), truth][:, None]
-    cols = np.arange(n_items)
     rank = np.ones(n, dtype=np.int64)
+    n_items, start = None, 0
     # both comparisons run on one cache-sized block of rows at a time; the
     # per-row counts are below n_items, so int32 sums are exact
-    step = max(1, _RANK_BLOCK_ELEMENTS // max(1, n_items))
-    for start in range(0, n, step):
-        rows = slice(start, start + step)
-        block, t = scores[rows], true_scores[rows]
+    for block in scores:
+        block = np.asarray(block, dtype=np.float64)
+        if n_items is None and block.ndim == 2:
+            n_items = block.shape[1]
+        rows = slice(start, start + len(block))
+        if (block.ndim != 2 or block.shape[1] != n_items or rows.stop > n
+                or truth[rows].max(initial=0) >= n_items):
+            raise ShapeError(f"score block {block.shape} at row {start} does not fit "
+                             f"{n} users x {n_items} items and their truth items")
+        t = block[np.arange(len(block)), truth[rows]][:, None]
         tied_before = block == t
-        tied_before &= cols < truth[rows, None]
+        tied_before &= np.arange(n_items) < truth[rows, None]
         rank[rows] += (block > t).sum(axis=1, dtype=np.int32)
         rank[rows] += tied_before.sum(axis=1, dtype=np.int32)
+        start = rows.stop
+    if start != n:
+        raise ShapeError(f"score blocks hold {start} rows for {n} users")
     hit = rank <= k
     gain = np.where(hit, 1.0 / np.log2(rank + 1), 0.0)
     recall, ndcg = float(hit.mean()), float(gain.mean())

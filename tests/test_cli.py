@@ -65,6 +65,20 @@ class TestTrain:
         assert code == 1
         assert "config error" in err and "activation" in err
 
+    def test_config_file_that_is_not_a_json_object_is_a_config_error(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        for text, problem in (("{", "not valid JSON"), ("[1, 2]", "not a JSON object"),
+                              ('"x"', "not a JSON object"),
+                              ('{"encoder": 5}', "encoder config must be a JSON object"),
+                              ('{"loss": null}', "loss config must be a JSON object")):
+            cfg_path.write_text(text)
+            code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 1, text
+            assert err.startswith("config error:") and problem in err, text
+        cfg_path.write_bytes(b"\xff\xfe")  # not UTF-8 text
+        code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+        assert code == 1 and "not valid JSON" in err
+
     def test_leaky_slope_outside_unit_interval_is_a_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}

@@ -1,9 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from hgdiff import cli, harness
+from hgdiff import cli, harness, tasks
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
@@ -236,6 +237,20 @@ class TestTraining:
         assert np.isfinite(trace.losses[-1]["total"])
 
 
+def _capture_score_blocks(monkeypatch):
+    """Record the score blocks link evaluation hands to rank_metrics, one
+    list per call. Each block is copied, as the buffer under it is reused."""
+    seen = []
+    real = harness.rank_metrics
+
+    def capture(scores, truth, k, groups=None):
+        seen.append([block.copy() for block in scores])
+        return real(iter(seen[-1]), truth, k, groups=groups)
+
+    monkeypatch.setattr(harness, "rank_metrics", capture)
+    return seen
+
+
 def _train_positives(model):
     """Each user's training positives, read from the split's training graph."""
     graph = model.split.train_graph
@@ -311,46 +326,10 @@ class TestEvaluation:
         with pytest.raises(ConfigError, match="features must be"):
             Trainer(small_cfg(), features=np.zeros((3, 8)))
 
-    def test_free_heap_released_before_scoring(self, monkeypatch):
-        model, _ = Trainer(small_cfg(epochs=1)).train()
-        order = []
-        monkeypatch.setattr(harness, "release_free_heap", lambda: order.append("release"))
-        real_rank = harness.rank_metrics
-        monkeypatch.setattr(harness, "rank_metrics",
-                            lambda *a, **k: order.append("rank") or real_rank(*a, **k))
-        model.evaluate()
-        assert order == ["release", "rank"]
-
-    @pytest.mark.skipif(harness._MALLOC_TRIM is None, reason="C library has no malloc_trim")
-    def test_release_free_heap_returns_freed_pages(self):
-        def resident_mb():
-            with open("/proc/self/status", encoding="utf-8") as fh:
-                line = next(line for line in fh if line.startswith("VmRSS:"))
-            return int(line.split()[1]) / 1024
-
-        # 640 heap blocks of 100 KB (below glibc's mmap threshold); freeing
-        # every other one leaves 32 MB of holes between live blocks, which
-        # free() alone never hands back
-        blocks = [np.ones(12_800) for _ in range(640)]
-        kept = blocks[1::2]
-        del blocks
-        before = resident_mb()
-        harness.release_free_heap()
-        assert resident_mb() < before - 16
-        assert all(block[-1] == 1.0 for block in kept)
-
-    def test_release_free_heap_without_malloc_trim(self, monkeypatch):
-        monkeypatch.setattr(harness, "_MALLOC_TRIM", None)
-        assert harness.release_free_heap() is None
-
     def test_masked_scores_match_per_user_loop(self, monkeypatch):
         trainer = Trainer(small_cfg(epochs=2))
         model, _ = trainer.train()
-        seen = []
-        real = harness.rank_metrics
-        monkeypatch.setattr(harness, "rank_metrics",
-                            lambda scores, truth, k, groups=None: seen.append(scores.copy())
-                            or real(scores, truth, k, groups=groups))
+        seen = _capture_score_blocks(monkeypatch)
         model.evaluate()
         fused = model.inference_tables()["fused"]
         split = model.split
@@ -363,7 +342,57 @@ class TestEvaluation:
             if pos:
                 expect[row, sorted(pos)] = -np.inf
         assert np.isinf(expect).any()
-        assert np.array_equal(seen[0], expect)
+        assert np.array_equal(np.vstack(seen[0]), expect)
+
+    @pytest.mark.parametrize("n_items", [257, 300])
+    @pytest.mark.parametrize("n_test", [1, 2, 3, 10])
+    def test_blocked_masked_scores_equal_whole_matrix_on_integer_tables(
+            self, monkeypatch, n_items, n_test):
+        # small integer values make every dot product exact in any summation
+        # order, so the scores cannot depend on how BLAS cuts the product
+        edges = []
+        for u in range(n_test):
+            # positives in the first and last column of every row, so of the
+            # first and last row of every block; the held-out edge comes last
+            edges += [(u, 0), (u, n_items - 1), (u, 1 + u % (n_items - 3)),
+                      (u, n_items - 2 - u % 7)]
+        g = HeteroGraph({"user": n_test + 1, "item": n_items},  # last user: no edge
+                        [Relation("buy", "user", "item", edges)], "buy")
+        rng = np.random.default_rng(n_items + n_test)
+        features = rng.integers(-3, 4, size=(n_test + 1 + n_items, 8)).astype(float)
+        cfg = RunConfig(synthetic=SyntheticSpec(), epochs=0, k=5, seed=0, variant="-H",
+                        encoder=EncoderConfig(layers=0, dim=8),
+                        diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9))
+        model = Trainer(cfg, graph=g, features=features)
+        if n_test == 10:  # 3 rows per block: blocks of 3, 3, 2 and 2 rows
+            monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 3 * n_items)
+        seen = _capture_score_blocks(monkeypatch)
+        report = model.evaluate()
+        assert len(seen[0]) == (4 if n_test == 10 else 1)
+        split = model.split
+        expect = features[split.test_users] @ features[n_test + 1:].T
+        positives = _train_positives(model)
+        for row, u in enumerate(split.test_users):
+            for item in positives[int(u)]:
+                expect[row, item] = -np.inf
+        assert np.isinf(expect[:, [0, -1]]).all()
+        assert np.array_equal(np.vstack(seen[0]), expect)
+        recall, ndcg = tasks.rank_metrics(expect, split.test_items, cfg.k)
+        assert report.metrics == {"recall@5": recall, "ndcg@5": ndcg}
+
+    def test_evaluation_memory_stays_below_one_score_matrix(self):
+        cfg = RunConfig(synthetic=SyntheticSpec(users=2000, items=1000), epochs=0,
+                        encoder=EncoderConfig(layers=1, dim=8))
+        model = Trainer(cfg)
+        model.evaluate()  # builds the adjacencies' lazy kernel plans once
+        tracemalloc.start()
+        try:
+            model.evaluate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a dense test users x items score matrix alone would take 16 MB
+        assert peak < model.split.test_users.size * 1000 * 8 / 2
 
     def test_inference_tables_match_training_encodings(self):
         # inference encodes forward only; training encodes with encode_vjp
@@ -474,6 +503,8 @@ MALFORMED = {
     "truncated_file": lambda p: p.write_bytes(p.read_bytes()[:200]),
     "npy_file": lambda p: _write_npy(p, np.zeros(3)),
     "no_config_json": lambda p: _resave(p, lambda a: a.pop("config_json")),
+    "config_json_not_an_object": lambda p: _resave(
+        p, lambda a: a.update(config_json=np.frombuffer(b"[1, 2]", dtype=np.uint8))),
 }
 
 

@@ -336,6 +336,28 @@ class TestJoint:
 # ---------------------------------------------------------------- rank metrics
 
 
+def tie_heavy_instances(monkeypatch):
+    """120 small (scores, truth, k, groups) ranking instances on coarse
+    integer score grids; the second half runs with a 7-element rank block."""
+    rng = np.random.default_rng(12)
+    for trial in range(120):
+        if trial == 60:
+            monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
+        users = int(rng.integers(1, 300 if trial % 4 == 0 else 12))
+        items = int(rng.integers(2, 11))
+        k = int(rng.integers(1, items + 1))
+        scores = rng.integers(0, 2 if trial % 2 else 4, size=(users, items)).astype(float)
+        truth = rng.integers(0, items, size=users)
+        kind = trial % 3
+        if kind == 0:    # ids 0, 2 and 5 only: 1, 3 and 4 are absent
+            groups = rng.choice([0, 2, 5], size=users)
+        elif kind == 1:  # a single group, not group 0
+            groups = np.full(users, 3)
+        else:            # one user per group
+            groups = rng.permutation(users)
+        yield scores, truth, k, groups
+
+
 class TestRankMetrics:
     def test_rank_one(self):
         scores = np.array([[9.0] + [0.0] * 30])
@@ -375,22 +397,7 @@ class TestRankMetrics:
             assert abs(ndcg - np.mean([n for _, n in per_user])) < 1e-12
 
     def test_groups_equal_separate_calls(self, monkeypatch):
-        rng = np.random.default_rng(12)
-        for trial in range(120):
-            if trial == 60:
-                monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
-            users = int(rng.integers(1, 300 if trial % 4 == 0 else 12))
-            items = int(rng.integers(2, 11))
-            k = int(rng.integers(1, items + 1))
-            scores = rng.integers(0, 2 if trial % 2 else 4, size=(users, items)).astype(float)
-            truth = rng.integers(0, items, size=users)
-            kind = trial % 3
-            if kind == 0:    # ids 0, 2 and 5 only: 1, 3 and 4 are absent
-                groups = rng.choice([0, 2, 5], size=users)
-            elif kind == 1:  # a single group, not group 0
-                groups = np.full(users, 3)
-            else:            # one user per group
-                groups = rng.permutation(users)
+        for scores, truth, k, groups in tie_heavy_instances(monkeypatch):
             recall, ndcg, per_group = rank_metrics(scores, truth, k, groups=groups)
             assert (recall, ndcg) == rank_metrics(scores, truth, k)
             expect = {}
@@ -402,6 +409,32 @@ class TestRankMetrics:
             assert per_group == expect
             assert list(per_group) == sorted(per_group)
 
+    def test_block_stream_equals_whole_matrix(self, monkeypatch):
+        rng = np.random.default_rng(13)
+        for scores, truth, k, groups in tie_heavy_instances(monkeypatch):
+            # blocks of random row counts, one-row and whole-matrix blocks included
+            cuts = np.sort(rng.integers(0, scores.shape[0] + 1, size=int(rng.integers(0, 4))))
+            blocks = iter(np.split(scores, cuts))
+            assert (rank_metrics(blocks, truth, k, groups=groups)
+                    == rank_metrics(scores, truth, k, groups=groups))
+
+    @pytest.mark.parametrize("cut", ["narrow block", "wide block", "a row too many",
+                                     "a block past the end", "a row too few", "no blocks",
+                                     "1-d block"])
+    def test_bad_block_stream_rejected(self, cut):
+        scores = np.arange(12.0).reshape(4, 3)
+        blocks = {
+            "narrow block": [scores[:2], scores[2:, :2]],
+            "wide block": [scores[:2], np.ones((2, 4))],
+            "a row too many": [scores, scores[:1]],
+            "a block past the end": [scores[:2], scores[1:]],
+            "a row too few": [scores[:3]],
+            "no blocks": [],
+            "1-d block": [scores[0], scores[1:]],
+        }[cut]
+        with pytest.raises(ShapeError):
+            rank_metrics(iter(blocks), [0, 1, 2, 0], k=2)
+
     def test_bad_input_rejected(self):
         with pytest.raises(ShapeError):
             rank_metrics(np.zeros((0, 5)), [], k=2)
@@ -412,6 +445,12 @@ class TestRankMetrics:
             rank_metrics(scores, [0, 1, 2], k=2, groups=[0, 1])
         with pytest.raises(ShapeError):
             rank_metrics(scores, [0, 1, 2], k=2, groups=[0, -1, 1])
+        # truth outside the items; a negative id would index from the row's end
+        for truth in ([0, 1, -1], [0, 1, 4]):
+            with pytest.raises(ShapeError):
+                rank_metrics(scores, truth, k=2)
+            with pytest.raises(ShapeError):
+                rank_metrics(iter([scores[:1], scores[1:]]), truth, k=2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
