@@ -225,15 +225,18 @@ class NodeSplit:
 
 
 def labeled_node_split(labels: LabelSet, per_class, seed) -> NodeSplit:
+    """Train on the first `per_class` nodes of each class in a seeded
+    permutation; test on the rest."""
     rng = Rng(seed).derive("labelsplit")
     order = rng.permutation(labels.node_ids.size)
     ids, classes = labels.node_ids[order], labels.class_ids[order]
-    taken = np.zeros(labels.n_classes, dtype=np.int64)
+    # a stable sort on class keeps permutation order within each class, so a
+    # node's place in its class run is its rank among that class's nodes
+    by_class = np.argsort(classes, kind="stable")
+    sizes = np.bincount(classes, minlength=labels.n_classes)
+    run_start = np.cumsum(sizes) - sizes
     in_train = np.zeros(ids.size, dtype=bool)
-    for i, c in enumerate(classes):
-        if taken[c] < per_class:
-            taken[c] += 1
-            in_train[i] = True
+    in_train[by_class] = np.arange(ids.size) - run_start[classes[by_class]] < per_class
     if not in_train.any() or in_train.all():
         raise ConfigError("label split left train or test empty")
     mk = lambda m: LabelSet(labels.node_type, ids[m], classes[m], labels.n_classes)
@@ -255,7 +258,10 @@ def load_dataset(cfg: RunConfig):
     labels = None
     if cfg.label_file is not None:
         labeled_type = schema.labeled_type or cfg.labeled_type
-        labels = load_labels(cfg.label_file, labeled_type)
+        if labeled_type not in graph.node_counts:
+            raise GraphError(f"labeled node type {labeled_type!r} is not in the schema")
+        labels = load_labels(cfg.label_file, labeled_type,
+                             node_count=graph.node_counts[labeled_type])
     return graph, labels
 
 

@@ -9,6 +9,7 @@ index space via type offsets, so every relation can be materialized as a
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +23,10 @@ class GraphError(ValueError):
 
 @dataclass
 class Relation:
+    """A named edge list between two node types. It holds no (u, v) pair
+    twice; that is checked once, here, so graphs that carry a relation over
+    do not check it again."""
+
     name: str
     src_type: str
     dst_type: str
@@ -29,6 +34,8 @@ class Relation:
 
     def __post_init__(self):
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
+        if not _first_occurrences(self.edges).all():
+            raise GraphError(f"relation {self.name!r} contains duplicate edges")
 
 
 class HeteroGraph:
@@ -60,8 +67,6 @@ class HeteroGraph:
                 if rel.edges.size and (rel.edges[:, side].min() < 0
                                        or rel.edges[:, side].max() >= self.node_counts[t]):
                     raise GraphError(f"relation {rel.name!r} has endpoint outside type {t!r}")
-            if not _first_occurrences(rel.edges).all():
-                raise GraphError(f"relation {rel.name!r} contains duplicate edges")
 
     def auxiliary_names(self):
         return [n for n in self.relations if n != self.target]
@@ -201,40 +206,133 @@ def load_schema(path) -> Schema:
         return parse_schema(fh.read())
 
 
+class _Rows:
+    """A text file read as rows of `width` whitespace-separated fields.
+
+    Lines break at `\\n`, `\\r\\n` and `\\r`. A line's text from its first `#`
+    is a comment, fields are split at whatever `str.isspace` accepts, and
+    lines with no field are skipped. Checks run one column at a time over the
+    first `rows` rows. Each failing check records its error and cuts `rows`
+    to the rows before it, so the next checks look only at earlier lines,
+    and `check` raises the error of the first bad line in file order, as a
+    reader that checks line by line would.
+    """
+
+    def __init__(self, path, width, shape_message):
+        self.path, self.width = path, width
+        with open(path, "r", encoding="utf-8") as fh:
+            self.text = fh.read()
+        self.fields, counts = _split_fields(self.text)
+        self.lineno = np.flatnonzero(counts) + 1
+        self.rows = self.lineno.size
+        self.error = None
+        bad = np.flatnonzero((counts != 0) & (counts != width))
+        if bad.size:
+            self.fail(int(np.count_nonzero(counts[:bad[0]])), shape_message)
+
+    def line(self, row):
+        """A row's line as the checks see it: comment cut, whitespace stripped."""
+        return self.text.split("\n")[self.lineno[row] - 1].split("#", 1)[0].strip()
+
+    def fail(self, row, message):
+        """Record `message(line)` as the error at `row`."""
+        self.rows = row
+        self.error = f"{self.path}:{self.lineno[row]}: {message(self.line(row))}"
+
+    def column(self, j):
+        return self.fields[j:self.rows * self.width:self.width]
+
+    def ints(self, columns, message):
+        """The named columns parsed by `int`, as an int64 (rows, k) array."""
+        parsed = []
+        for j in columns:
+            col = self.column(j)
+            try:
+                values = np.fromiter(map(int, col), np.int64, len(col))
+            except (ValueError, OverflowError):
+                row, too_large = _first_bad_int(col)
+                self.fail(row, (lambda line: f"integer out of range in {line!r}")
+                          if too_large else message)
+                values = np.fromiter(map(int, col[:row]), np.int64, row)
+            parsed.append(values)
+        return np.stack([values[:self.rows] for values in parsed], axis=1)
+
+    def first(self, bad, message):
+        """Fail at the first of the current rows where `bad` holds."""
+        hits = np.flatnonzero(bad[:self.rows])
+        if hits.size:
+            self.fail(int(hits[0]), message)
+
+    def check(self):
+        if self.error is not None:
+            raise GraphError(self.error)
+
+
+def _split_fields(text):
+    """The fields of `text` in order, and the number on each `\\n` line, with
+    every `#` comment blanked. Whitespace is found over the code points, as
+    `str.split()` finds it."""
+    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    newlines = np.flatnonzero(cp == 10)
+    hashes = np.flatnonzero(cp == 35)
+    if hashes.size:
+        # blank each line from its first `#` up to its line break
+        line = np.searchsorted(newlines, hashes)
+        first = np.ones(line.size, dtype=bool)
+        first[1:] = line[1:] != line[:-1]
+        toggle = np.zeros(cp.size + 1, dtype=np.int8)
+        toggle[hashes[first]] = 1
+        toggle[np.append(newlines, cp.size)[line[first]]] = -1
+        cp = np.where(np.cumsum(toggle[:-1], dtype=np.int8) > 0, np.uint32(32), cp)
+        text = cp.tobytes().decode("utf-32-le")
+    # ASCII whitespace is 9-13, 28-31 and 32; others are looked up once each
+    space = (cp == 32) | ((cp - 9) < 5) | ((cp - 28) < 4)
+    high = np.flatnonzero(cp > 127)
+    if high.size:
+        wide = [c for c in np.unique(cp[high]).tolist() if chr(c).isspace()]
+        space[high] = np.isin(cp[high], wide)
+    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    before = np.searchsorted(starts, newlines)  # fields before each line break
+    counts = np.diff(np.concatenate(([0], before, [starts.size])))
+    return text.split(), counts
+
+
+def _first_bad_int(fields):
+    """Index of the first field that `int` refuses or that is past int64,
+    and whether it was past int64."""
+    for i, field in enumerate(fields):
+        try:
+            value = int(field)
+        except ValueError:
+            return i, False
+        if not -(1 << 63) <= value < 1 << 63:
+            return i, True
+    raise AssertionError("every field parses")
+
+
 def load_edge_list(path, schema: Schema) -> HeteroGraph:
     """Read `src dst relation` lines into a graph, de-duplicating per relation.
 
     Node counts come from the schema when declared, otherwise max index + 1.
     """
     rel_types = {name: (s, d) for name, s, d in schema.relations}
-    edges: dict = {name: [] for name in rel_types}
-    seen: dict = {name: set() for name in rel_types}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected 'src dst relation', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from None
-            name = parts[2]
-            if name not in rel_types:
-                raise GraphError(f"{path}:{lineno}: undeclared relation {name!r}")
-            if u < 0 or v < 0:
-                raise GraphError(f"{path}:{lineno}: negative node id")
-            if (u, v) not in seen[name]:
-                seen[name].add((u, v))
-                edges[name].append((u, v))
+    index = {name: i for i, name in enumerate(rel_types)}
+    table = _Rows(path, 3, lambda line: f"expected 'src dst relation', got {line!r}")
+    pairs = table.ints((0, 1), lambda line: f"non-integer endpoint in {line!r}")
+    names = table.column(2)
+    rel = np.fromiter(map(index.get, names, itertools.repeat(-1)), np.int64, len(names))
+    table.first(rel < 0, lambda line: f"undeclared relation {line.split()[2]!r}")
+    table.first(np.minimum(pairs[:, 0], pairs[:, 1]) < 0, lambda line: "negative node id")
+    table.check()
 
+    relations = []
     observed = {t: 0 for t in schema.node_types}
-    for name, (s, d) in rel_types.items():
-        for (t, side) in ((s, 0), (d, 1)):
-            top = max((e[side] for e in edges[name]), default=-1) + 1
-            observed[t] = max(observed.get(t, 0), top)
+    for i, (name, (s, d)) in enumerate(rel_types.items()):
+        edges = pairs[rel == i]
+        edges = edges[_first_occurrences(edges)]
+        for t, side in ((s, 0), (d, 1)):
+            observed[t] = max(observed.get(t, 0), int(edges[:, side].max(initial=-1)) + 1)
+        relations.append(Relation(name, s, d, edges))
     counts = {}
     for t, declared in schema.node_types.items():
         if declared is None:
@@ -244,26 +342,27 @@ def load_edge_list(path, schema: Schema) -> HeteroGraph:
                              f"{t!r} count {declared}")
         else:
             counts[t] = int(declared)
-    rels = [Relation(name, s, d, np.array(edges[name], dtype=np.int64).reshape(-1, 2))
-            for name, (s, d) in rel_types.items()]
-    return HeteroGraph(counts, rels, schema.target)
+    return HeteroGraph(counts, relations, schema.target)
 
 
-def load_labels(path, node_type, n_classes=None) -> LabelSet:
-    ids, classes = [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'node_id class_id'")
-            ids.append(int(parts[0]))
-            classes.append(int(parts[1]))
+def load_labels(path, node_type, n_classes=None, node_count=None) -> LabelSet:
+    """Read `node_id class_id` lines. Each node is listed once, and its id
+    lies in [0, node_count) when `node_count` is given."""
+    table = _Rows(path, 2, lambda line: "expected 'node_id class_id'")
+    pairs = table.ints((0, 1), lambda line: f"non-integer field in {line!r}")
+    ids = pairs[:, 0]
+    table.first(ids < 0, lambda line: "negative node id")
+    if node_count is not None:
+        table.first(ids >= node_count, lambda line: f"node id {int(line.split()[0])} outside "
+                                                    f"{node_type!r} count {node_count}")
+    repeated = np.ones(ids.size, dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    table.first(repeated, lambda line: f"node {int(line.split()[0])} listed twice")
+    table.check()
+    classes = pairs[:, 1]
     if n_classes is None:
-        n_classes = max(classes, default=-1) + 1
-    return LabelSet(node_type, np.array(ids), np.array(classes), n_classes)
+        n_classes = int(classes.max(initial=-1)) + 1
+    return LabelSet(node_type, ids, classes, n_classes)
 
 
 def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
@@ -352,20 +451,25 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
     user_comm = _balanced_communities(n_users, rng)
     item_comm = _balanced_communities(n_items, rng)
     p_in = min(1.0, 1.6 * density)
-    p_out = 2.0 * density - p_in
-    # the users x items uniform draw is taken in row blocks: consecutive
-    # draws continue one Philox stream, so the edges equal those of a single
-    # dense draw while memory stays O(block)
+    p_out = 2.0 * density - p_in  # never above p_in
+    # the users x items uniform draw is taken in row blocks into one buffer:
+    # consecutive draws continue one Philox stream, so the edges equal those
+    # of a single dense draw while memory stays O(block). A pair is an edge
+    # when its draw is below p_in (same community) or p_out (across), so only
+    # the draws below p_in are candidates.
     block = max(1, _SYNTH_BLOCK_ELEMENTS // n_items)
+    buffer = np.empty(min(block, n_users) * n_items)
+    below = np.empty(buffer.size, dtype=bool)
     tu, tv = [], []
     for start in range(0, n_users, block):
-        comm = user_comm[start:start + block]
-        probs = np.where(comm[:, None] == item_comm[None, :], p_in, p_out)
-        rows, cols = np.nonzero(rng.uniform(probs.shape) < probs)
-        tu.append(rows + start)
-        tv.append(cols)
-    target_edges = np.stack([np.concatenate(tu), np.concatenate(tv)],
-                            axis=1).astype(np.int64)
+        draws = rng.uniform(out=buffer[:min(block, n_users - start) * n_items])
+        cand = np.flatnonzero(np.less(draws, p_in, out=below[:draws.size]))
+        rows, cols = np.divmod(cand, n_items)
+        rows += start
+        keep = (user_comm[rows] == item_comm[cols]) | (draws[cand] < p_out)
+        tu.append(rows[keep])
+        tv.append(cols[keep])
+    target_edges = np.stack([np.concatenate(tu), np.concatenate(tv)], axis=1)
 
     relations = [Relation("interact", "user", "item", target_edges)]
     for r in range(n_aux_relations):
@@ -388,17 +492,33 @@ def _balanced_communities(n, rng):
     return comm[rng.permutation(n)]
 
 
+def _pair_keys(edges):
+    """One int64 per edge that compares as its (u, v) pair does.
+
+    A pair packs into (u - min u) * span_v + (v - min v) when the product of
+    the two id spans fits in int64; wider ids fall back to the pair's rank.
+    """
+    if not edges.size:
+        return np.zeros(0, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    lo_u, lo_v = int(u.min()), int(v.min())
+    span_v = int(v.max()) - lo_v + 1
+    if (int(u.max()) - lo_u + 1) * span_v > np.iinfo(np.int64).max:
+        return np.unique(edges, axis=0, return_inverse=True)[1].reshape(-1)
+    return (u - lo_u) * span_v + (v - lo_v)
+
+
 def _first_occurrences(edges):
     """Mask of the edges whose (u, v) pair has not occurred earlier.
 
-    A stable lexsort keeps equal pairs in edge order, so the first of each
-    run of equal pairs is the first occurrence. Sorting on the two columns
-    rather than on a packed u * n + v key cannot overflow.
+    A stable sort keeps equal pairs in edge order, so the first of each run
+    of equal pairs is the first occurrence.
     """
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    s = edges[order]
+    keys = _pair_keys(edges)
+    order = np.argsort(keys, kind="stable")
+    s = keys[order]
     first = np.ones(order.size, dtype=bool)
-    first[1:] = np.any(s[1:] != s[:-1], axis=1)
+    first[1:] = s[1:] != s[:-1]
     keep = np.zeros(order.size, dtype=bool)
     keep[order[first]] = True
     return keep

@@ -239,8 +239,8 @@ class Rng:
     def standard_normal(self, shape):
         return self._gen.standard_normal(shape)
 
-    def uniform(self, size=None):
-        return self._gen.random(size)
+    def uniform(self, size=None, out=None):
+        return self._gen.random(size, out=out)
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)

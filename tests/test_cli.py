@@ -218,6 +218,24 @@ class TestSynth:
         assert fingerprint[0].split("=")[1] == dataset[0].split("=")[1]
 
 
+    def test_label_files_that_do_not_fit_are_data_errors(self, capsys, tmp_path):
+        out_dir = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "synth", "--users", "60", "--items", "40",
+                             "--aux", "1", "--density", "0.1", "--seed", "3",
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        labels = out_dir / "labels.txt"
+        for text, line in (("0 0\n75 1\n99 0\n", 2), ("0 0\n-1 1\n", 2),
+                           ("0 0\n1 1\n0 1\n", 3)):
+            labels.write_text(text)
+            code, _, err = run_cli(
+                capsys, "train", "--task", "node", "--edge-file", str(out_dir / "edges.txt"),
+                "--schema-file", str(out_dir / "schema.txt"), "--label-file", str(labels),
+                "--epochs", "1", "--dim", "8", "--steps", "8")
+            assert code == 2
+            assert "data error" in err and f"{labels}:{line}:" in err
+
+
 class TestExperimentCommands:
     def test_ablate(self, capsys, tmp_path):
         report = tmp_path / "abl.json"

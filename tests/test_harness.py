@@ -15,6 +15,7 @@ from hgdiff.harness import (
     TrainedModel,
     Trainer,
     export_embeddings,
+    labeled_node_split,
     leave_one_out_split,
     load_dataset,
     read_embeddings,
@@ -23,7 +24,17 @@ from hgdiff.harness import (
     run_noise_robustness,
     train,
 )
-from hgdiff.hetgraph import GraphError, HeteroGraph, NoiseSpec, Relation, inject_edge_noise
+from hgdiff.hetgraph import (
+    GraphError,
+    HeteroGraph,
+    LabelSet,
+    NoiseSpec,
+    Relation,
+    generate_synthetic,
+    inject_edge_noise,
+    write_dataset_files,
+)
+from hgdiff.numerics import Rng
 from hgdiff.tasks import JointLossConfig
 
 
@@ -51,6 +62,66 @@ def split_loop(g):
     keep[held] = False
     return (rel.edges[keep], rel.edges[held, 0], rel.edges[held, 1],
             g.node_counts[rel.src_type] - len(last))
+
+
+def node_split_loop(labels, per_class, seed):
+    """Reference labeled_node_split: count each class's picks one id at a time."""
+    order = Rng(seed).derive("labelsplit").permutation(labels.node_ids.size)
+    ids, classes = labels.node_ids[order], labels.class_ids[order]
+    taken = np.zeros(labels.n_classes, dtype=np.int64)
+    in_train = np.zeros(ids.size, dtype=bool)
+    for i, c in enumerate(classes):
+        if taken[c] < per_class:
+            taken[c] += 1
+            in_train[i] = True
+    if not in_train.any() or in_train.all():
+        raise ConfigError("label split left train or test empty")
+    return ids[in_train], classes[in_train], ids[~in_train], classes[~in_train]
+
+
+class TestNodeSplit:
+    def test_matches_loop_reference(self):
+        rng = np.random.default_rng(8)
+        for trial in range(40):
+            n, n_classes = int(rng.integers(1, 60)), int(rng.integers(1, 6))
+            # skewed class sizes: some classes smaller than per_class, some empty
+            classes = np.minimum(rng.geometric(0.5, n) - 1, n_classes - 1)
+            labels = LabelSet("user", rng.permutation(200)[:n], classes, n_classes)
+            for per_class in (0, 1, 3, 20, 100):
+                try:
+                    expect = node_split_loop(labels, per_class, seed=trial)
+                except ConfigError as exc:
+                    with pytest.raises(ConfigError, match=str(exc)):
+                        labeled_node_split(labels, per_class, seed=trial)
+                    continue
+                split = labeled_node_split(labels, per_class, seed=trial)
+                got = (split.train.node_ids, split.train.class_ids,
+                       split.test.node_ids, split.test.class_ids)
+                assert all(np.array_equal(a, b) for a, b in zip(got, expect))
+                assert split.train.n_classes == split.test.n_classes == n_classes
+
+
+class TestLabelFiles:
+    """Label files that do not fit the graph are data errors."""
+
+    def files(self, tmp_path, labels_text):
+        g, labels = generate_synthetic(60, 20, 1, 0.2, 0.9, seed=3)
+        paths = write_dataset_files(g, labels, tmp_path)
+        with open(paths["labels"], "w", encoding="utf-8") as fh:
+            fh.write(labels_text)
+        return small_cfg(synthetic=None, task="node", edge_file=paths["edges"],
+                         schema_file=paths["schema"], label_file=paths["labels"])
+
+    def test_refused(self, tmp_path):
+        for text, message in [("0 0\n75 1\n99 0\n", ":2: node id 75 outside 'user' count 60"),
+                              ("0 0\n-1 1\n", ":2: negative node id"),
+                              ("3 0\n4 1\n3 1\n", ":3: node 3 listed twice")]:
+            with pytest.raises(GraphError, match=message):
+                load_dataset(self.files(tmp_path, text))
+
+    def test_fitting_labels_load(self, tmp_path):
+        _, labels = load_dataset(self.files(tmp_path, "0 0\n59 1\n# 60 1\n"))
+        assert labels.node_ids.tolist() == [0, 59]
 
 
 class TestSplit:

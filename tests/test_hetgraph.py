@@ -70,6 +70,156 @@ def generate_synthetic_dense(n_users, n_items, n_aux_relations, density, fidelit
     return HeteroGraph({"user": n_users, "item": n_items}, relations, "interact")
 
 
+def load_edge_list_loop(path, schema):
+    """Reference for load_edge_list: one line at a time."""
+    rel_types = {name: (s, d) for name, s, d in schema.relations}
+    edges = {name: [] for name in rel_types}
+    seen = {name: set() for name in rel_types}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise GraphError(f"{path}:{lineno}: expected 'src dst relation', got {line!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from None
+            name = parts[2]
+            if name not in rel_types:
+                raise GraphError(f"{path}:{lineno}: undeclared relation {name!r}")
+            if u < 0 or v < 0:
+                raise GraphError(f"{path}:{lineno}: negative node id")
+            if (u, v) not in seen[name]:
+                seen[name].add((u, v))
+                edges[name].append((u, v))
+    observed = {t: 0 for t in schema.node_types}
+    for name, (s, d) in rel_types.items():
+        for (t, side) in ((s, 0), (d, 1)):
+            top = max((e[side] for e in edges[name]), default=-1) + 1
+            observed[t] = max(observed.get(t, 0), top)
+    counts = {}
+    for t, declared in schema.node_types.items():
+        if declared is None:
+            counts[t] = observed[t]
+        elif observed[t] > declared:
+            raise GraphError(f"node id {observed[t] - 1} outside declared "
+                             f"{t!r} count {declared}")
+        else:
+            counts[t] = int(declared)
+    rels = [Relation(name, s, d, np.array(edges[name], dtype=np.int64).reshape(-1, 2))
+            for name, (s, d) in rel_types.items()]
+    return HeteroGraph(counts, rels, schema.target)
+
+
+def load_labels_loop(path, node_type, n_classes=None, node_count=None):
+    """Reference for load_labels: one line at a time."""
+    ids, classes = [], []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphError(f"{path}:{lineno}: expected 'node_id class_id'")
+            try:
+                node, cls = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+            if node < 0:
+                raise GraphError(f"{path}:{lineno}: negative node id")
+            if node_count is not None and node >= node_count:
+                raise GraphError(f"{path}:{lineno}: node id {node} outside "
+                                 f"{node_type!r} count {node_count}")
+            if node in ids:
+                raise GraphError(f"{path}:{lineno}: node {node} listed twice")
+            ids.append(node)
+            classes.append(cls)
+    if n_classes is None:
+        n_classes = max(classes, default=-1) + 1
+    return LabelSet(node_type, np.array(ids, dtype=np.int64),
+                    np.array(classes, dtype=np.int64), n_classes)
+
+
+SPACES = [" ", "  ", "\t", "\xa0", "\u3000", " \t", "\x0c", "\u2003"]
+BREAKS = ["\n", "\n", "\r\n", "\r"]
+MIXED_SCHEMA = """node user
+node item 9
+relation buy user item
+relation view user item
+relation similar item item
+target buy
+"""
+
+
+def spelled(rng, value):
+    """`value` in one of the spellings `int` accepts."""
+    form = int(rng.integers(0, 5))
+    if form == 1:
+        return f"+{value}"
+    if form == 2:
+        return f"00{value}"
+    if form == 3 and value >= 10:
+        return f"{value // 10}_{value % 10}"
+    return str(value)
+
+
+def random_lines(rng, n_lines, fields):
+    """Lines of the loaders' grammar: blank and comment lines, and lines of
+    `fields(rng)` joined by assorted whitespace, some with a comment."""
+    lines = []
+    for _ in range(n_lines):
+        kind = rng.random()
+        sep = lambda: SPACES[int(rng.integers(len(SPACES)))]
+        if kind < 0.1:
+            lines.append(sep() if rng.random() < 0.5 else "")
+        elif kind < 0.2:
+            lines.append(sep() + "# a comment\u3000with 3 fields")
+        else:
+            line = sep().join(fields(rng))
+            if rng.random() < 0.3:
+                line = sep() + line + sep()
+            if rng.random() < 0.2:
+                line += sep() + "#" + sep().join(fields(rng))
+            elif rng.random() < 0.1:
+                line += "#x y"
+            lines.append(line)
+    return lines
+
+
+def edge_fields(rng):
+    name = ["buy", "view", "similar"][int(rng.integers(3))]
+    u = int(rng.integers(0, 9 if name == "similar" else 6))
+    return [spelled(rng, u), spelled(rng, int(rng.integers(0, 9))), name]
+
+
+def label_fields(rng):
+    return [spelled(rng, int(rng.integers(0, 40))), spelled(rng, int(rng.integers(0, 3)))]
+
+
+def write_lines(path, lines, rng):
+    text = "".join(line + BREAKS[int(rng.integers(len(BREAKS)))] for line in lines)
+    if lines and rng.random() < 0.3:
+        text = text.rstrip("\r\n")  # no final line break
+    path.write_bytes(text.encode("utf-8"))
+
+
+def raised(fn, *args, **kw):
+    """The GraphError message of fn(*args), or its result."""
+    try:
+        return fn(*args, **kw)
+    except GraphError as exc:
+        return f"GraphError: {exc}"
+
+
+def same_graph(a, b):
+    return (a.fingerprint() == b.fingerprint() and a.node_counts == b.node_counts
+            and list(a.relations) == list(b.relations))
+
+
 def toy_graph():
     return HeteroGraph(
         {"user": 3, "item": 2},
@@ -131,6 +281,112 @@ class TestLoading:
     def test_schema_requires_target(self):
         with pytest.raises(GraphError):
             parse_schema("node user 2\nrelation buy user user")
+
+
+class TestLoaderMatchesReference:
+    """The whole-array loaders read every file as the per-line references
+    do: the same graphs and labels, or the same error at the same line."""
+
+    def test_random_edge_files(self, tmp_path):
+        rng = np.random.default_rng(11)
+        schema = parse_schema(MIXED_SCHEMA)  # inferred user count, declared item count
+        path = tmp_path / "edges.txt"
+        for trial in range(60):
+            write_lines(path, random_lines(rng, int(rng.integers(0, 40)), edge_fields), rng)
+            expect = load_edge_list_loop(path, schema)
+            got = load_edge_list(path, schema)
+            assert same_graph(got, expect), path.read_bytes()
+
+    def test_repeats_within_and_across_relations(self, tmp_path):
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        path.write_text("1 2 buy\n1 2 view\n+1 2 buy\n3 3 similar\n1 2 buy\n01 2 view\n")
+        g = load_edge_list(path, schema)
+        assert same_graph(g, load_edge_list_loop(path, schema))
+        assert g.relations["buy"].edges.tolist() == [[1, 2]]
+        assert g.relations["view"].edges.tolist() == [[1, 2]]
+        assert g.node_counts == {"user": 2, "item": 9}
+
+    def test_every_line_break_and_whitespace(self, tmp_path):
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        path.write_bytes("0\t1 buy\r\n2\xa03\u3000view\r4 5 similar # 6 7 buy\n"
+                         "\x0c\n#\n5\u20030\x1cbuy\n\u0663 1 buy".encode("utf-8"))
+        g = load_edge_list(path, schema)
+        assert same_graph(g, load_edge_list_loop(path, schema))
+        assert g.edge_count() == 5
+        assert g.relations["buy"].edges.tolist() == [[0, 1], [5, 0], [3, 1]]
+
+    def test_bad_lines_raise_the_reference_error(self, tmp_path):
+        rng = np.random.default_rng(12)
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        bad = ["0 1", "0 1 buy x", "x 1 buy", "0 1.5 view", "0x1 0 buy", "0 1 nope",
+               "-1 0 buy", "0 -2 view", "x -1 nope", "-1 0 nope", "0 y 1 2", "0 1 Buy",
+               "9 9 buy"]  # the last: user 9 fits the inferred count, item 9 does not
+        for trial in range(80):
+            lines = random_lines(rng, int(rng.integers(1, 30)), edge_fields)
+            for _ in range(int(rng.integers(1, 3))):  # one bad line or two
+                lines.insert(int(rng.integers(0, len(lines) + 1)),
+                             bad[int(rng.integers(len(bad)))])
+            write_lines(path, lines, rng)
+            expect = raised(load_edge_list_loop, path, schema)
+            assert isinstance(expect, str)
+            assert raised(load_edge_list, path, schema) == expect, path.read_bytes()
+
+    def test_earliest_error_wins(self, tmp_path):
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        for text, line, words in [
+            ("0 0 buy\n0 0 nope\nx 0 buy\n", 2, "undeclared relation 'nope'"),
+            ("0 0 buy\n0 x buy\n0 0\n", 2, "non-integer endpoint"),
+            ("-1 0 buy\n0 0\n", 1, "negative node id"),
+            ("0 0\n-1 0 buy\n", 1, "expected 'src dst relation'"),
+            ("0 0 buy\n-1 x nope\n", 2, "non-integer endpoint"),
+            ("0 0 buy\n-1 0 nope\n", 2, "undeclared relation"),
+        ]:
+            path.write_text(text)
+            with pytest.raises(GraphError, match=f":{line}: {words}"):
+                load_edge_list(path, schema)
+            assert raised(load_edge_list, path, schema) \
+                == raised(load_edge_list_loop, path, schema)
+
+    def test_ids_past_int64_are_a_line_error(self, tmp_path):
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        path.write_text("0 0 buy\n0 99999999999999999999 buy\n")
+        with pytest.raises(GraphError, match=":2: integer out of range"):
+            load_edge_list(path, schema)
+
+    def test_random_label_files(self, tmp_path):
+        rng = np.random.default_rng(13)
+        path = tmp_path / "labels.txt"
+        bad = ["1", "1 2 3", "x 1", "1 y", "-1 0", "40 0", "1 0"]
+        for trial in range(120):
+            lines = random_lines(rng, int(rng.integers(0, 25)), label_fields)
+            if trial % 2:
+                lines.insert(int(rng.integers(0, len(lines) + 1)),
+                             bad[int(rng.integers(len(bad)))])
+            write_lines(path, lines, rng)
+            for count in (None, 40):
+                expect = raised(load_labels_loop, path, "user", node_count=count)
+                got = raised(load_labels, path, "user", node_count=count)
+                if isinstance(expect, str):
+                    assert got == expect, path.read_bytes()
+                else:
+                    assert (got.node_ids.tolist(), got.class_ids.tolist(), got.n_classes) \
+                        == (expect.node_ids.tolist(), expect.class_ids.tolist(),
+                            expect.n_classes)
+
+    def test_label_files_that_do_not_fit_are_refused(self, tmp_path):
+        path = tmp_path / "labels.txt"
+        for text, message in [("0 1\n75 0\n", ":2: node id 75 outside 'user' count 60"),
+                              ("0 1\n-3 0\n", ":2: negative node id"),
+                              ("4 1\n2 0\n+4 0\n", ":3: node 4 listed twice"),
+                              ("4 1\nfour 0\n", ":2: non-integer field in 'four 0'")]:
+            path.write_text(text)
+            with pytest.raises(GraphError, match=message):
+                load_labels(path, "user", node_count=60)
 
 
 class TestNormalize:
@@ -301,6 +557,12 @@ class TestSynthetic:
             assert np.array_equal(hetgraph._first_occurrences(edges),
                                   first_occurrences_loop(edges))
         assert hetgraph._first_occurrences(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+        # ids whose spans overflow a packed int64 key, and negative ids
+        wide = rng.integers(-2, 3, size=(300, 2)) * (1 << 61)
+        assert np.array_equal(hetgraph._first_occurrences(wide), first_occurrences_loop(wide))
+        narrow = rng.integers(-4, 4, size=(300, 2))
+        assert np.array_equal(hetgraph._first_occurrences(narrow),
+                              first_occurrences_loop(narrow))
         # generated edge arrays, hence fingerprints, are those of the loop
         def fingerprints():
             return [generate_synthetic(*size, seed=seed)[0].fingerprint()
@@ -312,7 +574,11 @@ class TestSynthetic:
         assert fingerprints() == fast
 
     def test_row_blocks_match_dense_draw(self, monkeypatch):
-        sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (500, 300, 1, 0.02, 0.9)]
+        # p_in clamps to 1 from density 0.625 on; fidelity 0 and 1 take the
+        # copy draw's extremes
+        sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (500, 300, 1, 0.02, 0.9),
+                 (29, 11, 2, 0.625, 0.0), (13, 7, 1, 1.0, 1.0), (40, 9, 2, 0.7, 0.3),
+                 (31, 17, 2, 0.2, 0.0), (23, 19, 1, 0.3, 1.0)]
 
         def check(cases):
             for size in cases:
@@ -324,7 +590,8 @@ class TestSynthetic:
         # more items than the block budget: one row per block
         check([(3, hetgraph._SYNTH_BLOCK_ELEMENTS + 5, 1, 2e-5, 0.5)])
         check(sizes)
-        # a budget that cuts blocks of one, two and several rows
+        # a budget that cuts blocks of one, two and several rows, the last
+        # block shorter than the others
         for budget in (1, 50, 700):
             monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", budget)
             check(sizes)
@@ -371,6 +638,19 @@ class TestBuckets:
 
 
 class TestGraphValidation:
+    def test_relations_are_checked_for_duplicates_once(self, monkeypatch):
+        g = toy_graph()
+        # a relation that has both a repeat and an out-of-range id reports the repeat
+        with pytest.raises(GraphError, match="duplicate"):
+            HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 5), (0, 5)])], "e")
+
+        def refuse(edges):
+            raise AssertionError("a carried-over relation was checked again")
+
+        monkeypatch.setattr(hetgraph, "_first_occurrences", refuse)
+        assert g.with_relations(["buy", "cart"]).edge_count() == 4
+        assert g.replace_relation(g.relations["view"]).fingerprint() == g.fingerprint()
+
     def test_duplicate_edges_rejected(self):
         with pytest.raises(GraphError):
             HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 1), (0, 1)])], "e")

@@ -61,3 +61,30 @@ def test_traced_run_records_every_stage_and_load_builds_no_trainer(tmp_path):
     inits = [i for i, span in enumerate(spans) if span[tracing.NAME] == "harness.trainer_init"]
     assert len(inits) == 1  # the training's own
     assert not any(inside_load(i) for i in inits)
+
+
+def test_file_based_run_records_the_loader(tmp_path, capsys):
+    # a training and an `hgdiff eval` reload each read the edge file once
+    tracing = load_tracing()
+    tracer = tracing.Tracer("desk")
+    graph, labels = hgdiff.generate_synthetic(30, 20, 2, 0.15, 0.9, seed=7)
+    paths = hgdiff.hetgraph.write_dataset_files(graph, labels, tmp_path / "data")
+    cfg = hgdiff.RunConfig(
+        task="node", edge_file=paths["edges"], schema_file=paths["schema"],
+        label_file=paths["labels"], train_labels_per_class=5,
+        encoder=hgdiff.EncoderConfig(layers=2, dim=8),
+        diffusion=hgdiff.DiffusionConfig(steps=10, b_max=0.99, b_min=0.9),
+        epochs=2, seed=7, k=5)
+    path = tmp_path / "model.npz"
+    tracer.install(tracing.stage_targets(hgdiff, True))
+    try:
+        tracer.install(tracing.layer_targets(hgdiff))
+        model, _ = hgdiff.train(cfg)
+        model.save(path)
+        assert hgdiff.cli.main(["eval", "--model", str(path)]) == 0
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls.get("hetgraph.load_edge_list", 0) == 2
+    assert tracer.counts["hetgraph.load_edge_list.edges"] == 2 * graph.edge_count()
