@@ -228,6 +228,9 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
     """:func:`denoise_predict` plus a closure mapping upstream gradients to
     (gradients as DenoiserParams, d/d h_t)."""
     x, pre, hidden, out = _denoise_forward(params, h_t, t)
+    # the backward needs only where the pre-activation is below 0 or NaN,
+    # so the closure keeps that bool mask instead of the float rows
+    sloped = ~(pre >= 0)
     d = params.dim
     # the step-embedding gradient accumulates row by row in row order
     t_rows = np.full(x.shape[0], int(t), dtype=np.int64) if np.ndim(t) == 0 \
@@ -238,7 +241,7 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g_b2 = g.sum(axis=0)
         g_w2 = hidden.T @ g
         g_hidden = g @ params.w2.T
-        g_pre = g_hidden * np.where(pre >= 0, 1.0, params.slope)
+        g_pre = g_hidden * np.where(sloped, params.slope, 1.0)
         g_b1 = g_pre.sum(axis=0)
         g_w1 = x.T @ g_pre
         g_x = g_pre @ params.w1.T

@@ -41,13 +41,14 @@ class EncoderOutput:
     pooled: np.ndarray
 
 
-def _activate(x, cfg):
-    if cfg.activation == "identity":
-        return x
-    # leaky_relu(x) equals max(x, slope*x) bit for bit, signed zeros
-    # included, while 0 <= slope <= 1 (EncoderConfig checks it)
-    z = np.multiply(x, cfg.leaky_slope)
-    return np.maximum(x, z, out=z)
+def _activate(x, cfg, scratch):
+    """The activation written over the pre-activation `x`; `scratch` is a
+    spare array shaped like `x`."""
+    if cfg.activation != "identity":
+        # leaky_relu(x) equals max(x, slope*x) bit for bit, signed zeros
+        # included, while 0 <= slope <= 1 (EncoderConfig checks it)
+        np.maximum(x, np.multiply(x, cfg.leaky_slope, out=scratch), out=x)
+    return x
 
 
 def _row_normalize(z):
@@ -74,24 +75,30 @@ def _row_normalize_vjp(z, norms, upstream):
 def _propagate(adj: RelationAdjacency, e0, cfg: EncoderConfig, outputs=None, saved=None):
     """The one forward pass of a relation: e0 plus the sum of L refined layers.
 
-    Appends each layer's output to `outputs` and its (pre-activation,
+    Appends each layer's output to `outputs` and its (slope mask,
     activation, row norms) to `saved` when those lists are given; the
-    backward needs only `saved`, so a forward-only call keeps nothing.
+    backward needs only `saved`, so a forward-only call keeps nothing. The
+    slope mask is ``~(x >= 0)`` of the pre-activation x, True where x < 0 or
+    NaN, or None for the identity activation.
     """
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[0] != adj.normalized.rows:
         raise ShapeError(f"embedding rows {e0.shape[0]} vs adjacency {adj.normalized.rows}")
     total = e0.copy()
     prev = e0
+    scratch = np.empty_like(e0)
     for _ in range(cfg.layers):
         x = spmm(adj.normalized, prev)
-        z = _activate(x, cfg)
+        sloped = None
+        if saved is not None and cfg.activation != "identity":
+            sloped = ~(x >= 0)
+        z = _activate(x, cfg, scratch)
         prev, norms = _row_normalize(z)
         total += prev
         if outputs is not None:
             outputs.append(prev)
         if saved is not None:
-            saved.append((x, z, norms))
+            saved.append((sloped, z, norms))
     return total
 
 
@@ -113,12 +120,12 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
         # every layer output feeds the sum directly, deeper layers also chain
         g = np.asarray(upstream, dtype=np.float64)
         chain = np.zeros_like(g)
-        for x, z, norms in reversed(saved):
+        for sloped, z, norms in reversed(saved):
             chain += g  # equals g + chain: addition commutes bit for bit
             g_x = _row_normalize_vjp(z, norms, chain)
-            if cfg.activation != "identity":
-                # the slope where x < 0 or NaN, as np.where(x >= 0, g, slope * g)
-                np.multiply(g_x, cfg.leaky_slope, out=g_x, where=~(x >= 0))
+            if sloped is not None:
+                # g * 1.0 is g, so this is np.where(x >= 0, g, slope * g)
+                g_x *= np.where(sloped, cfg.leaky_slope, 1.0)
             # the normalized adjacency is its own transpose (see normalize)
             chain = spmm(adj.normalized, g_x)
         return g + chain

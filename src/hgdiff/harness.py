@@ -257,7 +257,11 @@ def load_dataset(cfg: RunConfig):
     graph = load_edge_list(cfg.edge_file, schema)
     labels = None
     if cfg.label_file is not None:
-        labeled_type = schema.labeled_type or cfg.labeled_type
+        # the model puts labels on the rows of cfg.labeled_type
+        labeled_type = cfg.labeled_type
+        if schema.labeled_type not in (None, labeled_type):
+            raise ConfigError(f"the schema labels {schema.labeled_type!r} nodes, but "
+                              f"labeled_type is {labeled_type!r}")
         if labeled_type not in graph.node_counts:
             raise GraphError(f"labeled node type {labeled_type!r} is not in the schema")
         labels = load_labels(cfg.label_file, labeled_type,

@@ -541,16 +541,22 @@ def write_dataset_files(g: HeteroGraph, labels, out_dir):
             fh.write(f"labels {labels.node_type}\n")
     with open(edges_path, "w", encoding="utf-8") as fh:
         for rel in g.relations.values():
-            for u, v in rel.edges:
-                fh.write(f"{u} {v} {rel.name}\n")
+            fh.write(_pair_lines(rel.edges, " " + rel.name))
     paths = {"schema": schema_path, "edges": edges_path}
     if labels is not None:
         labels_path = os.path.join(out_dir, "labels.txt")
         with open(labels_path, "w", encoding="utf-8") as fh:
-            for i, c in zip(labels.node_ids, labels.class_ids):
-                fh.write(f"{i} {c}\n")
+            fh.write(_pair_lines(np.column_stack((labels.node_ids, labels.class_ids))))
         paths["labels"] = labels_path
     return paths
+
+
+def _pair_lines(pairs, suffix=""):
+    """One line "a b<suffix>" per row (a, b) of an (n, 2) int array, built
+    by a single string format."""
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    line = "%d %d" + suffix.replace("%", "%%") + "\n"
+    return line * len(pairs) % tuple(pairs.ravel().tolist())
 
 
 def sparsity_buckets(g: HeteroGraph, test_nodes, boundaries):

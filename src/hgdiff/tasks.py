@@ -92,9 +92,14 @@ def bpr_loss(emb, batch: TripletBatch, chunk=None):
     With `chunk`, the batch is cut into consecutive chunks of that many
     triplets (the last may be shorter). Each chunk's mean loss and gradient
     are weighted by its share of the triplets and added in chunk order, with
-    every sum taken in the order a per-chunk ``np.add.at`` loop takes it:
+    every sum taken in the order a per-chunk loop of row additions takes it:
     within a chunk the user, positive and negative terms in triplet order,
     then the weighted chunk sums in chunk order.
+
+    Working memory is O(triplets + rows * d): the score differences are
+    taken over row blocks, and the gradient is built one embedding column
+    at a time from gathers of that column, so no (triplets, d) array lives
+    through the call.
     """
     emb = np.asarray(emb, dtype=np.float64)
     n = len(batch)
@@ -103,10 +108,16 @@ def bpr_loss(emb, batch: TripletBatch, chunk=None):
     chunk = n if chunk is None else int(chunk)
     if chunk < 1:
         raise ShapeError(f"chunk must be >= 1, got {chunk}")
-    e_u = emb[batch.users]
-    d_pn = emb[batch.pos]
-    d_pn -= emb[batch.neg]
-    diff = (d_pn * e_u).sum(axis=1)
+    n_rows, d = emb.shape
+    diff = np.empty(n)
+    # each row's sum over d is the same whichever rows share its block
+    step = max(1, _BPR_BLOCK_ELEMENTS // max(1, d))
+    for start in range(0, n, step):
+        block = slice(start, start + step)
+        prod = emb[batch.pos[block]]
+        prod -= emb[batch.neg[block]]
+        prod *= emb[batch.users[block]]
+        diff[block] = prod.sum(axis=1)
     terms = np.logaddexp(0.0, -diff)
     starts = np.arange(0, n, chunk)
     sizes = np.minimum(chunk, n - starts)
@@ -116,19 +127,38 @@ def bpr_loss(emb, batch: TripletBatch, chunk=None):
         loss += weight * float(terms[start:start + chunk].mean())
     # d/d diff of a chunk's mean log(1+exp(-diff)) = -sigmoid(-diff)/chunk size
     chunk_of = np.arange(n) // chunk
-    coef = (-_sigmoid(-diff) / sizes[chunk_of])[:, None]
-    grad_terms = np.empty((3, n, emb.shape[1]))
-    np.multiply(coef, d_pn, out=grad_terms[0])
-    np.multiply(coef, e_u, out=grad_terms[1])
-    np.negative(grad_terms[1], out=grad_terms[2])
-    n_rows = emb.shape[0]
+    coef = -_sigmoid(-diff) / sizes[chunk_of]
     rows = np.concatenate((batch.users, batch.pos, batch.neg))
-    # one group per (chunk, row): summed in input order, then weighted and
-    # summed per row in ascending chunk order
+    # one group per (chunk, row): its user, positive and negative terms are
+    # summed in input order, then weighted and summed per row in ascending
+    # chunk order
     groups, group_of = np.unique(np.tile(chunk_of, 3) * n_rows + rows, return_inverse=True)
-    sums = scatter_add(group_of, grad_terms.reshape(3 * n, -1), groups.size)
-    sums *= weights[groups // n_rows, None]
-    return loss, scatter_add(groups % n_rows, sums, n_rows)
+    group_row = groups % n_rows
+    group_weight = weights[groups // n_rows]
+    # one column's terms for the user, positive and negative rows, in the
+    # order of `rows`: coef*(e_p - e_n), coef*e_u, -(coef*e_u)
+    buf = np.empty(3 * n)
+    user_term, pos_term, neg_term = buf[:n], buf[n:2 * n], buf[2 * n:]
+    grad = np.empty((n_rows, d))
+    columns = np.ascontiguousarray(emb.T)
+    for j in range(d):
+        col = columns[j]
+        # the gathers above checked every index; "wrap" maps the negative
+        # ones as indexing does and lets take write straight into `out`
+        np.take(col, batch.pos, out=user_term, mode="wrap")
+        np.take(col, batch.neg, out=neg_term, mode="wrap")
+        user_term -= neg_term
+        np.multiply(coef, user_term, out=user_term)
+        np.take(col, batch.users, out=pos_term, mode="wrap")
+        np.multiply(coef, pos_term, out=pos_term)
+        np.negative(pos_term, out=neg_term)
+        sums = np.bincount(group_of, weights=buf, minlength=group_weight.size)
+        sums *= group_weight
+        grad[:, j] = np.bincount(group_row, weights=sums, minlength=n_rows)
+    return loss, grad
+
+
+_BPR_BLOCK_ELEMENTS = 1 << 16  # gathered elements per role in a bpr_loss row block
 
 
 def _sigmoid(x):

@@ -236,6 +236,28 @@ class TestSynth:
             assert "data error" in err and f"{labels}:{line}:" in err
 
 
+    def test_schema_label_type_must_match_labeled_type(self, capsys, tmp_path):
+        out_dir = tmp_path / "ds"
+        code, _, _ = run_cli(capsys, "synth", "--users", "30", "--items", "80",
+                             "--aux", "1", "--density", "0.1", "--seed", "3",
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        schema = out_dir / "schema.txt"
+        schema.write_text(schema.read_text().replace("labels user", "labels item"))
+        labels = out_dir / "labels.txt"
+        labels.write_text("".join(f"{i} {i % 2}\n" for i in range(80)))
+        node = ("train", "--task", "node", "--edge-file", str(out_dir / "edges.txt"),
+                "--schema-file", str(schema), "--label-file", str(labels),
+                "--epochs", "1", "--dim", "8", "--steps", "8")
+        code, _, err = run_cli(capsys, *node)
+        assert code == 1
+        assert err.startswith("config error:") and "'item'" in err and "'user'" in err
+        report = tmp_path / "report.json"
+        code, _, _ = run_cli(capsys, *node, "--labeled-type", "item", "--report", str(report))
+        assert code == 0
+        assert json.loads(report.read_text())["config"]["labeled_type"] == "item"
+
+
 class TestExperimentCommands:
     def test_ablate(self, capsys, tmp_path):
         report = tmp_path / "abl.json"

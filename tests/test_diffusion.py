@@ -120,6 +120,22 @@ def reference_predict(params, h_t, t):
     return hidden @ params.w2 + params.b2
 
 
+def reference_predict_vjp(params, h_t, t, upstream):
+    """Reference denoiser backward: the float pre-activation kept and
+    np.where for the activation's slope."""
+    t_rows = np.full(h_t.shape[0], t) if np.ndim(t) == 0 else np.asarray(t)
+    x = np.concatenate([h_t, params.time_emb[t_rows - 1]], axis=1)
+    pre = x @ params.w1 + params.b1
+    hidden = np.where(pre >= 0, pre, params.slope * pre)
+    g_pre = (upstream @ params.w2.T) * np.where(pre >= 0, 1.0, params.slope)
+    g_x = g_pre @ params.w1.T
+    g_temb = np.zeros_like(params.time_emb)
+    np.add.at(g_temb, t_rows - 1, g_x[:, h_t.shape[1]:])
+    grads = DenoiserParams(x.T @ g_pre, g_pre.sum(axis=0), hidden.T @ upstream,
+                           upstream.sum(axis=0), g_temb)
+    return grads, g_x[:, :h_t.shape[1]]
+
+
 def reference_reverse(params, schedule, source, infer_steps, rng):
     """Reverse walk with a fresh array per step."""
     h = q_sample(source, infer_steps, schedule, rng=rng)
@@ -186,6 +202,28 @@ class TestDenoiser:
                     out = denoise_predict(params, h, t)
                     assert np.array_equal(out, diffusion.denoise_predict_vjp(params, h, t)[0])
                     assert np.array_equal(out, reference_predict(params, h, t))
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_vjp_matches_reference(self):
+        dim, steps, rows = 4, 6, 9
+        rng = Rng(71)
+        random = DenoiserParams.init(dim, steps, rng)
+        random.w1 = random.w1 + rng.normal(2 * dim, dim)
+        flat = zero_denoiser(dim, steps)  # pre equals b1: exact zeros and negatives
+        flat.b1 = np.array([0.0, -1.5, 2.0, -0.0])
+        flat.w2 = rng.normal(dim, dim)
+        h = rng.normal(rows, dim)
+        h[2, 1] = np.nan  # NaN pre-activations in row 2 of the random network
+        upstream = rng.normal(rows, dim)
+        for params in (random, flat):
+            for t in (3, np.asarray(rng.integers(1, steps + 1, size=rows))):
+                _, vjp = diffusion.denoise_predict_vjp(params, h, t)
+                grads, g_h = vjp(upstream)
+                ref_grads, ref_g_h = reference_predict_vjp(params, h, t, upstream)
+                assert np.array_equal(g_h.view(np.int64), ref_g_h.view(np.int64))
+                for name, arr in grads.arrays().items():
+                    ref = ref_grads.arrays()[name]
+                    assert np.array_equal(arr.view(np.int64), ref.view(np.int64)), name
 
     def test_shape_rejection(self):
         params = zero_denoiser(3, steps=2)

@@ -240,9 +240,10 @@ def reference_relation_vjp(adj, e0, cfg):
 class TestReferenceBackward:
     """The in-place backward equals the mask-copy reference bit for bit."""
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_matches_mask_copy_reference(self):
         rng = Rng(45)
-        for trial in range(4):
+        for trial in range(5):
             r = rng.derive(f"t{trial}")
             edges = random_graph(r.derive("g"), 11, 8 + 4 * trial).relations["e"].edges
             # node 11 has no edge: its rows have norm 0 in every layer. Node 12's
@@ -254,6 +255,8 @@ class TestReferenceBackward:
             e0[13] = 0.0
             if trial % 2:
                 e0[:, 2] = 0.0  # pre-activations exactly 0 in rows of nonzero norm
+            if trial == 4:
+                e0[5, 1] = np.nan  # NaN pre-activations from the first layer on
             upstream = r.normal(14, 6)
             upstream[0] = 0.0
             upstream[1, :3] = -0.0  # signed zeros must survive the chain sums
@@ -280,6 +283,22 @@ class TestReferenceBackward:
                 EncoderConfig(leaky_slope=slope)
         EncoderConfig(leaky_slope=0.0)
         EncoderConfig(leaky_slope=1.0)
+
+
+class TestSavedState:
+    def test_vjp_keeps_no_float_pre_activation(self, allocations):
+        n, d, layers = 400, 16, 3
+        rng = Rng(3)
+        adj = normalize(random_graph(rng, n, 1600), "e")
+        e0 = rng.normal(n, d)
+        cfg = EncoderConfig(layers=layers, dim=d)
+        propagate_relation_vjp(adj, e0, cfg)  # fills the adjacency's memoized buckets
+        _, _, held = allocations(propagate_relation_vjp, adj, e0, cfg)
+        # the output, then per layer the activation, its row norms and a
+        # one-byte slope mask; a float64 pre-activation per layer would add
+        # 7 bytes per entry
+        table = n * d * 8
+        assert held < table + layers * (table + n * d + n * 8) + 4096, held
 
 
 class TestStructuralProperties:

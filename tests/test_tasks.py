@@ -29,9 +29,19 @@ def bits(x):
     return np.ascontiguousarray(x, dtype=np.float64).view(np.int64)
 
 
+def add_rows(table, rows, values):
+    """``np.add.at(table, rows, values)`` as a Python loop, ``a[i] = a[i] + v``
+    per row in input order. Where both addends are NaN, np.add.at may keep
+    the addend's NaN rather than the running sum's, so it would not fix the
+    NaN bits that a sum in input order gives."""
+    for row, value in zip(rows, values):
+        table[row] = table[row] + value
+
+
 def reference_bpr(emb, batch, chunk):
-    """Chunked BPR as a loop: one full-table np.add.at gradient per chunk,
-    weighted by the chunk's share of the triplets and added in chunk order."""
+    """Chunked BPR as a loop: one full-table gradient per chunk, summed row
+    by row in triplet order, weighted by the chunk's share of the triplets
+    and added in chunk order."""
     total = len(batch)
     grad = np.zeros_like(emb)
     loss = 0.0
@@ -44,9 +54,9 @@ def reference_bpr(emb, batch, chunk):
         part = float(np.logaddexp(0.0, -diff).mean())
         coef = (-tasks._sigmoid(-diff) / users.size)[:, None]
         g = np.zeros_like(emb)
-        np.add.at(g, users, coef * (e_p - e_n))
-        np.add.at(g, pos, coef * e_u)
-        np.add.at(g, neg, -coef * e_u)
+        add_rows(g, users, coef * (e_p - e_n))
+        add_rows(g, pos, coef * e_u)
+        add_rows(g, neg, -coef * e_u)
         weight = users.size / total
         loss += weight * part
         grad += weight * g
@@ -190,7 +200,29 @@ class TestBpr:
         yield r.normal(6, 4), TripletBatch(r.integers(0, 6, size=30),
                                            r.integers(0, 6, size=30),
                                            r.integers(0, 6, size=30))
+        # widths 1 and 33: one column, and one past a multiple of numpy's
+        # 8-way unrolled sums
+        for d in (1, 33):
+            r = rng.derive(f"d{d}")
+            yield r.normal(20, d), TripletBatch(r.integers(0, 4, size=35),
+                                                r.integers(4, 20, size=35),
+                                                r.integers(4, 20, size=35))
+        # one row is the user, the positive and the negative of a triplet
+        r = rng.derive("self")
+        users, pos, neg = (r.integers(0, 8, size=24) for _ in range(3))
+        users[5] = pos[5] = neg[5] = 3
+        yield r.normal(8, 5), TripletBatch(users, pos, neg)
+        # NaN and +-inf entries: their NaN gradients must match bit for bit
+        r = rng.derive("nonfinite")
+        emb = r.normal(12, 4)
+        emb[1, 2] = np.nan
+        emb[4, 0] = np.inf
+        emb[7, 3] = -np.inf
+        emb[9, 1] = -np.nan
+        yield emb, TripletBatch(r.integers(0, 5, size=30), r.integers(5, 12, size=30),
+                                r.integers(5, 12, size=30))
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_chunked_matches_per_chunk_loop(self):
         for emb, batch in self.batches():
             n = len(batch)
@@ -200,6 +232,17 @@ class TestBpr:
                 assert np.array_equal(bits(loss), bits(ref_loss)), chunk
                 assert np.array_equal(bits(grad), bits(ref_grad)), chunk
 
+    def test_working_memory_is_below_three_triplet_tables(self, allocations):
+        # the mid-link shape: one epoch of triplets over an 8k + 4k row table
+        r = Rng(12)
+        n, d = 30000, 32
+        emb = r.normal(12000, d)
+        batch = TripletBatch(r.integers(0, 8000, size=n), r.integers(8000, 12000, size=n),
+                             r.integers(8000, 12000, size=n))
+        _, peak, _ = allocations(bpr_loss, emb, batch, chunk=1024)
+        assert peak < 3 * n * d * 8, peak
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_one_chunk_is_the_plain_mean(self):
         for emb, batch in self.batches():
             loss, grad = bpr_loss(emb, batch)
