@@ -45,13 +45,13 @@ from .numerics import AdamState, Rng, adam_step
 from .tasks import (
     ClassifierParams,
     JointLossConfig,
+    MaskedScores,
     bpr_loss,
     ce_loss,
     class_metrics,
     classifier_logits,
     fuse,
     joint_loss,
-    masked_scores,
     positive_keys,
     rank_metrics,
     sample_triplets,
@@ -390,7 +390,7 @@ class TrainedModel:
         ids = sparsity_buckets(split.train_graph, split.test_users,
                                cfg.bucket_boundaries)
         recall, ndcg, per_bucket = rank_metrics(
-            masked_scores(users[split.test_users], items, positives), split.test_items,
+            MaskedScores(users[split.test_users], items, positives), split.test_items,
             cfg.k, groups=ids)
         metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
         labels = bucket_labels(cfg.bucket_boundaries)
@@ -849,30 +849,3 @@ def export_embeddings(model: TrainedModel, path, table="fused"):
                 fh.write(f"{i} {node_type} {table} {vec}\n")
     return path
 
-
-def read_embeddings(path):
-    """Round-trip reader for the export format."""
-    dim = None
-    offsets = {}
-    tag = None
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#dim "):
-                dim = int(line.split()[1])
-            elif line.startswith("#offsets "):
-                for part in line.split()[1:]:
-                    t, off = part.split("=")
-                    offsets[t] = int(off)
-            elif line.startswith("#tag "):
-                tag = line.split()[1]
-            elif line:
-                parts = line.split()
-                rows.append((int(parts[0]), parts[1], parts[2],
-                             np.array([float(x) for x in parts[3:]])))
-    if dim is None or tag is None:
-        raise GraphError(f"{path}: missing export header")
-    table = np.stack([vec for _, _, _, vec in rows]) if rows else np.empty((0, dim))
-    meta = [(i, t, g) for i, t, g, _ in rows]
-    return {"dim": dim, "offsets": offsets, "tag": tag, "rows": meta, "table": table}

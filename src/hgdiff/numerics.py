@@ -9,6 +9,7 @@ finite differences via :func:`grad_check`.
 from __future__ import annotations
 
 import hashlib
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -204,6 +205,52 @@ def row_blocks(a, rows):
     A one-row matrix product takes another BLAS path and rounds differently,
     so no block has a single row unless `a` has one."""
     return np.array_split(a, max(1, min(-(-len(a) // rows), len(a) // 2)))
+
+
+def map_blocks(fn, blocks):
+    """``[fn(block) for block in blocks]``, the calls spread over up to
+    min(len(blocks), :func:`_cpu_count`) worker threads; an exception
+    raised in a call reaches the caller.
+
+    numpy and BLAS release the GIL while they work on an array, so blocks
+    run side by side. The caller fixes the blocks, never the CPU count, so
+    the results are the same whatever the worker count; `taskset` limits
+    the CPUs. One block or one CPU runs inline and starts no thread. `fn`
+    must be safe to run on distinct blocks at once.
+    """
+    workers = min(len(blocks), _cpu_count())
+    if workers <= 1:
+        return [fn(block) for block in blocks]
+    from concurrent.futures import ThreadPoolExecutor  # only when threads start
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, blocks))
+
+
+def _cpu_count():
+    """The CPUs this process may run on, while the BLAS runs one thread per
+    call; else 1. Threaded OpenBLAS products called from several threads at
+    once wait on each other: on a 2-vCPU host a mid-link evaluation took
+    0.73 s on two block workers against 0.58 s inline, both with two BLAS
+    threads."""
+    if _blas_threads() != 1:
+        return 1
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _blas_threads():
+    """OpenBLAS's thread count as it reads it at load: the first of these
+    variables set to a positive integer, else None for one per CPU."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return None
 
 
 _STREAM_SALT = b"hgdiff-stream"

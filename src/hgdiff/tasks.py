@@ -8,13 +8,14 @@ with hand-derived gradients.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .hetgraph import LabelSet
-from .numerics import Rng, ShapeError, as_matrix, row_blocks, scatter_add
+from .numerics import Rng, ShapeError, as_matrix, map_blocks, row_blocks, scatter_add
 
 
 def fuse(target_emb, denoised):
@@ -252,38 +253,66 @@ def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
     return float(main) + cfg.lam * float(deno) + reg, parts
 
 
-_RANK_BLOCK_ELEMENTS = 1 << 17  # scores per block in masked_scores and rank_metrics
+_RANK_BLOCK_ELEMENTS = 1 << 17  # scores per block in MaskedScores and rank_metrics
 
 
-def masked_scores(queries, items, positives):
-    """Yield ``queries @ items.T`` in :func:`numerics.row_blocks` of about
-    `_RANK_BLOCK_ELEMENTS` scores, each a view of one reused buffer, with the
-    (query row, item) pairs whose :func:`positive_keys` are `positives` set
-    to -inf. Scores equal the whole product's where dot products are exact;
-    else OpenBLAS may round the last ``items % 8`` columns by a block's row
-    count (seen at 257 and 300 items), though link reports still equaled
-    the whole product's at 600x300, 3000x257 and 2000x1001 users x items."""
-    blocks = row_blocks(queries, max(1, _RANK_BLOCK_ELEMENTS // max(1, len(items))))
-    buffer = np.empty((len(blocks[0]), len(items)))
-    base = 0  # key of the block's first score
-    for block in blocks:
-        out = buffer[:block.shape[0]]
-        np.matmul(block, items.T, out=out)
-        lo, hi = np.searchsorted(positives, (base, base + out.size))
-        out.reshape(-1)[positives[lo:hi] - base] = -np.inf
-        base += out.size
-        yield out
+class MaskedScores:
+    """``queries @ items.T`` in :func:`numerics.row_blocks` of about
+    `_RANK_BLOCK_ELEMENTS` scores, with the (query row, item) pairs whose
+    :func:`positive_keys` are `positives` set to -inf.
+
+    Iterating yields the blocks in row order, each a view of one reused
+    buffer; :meth:`map` scores them on worker threads instead. Scores equal
+    the whole product's where dot products are exact; else OpenBLAS may
+    round the last ``items % 8`` columns by a block's row count (seen at 257
+    and 300 items), though link reports still equaled the whole product's at
+    600x300, 3000x257 and 2000x1001 users x items.
+    """
+
+    def __init__(self, queries, items, positives):
+        self.items, self.positives = items, positives
+        self.blocks = row_blocks(queries, max(1, _RANK_BLOCK_ELEMENTS // max(1, len(items))))
+        self.starts = np.cumsum([0] + [len(block) for block in self.blocks]).tolist()
+
+    def _score(self, i, buffer):
+        out = buffer[:len(self.blocks[i])]
+        np.matmul(self.blocks[i], self.items.T, out=out)
+        base = self.starts[i] * len(self.items)  # key of the block's first score
+        lo, hi = np.searchsorted(self.positives, (base, base + out.size))
+        out.reshape(-1)[self.positives[lo:hi] - base] = -np.inf
+        return out
+
+    def _buffer(self):
+        return np.empty((len(self.blocks[0]), len(self.items)))
+
+    def __iter__(self):
+        buffer = self._buffer()
+        for i in range(len(self.blocks)):
+            yield self._score(i, buffer)
+
+    def map(self, fn):
+        """``[fn(scores, first_row) for each block]`` in row order, the
+        blocks spread over :func:`numerics.map_blocks` workers, each scoring
+        into its own reused buffer."""
+        local = threading.local()
+
+        def work(i):
+            if not hasattr(local, "buffer"):
+                local.buffer = self._buffer()
+            return fn(self._score(i, local.buffer), self.starts[i])
+
+        return map_blocks(work, range(len(self.blocks)))
 
 
 def rank_metrics(scores, truth, k, groups=None):
     """Leave-one-out Recall@k and NDCG@k averaged over users.
 
-    `scores` is (users, items), or an iterator over its row blocks in row
-    order, such as :func:`masked_scores`; a block of another width than the
-    first, or blocks that do not hold one row per user, raise ShapeError.
-    `truth` holds the single held-out item per user. An item outranks the
-    truth when its score is higher, or equal with a smaller id
-    (deterministic tie rule).
+    `scores` is (users, items), an iterator over its row blocks in row
+    order, or a :class:`MaskedScores`, whose blocks are scored and ranked
+    on worker threads; a block of another width than the first, or blocks
+    that do not hold one row per user, raise ShapeError. `truth` holds the
+    single held-out item per user. An item outranks the truth when its
+    score is higher, or equal with a smaller id (deterministic tie rule).
 
     With `groups`, one nonnegative group id per user, a third value maps each
     group id present to its (recall, ndcg, n_users): the means of the same
@@ -292,7 +321,7 @@ def rank_metrics(scores, truth, k, groups=None):
     """
     truth = np.asarray(truth, dtype=np.int64)
     n = truth.size
-    if not isinstance(scores, Iterator):
+    if not isinstance(scores, (Iterator, MaskedScores)):
         scores = as_matrix(scores, "scores")
         step = max(1, _RANK_BLOCK_ELEMENTS // max(1, scores.shape[1]))
         scores = iter(np.split(scores, range(step, len(scores), step)))
@@ -303,13 +332,13 @@ def rank_metrics(scores, truth, k, groups=None):
         if groups.shape != (n,) or groups.min() < 0:
             raise ShapeError("groups must hold one nonnegative id per user")
     rank = np.ones(n, dtype=np.int64)
-    n_items, start = None, 0
-    # both comparisons run on one cache-sized block of rows at a time; the
-    # per-row counts are below n_items, so int32 sums are exact
-    for block in scores:
+    n_items = len(scores.items) if isinstance(scores, MaskedScores) else None
+
+    def rank_block(block, start):
+        # both comparisons run on one cache-sized block of rows; the per-row
+        # counts are below n_items, so int32 sums are exact. Blocks write
+        # disjoint rows of `rank`, so they may run at once
         block = np.asarray(block, dtype=np.float64)
-        if n_items is None and block.ndim == 2:
-            n_items = block.shape[1]
         rows = slice(start, start + len(block))
         if (block.ndim != 2 or block.shape[1] != n_items or rows.stop > n
                 or truth[rows].max(initial=0) >= n_items):
@@ -320,7 +349,16 @@ def rank_metrics(scores, truth, k, groups=None):
         tied_before &= np.arange(n_items) < truth[rows, None]
         rank[rows] += (block > t).sum(axis=1, dtype=np.int32)
         rank[rows] += tied_before.sum(axis=1, dtype=np.int32)
-        start = rows.stop
+        return rows.stop
+
+    if isinstance(scores, MaskedScores):
+        start = scores.map(rank_block)[-1]
+    else:
+        start = 0
+        for block in scores:
+            if n_items is None and np.ndim(block) == 2:
+                n_items = np.shape(block)[1]
+            start = rank_block(block, start)
     if start != n:
         raise ShapeError(f"score blocks hold {start} rows for {n} users")
     hit = rank <= k

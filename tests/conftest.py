@@ -4,6 +4,12 @@ import tracemalloc
 
 import pytest
 
+from hgdiff import numerics
+
+# usable CPU counts the worker-count tests force: inline, two and three
+# workers, and more CPUs than most of their inputs have blocks
+WORKER_COUNTS = (1, 2, 3, 16)
+
 
 def _allocations(fn, *args, **kwargs):
     """Call ``fn(*args, **kwargs)`` and return (result, peak, held): the most
@@ -29,3 +35,11 @@ def allocations():
     """The :func:`_allocations` probe: ``allocations(fn, *args)`` gives
     (result, peak bytes, held bytes) of that one call."""
     return _allocations
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` makes :func:`numerics.map_blocks` see n usable CPUs."""
+    def force(n):
+        monkeypatch.setattr(numerics, "_cpu_count", lambda: n)
+    return force

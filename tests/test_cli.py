@@ -4,7 +4,35 @@ import numpy as np
 
 from hgdiff.cli import main
 from hgdiff.diffusion import DiffusionConfig
-from hgdiff.harness import read_embeddings
+from hgdiff.hetgraph import GraphError
+
+
+def read_embeddings(path):
+    """Round-trip reader for the format `export_embeddings` writes."""
+    dim = None
+    offsets = {}
+    tag = None
+    rows = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#dim "):
+                dim = int(line.split()[1])
+            elif line.startswith("#offsets "):
+                for part in line.split()[1:]:
+                    t, off = part.split("=")
+                    offsets[t] = int(off)
+            elif line.startswith("#tag "):
+                tag = line.split()[1]
+            elif line:
+                parts = line.split()
+                rows.append((int(parts[0]), parts[1], parts[2],
+                             np.array([float(x) for x in parts[3:]])))
+    if dim is None or tag is None:
+        raise GraphError(f"{path}: missing export header")
+    table = np.stack([vec for _, _, _, vec in rows]) if rows else np.empty((0, dim))
+    meta = [(i, t, g) for i, t, g, _ in rows]
+    return {"dim": dim, "offsets": offsets, "tag": tag, "rows": meta, "table": table}
 
 
 def run_cli(capsys, *argv):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hgdiff.diffusion import (
     sinusoidal_table,
 )
 from hgdiff.numerics import Rng, ShapeError, grad_check
+
+from conftest import WORKER_COUNTS
 
 
 def small_schedule():
@@ -148,6 +151,27 @@ def reference_reverse(params, schedule, source, infer_steps, rng):
         coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
         coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
         h = coef_pred * pred + coef_h * h
+
+
+def hook_walk_forward(monkeypatch, predict):
+    """Replace the denoiser forward that the reverse walk calls at every step
+    with ``predict(first_row, params, h, t)``. Each step-t > 1 call is recorded
+    as (rows, t) under the first row of its block, because calls from worker
+    threads interleave while those of one block do not; the final step-1
+    calls are recorded apart as (first row, rows)."""
+    calls = {"blocks": {}, "final": []}
+
+    def forward(params, h, t):
+        base = h if h.base is None else h.base
+        first = (h.ctypes.data - base.ctypes.data) // h.strides[0]
+        if t == 1:
+            calls["final"].append((first, h.shape[0]))
+        else:
+            calls["blocks"].setdefault(first, []).append((h.shape[0], t))
+        return None, None, None, predict(first, params, h, t)
+
+    monkeypatch.setattr(diffusion, "_denoise_forward", forward)
+    return calls
 
 
 def zero_denoiser(dim, steps, constant=0.0):
@@ -359,29 +383,32 @@ class TestReverse:
         out = reverse_denoise(params, s, Rng(5).normal(4, 3), 1, rng=Rng(6))
         assert np.allclose(out, 1.25)
 
-    def test_perfect_denoiser_recovers_exactly(self, monkeypatch):
+    def test_perfect_denoiser_recovers_exactly(self, monkeypatch, cpus):
         s = build_schedule(DiffusionConfig(steps=8, b_max=0.95, b_min=0.4))
         truth = Rng(7).normal(11, 3)
-        # blocks of 3, 3, 3 and 2 rows: the walk takes each block through every
-        # step in row order, so the fake serves that block's rows of `truth`
+        # blocks of 3, 3, 3 and 2 rows, each taken through every step down to
+        # step 2 on a worker; the fake serves each block its rows of `truth`
         monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
-        start = [0]
-
-        def perfect(p, h, t):
-            rows = truth[start[0]:start[0] + h.shape[0]]
-            if t == 1:
-                start[0] += h.shape[0]
-            return rows
-
-        monkeypatch.setattr(diffusion, "denoise_predict", perfect)
+        calls = hook_walk_forward(
+            monkeypatch, lambda first, p, h, t: truth[first:first + h.shape[0]])
         params = zero_denoiser(3, 8)
         before = truth.copy()
-        for steps in (1, 3, 8):
-            start[0] = 0
-            out = reverse_denoise(params, s, Rng(8).normal(11, 3), steps, rng=Rng(9))
-            assert start[0] == 11
-            assert np.array_equal(out, truth)
+        source = Rng(8).normal(11, 3)
+        source_before = source.copy()
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            for steps in (1, 3, 8):
+                calls["blocks"].clear()
+                calls["final"].clear()
+                out = reverse_denoise(params, s, source, steps, rng=Rng(9))
+                walked = list(range(steps, 1, -1))
+                expect = {first: [(size, t) for t in walked]
+                          for first, size in ((0, 3), (3, 3), (6, 3), (9, 2))}
+                assert calls["blocks"] == (expect if walked else {})
+                assert calls["final"] == [(0, 11)]
+                assert np.array_equal(out, truth)
         assert np.array_equal(truth, before)
+        assert np.array_equal(source, source_before)
 
     def test_matches_reference_walk(self):
         steps = 12
@@ -406,34 +433,82 @@ class TestReverse:
                 assert np.array_equal(out, expect), (rows, n)
 
     def test_blocked_walk_matches_at_default_block_size(self):
-        # 513 rows at 512: two blocks of 257 and 256, never 512 and 1
+        # 1025 rows at 1024: two blocks of 513 and 512, never 1024 and 1
         steps = 5
         s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
         params = DenoiserParams.init(32, steps, Rng(15))
-        assert diffusion._WALK_ROWS == 512
-        source = Rng(16).normal(513, 32)
+        assert diffusion._WALK_ROWS == 1024
+        source = Rng(16).normal(1025, 32)
         out = reverse_denoise(params, s, source, steps, rng=Rng(17))
         assert np.array_equal(out, reference_reverse(params, s, source, steps, Rng(17)))
 
-    def test_blocks_are_near_equal_and_never_one_row(self, monkeypatch):
+    def test_blocks_are_near_equal_and_never_one_row(self, monkeypatch, cpus):
         steps = 3
         s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
         params = DenoiserParams.init(2, steps, Rng(18))
-        calls = []
-        real = diffusion.denoise_predict
-        monkeypatch.setattr(diffusion, "denoise_predict",
-                            lambda p, h, t: calls.append((h.shape[0], t)) or real(p, h, t))
+        real = diffusion._denoise_forward
+        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[3])
+        cpus(3)
         for rows in (2, 3, 8, 512):
             monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
             for n in (*range(1, 41), 513):
-                calls.clear()
+                calls["blocks"].clear()
+                calls["final"].clear()
                 reverse_denoise(params, s, Rng(n).normal(n, 2), steps, rng=Rng(19))
-                sizes = [m for m, t in calls if t == 1]
-                assert [t for _, t in calls] == [3, 2, 1] * len(sizes)
+                blocks = sorted(calls["blocks"].items())
+                sizes = [block[0][0] for _, block in blocks]
+                for _, block in blocks:
+                    assert block == [(block[0][0], 3), (block[0][0], 2)]
+                assert [first for first, _ in blocks] == np.cumsum([0] + sizes[:-1]).tolist()
+                assert calls["final"] == [(0, n)]
                 assert sum(sizes) == n
-                assert min(m for m, _ in calls) >= 2 or n == 1, (rows, n, sizes)
+                assert min(sizes) >= 2 or n == 1, (rows, n, sizes)
                 assert max(sizes) - min(sizes) <= 1
                 assert len(sizes) == max(1, min(-(-n // rows), n // 2))
+
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_any_worker_count_gives_the_same_bits(self, monkeypatch, cpus, dim):
+        steps = 4
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(dim, steps, Rng(20))
+        cases = [(3, n) for n in range(1, 41)] + [(256, 513), (diffusion._WALK_ROWS, 4097)]
+        for rows, n in cases:
+            monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
+            source = Rng(n).normal(n, dim)
+            expect = reference_reverse(params, s, source, steps, Rng(21))
+            for workers in WORKER_COUNTS:
+                cpus(workers)
+                out = reverse_denoise(params, s, source, steps, rng=Rng(21))
+                assert np.array_equal(out, expect), (rows, n, workers)
+
+    def test_threaded_walk_repeats_bit_for_bit(self, cpus):
+        # five blocks on four workers, concurrent BLAS calls at every step,
+        # with the interpreter switching threads as often as it can
+        steps = 8
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(32, steps, Rng(22))
+        source = Rng(23).normal(4097, 32)
+        cpus(1)
+        expect = reverse_denoise(params, s, source, steps, rng=Rng(24))
+        cpus(4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                out = reverse_denoise(params, s, source, steps, rng=Rng(24))
+                assert np.array_equal(out, expect)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch, cpus):
+        # a denoiser with step embeddings for 3 steps, walked from step 6
+        s = build_schedule(DiffusionConfig(steps=6, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(4, 3, Rng(25))
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            with pytest.raises(ShapeError, match="step 6 outside 1..3"):
+                reverse_denoise(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
 
     def test_too_many_steps_rejected(self):
         s = small_schedule()

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hgdiff import cli, harness, tasks
+from hgdiff import cli, diffusion, harness, tasks
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
@@ -18,7 +23,6 @@ from hgdiff.harness import (
     labeled_node_split,
     leave_one_out_split,
     load_dataset,
-    read_embeddings,
     resolve_variant,
     run_ablation,
     run_noise_robustness,
@@ -36,6 +40,9 @@ from hgdiff.hetgraph import (
 )
 from hgdiff.numerics import Rng
 from hgdiff.tasks import JointLossConfig
+
+from conftest import WORKER_COUNTS
+from test_cli import read_embeddings
 
 
 def small_cfg(**kw):
@@ -464,6 +471,52 @@ class TestEvaluation:
             tracemalloc.stop()
         # a dense test users x items score matrix alone would take 16 MB
         assert peak < model.split.test_users.size * 1000 * 8 / 2
+
+    @pytest.mark.parametrize("task", ["link", "node"])
+    def test_any_worker_count_gives_the_same_report(self, monkeypatch, cpus, task):
+        model, _ = train(small_cfg(task=task, epochs=2, train_labels_per_class=5))
+        # walk blocks of 4 rows, score blocks of 3 rows
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 4)
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 3 * 20)
+        cpus(1)
+        expect = model.evaluate().reproducible_payload()
+        tables = model.inference_tables()
+        for workers in WORKER_COUNTS[1:]:
+            cpus(workers)
+            assert model.evaluate().reproducible_payload() == expect
+            again = model.inference_tables()
+            assert all(np.array_equal(again[name], table) for name, table in tables.items())
+
+    def test_desk_size_evaluation_starts_no_thread(self):
+        # at desk size each side is one walk block and the test users one
+        # score block, so evaluation runs inline on any CPU count, without
+        # importing concurrent.futures; a fresh interpreter shows the imports
+        script = textwrap.dedent("""
+            import sys, threading
+
+            def refuse(thread):
+                raise AssertionError(f"thread {thread.name} started")
+
+            threading.Thread.start = refuse
+            from hgdiff import DiffusionConfig, EncoderConfig, RunConfig, SyntheticSpec
+            from hgdiff import harness, numerics
+            numerics._cpu_count = lambda: 16
+            for task in ("link", "node"):
+                cfg = RunConfig(
+                    task=task, epochs=1, seed=3, train_labels_per_class=5,
+                    synthetic=SyntheticSpec(users=200, items=100, density=0.05),
+                    encoder=EncoderConfig(layers=3, dim=32),
+                    diffusion=DiffusionConfig.from_noise_scale(1e-4, steps=100))
+                model, _ = harness.train(cfg)
+                model.evaluate()
+            assert "concurrent.futures" not in sys.modules
+        """)
+        src = str(Path(harness.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
 
     def test_inference_tables_match_training_encodings(self):
         # inference encodes forward only; training encodes with encode_vjp

@@ -1,6 +1,10 @@
+import os
+import threading
+
 import numpy as np
 import pytest
 
+from hgdiff import numerics
 from hgdiff.numerics import (
     AdamState,
     CsrMatrix,
@@ -9,9 +13,12 @@ from hgdiff.numerics import (
     ShapeError,
     adam_step,
     grad_check,
+    map_blocks,
     scatter_add,
     spmm,
 )
+
+from conftest import WORKER_COUNTS
 
 
 def random_csr(rng, rows, cols, density=0.3):
@@ -163,6 +170,64 @@ class TestScatterAdd:
             scatter_add(np.array([-1]), np.ones((1, 2)), 3)
         with pytest.raises(ShapeError):
             scatter_add(np.array([0, 1]), np.ones((3, 2)), 3)
+
+
+class TestMapBlocks:
+    """map_blocks gives fn's results in block order on any worker count."""
+
+    def test_results_in_block_order_on_at_most_one_thread_per_cpu(self, cpus):
+        blocks = np.array_split(np.arange(40.0), 7)
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            threads = set()
+
+            def total(block):
+                threads.add(threading.get_ident())
+                return float(block.sum())
+
+            assert map_blocks(total, blocks) == [float(b.sum()) for b in blocks]
+            assert 1 <= len(threads) <= min(workers, len(blocks))
+            assert (threading.get_ident() in threads) == (workers == 1)
+
+    def test_one_block_or_one_cpu_starts_no_thread(self, monkeypatch, cpus):
+        def refuse(self):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        for workers, n_blocks in ((16, 1), (1, 5), (3, 0)):
+            cpus(workers)
+            assert map_blocks(lambda i: i * 2, range(n_blocks)) == list(range(0, 2 * n_blocks, 2))
+
+    def test_error_in_a_worker_reaches_the_caller(self, cpus):
+        def fail_on_three(i):
+            if i == 3:
+                raise ShapeError("bad block 3")
+            return i
+
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            with pytest.raises(ShapeError, match="bad block 3"):
+                map_blocks(fail_on_three, range(6))
+
+    def test_workers_need_a_one_thread_blas(self, monkeypatch):
+        # OpenBLAS's variables in the order it reads them; threads <= 0 or
+        # a non-number pass to the next, none set means one per CPU
+        names = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+        if hasattr(os, "sched_getaffinity"):
+            usable = len(os.sched_getaffinity(0))
+        else:
+            usable = os.cpu_count()
+        for env, threads in [({}, None), ({"OMP_NUM_THREADS": "1"}, 1),
+                             ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 2),
+                             ({"OPENBLAS_NUM_THREADS": "0", "GOTO_NUM_THREADS": "1"}, 1),
+                             ({"OPENBLAS_NUM_THREADS": "x", "OMP_NUM_THREADS": "4"}, 4),
+                             ({"GOTO_NUM_THREADS": " 1 "}, 1)]:
+            for name in names:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in env.items():
+                monkeypatch.setenv(name, value)
+            assert numerics._blas_threads() == threads, env
+            assert numerics._cpu_count() == (usable if threads == 1 else 1), env
 
 
 class TestRng:

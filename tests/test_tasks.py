@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hgdiff.numerics import Rng, ShapeError, grad_check
 from hgdiff.tasks import (
     ClassifierParams,
     JointLossConfig,
+    MaskedScores,
     TripletBatch,
     bpr_loss,
     ce_loss,
@@ -21,6 +23,8 @@ from hgdiff.tasks import (
     rank_metrics,
     sample_triplets,
 )
+
+from conftest import WORKER_COUNTS
 
 # ---------------------------------------------------------------- oracles
 
@@ -460,6 +464,74 @@ class TestRankMetrics:
             blocks = iter(np.split(scores, cuts))
             assert (rank_metrics(blocks, truth, k, groups=groups)
                     == rank_metrics(scores, truth, k, groups=groups))
+
+    def test_masked_scores_rank_alike_on_any_worker_count(self, monkeypatch, cpus):
+        # small integer tables make every score exact and ties common, so
+        # the whole masked matrix is the reference
+        rng = np.random.default_rng(14)
+        for trial in range(40):
+            users, items = int(rng.integers(1, 60)), int(rng.integers(2, 12))
+            # blocks of about 3 rows, or the whole matrix in one block
+            monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS",
+                                3 * items if trial % 4 else 1 << 17)
+            queries = rng.integers(-1, 2, size=(users, 3)).astype(float)
+            table = rng.integers(-1, 2, size=(items, 3)).astype(float)
+            truth = rng.integers(0, items, size=users)
+            pairs = np.column_stack((rng.integers(0, users, size=2 * users),
+                                     rng.integers(0, items, size=2 * users)))
+            pairs = pairs[pairs[:, 1] != truth[pairs[:, 0]]]
+            positives = np.unique(positive_keys(pairs, items))
+            dense = queries @ table.T
+            dense[pairs[:, 0], pairs[:, 1]] = -np.inf
+            k = int(rng.integers(1, items + 1))
+            groups = rng.integers(0, 3, size=users)
+            expect = rank_metrics(dense, truth, k, groups=groups)
+            stream = [block.copy() for block in MaskedScores(queries, table, positives)]
+            assert np.array_equal(np.vstack(stream), dense)
+            assert rank_metrics(iter(stream), truth, k, groups=groups) == expect
+            for workers in WORKER_COUNTS:
+                cpus(workers)
+                scores = MaskedScores(queries, table, positives)
+                assert rank_metrics(scores, truth, k, groups=groups) == expect
+
+    def test_threaded_ranking_repeats_bit_for_bit(self, monkeypatch, cpus):
+        # 100 blocks of 3 rows on eight workers, each writing its rows of the
+        # shared rank array, with the interpreter switching threads as often
+        # as it can; a lost update would change a user's rank
+        rng = np.random.default_rng(15)
+        queries = rng.standard_normal((300, 8))
+        table = rng.standard_normal((50, 8))
+        truth = rng.integers(0, 50, size=300)
+        positives = np.unique(positive_keys(
+            np.column_stack((np.arange(300), (truth + 1) % 50)), 50))
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 3 * 50)
+        cpus(1)
+        expect = rank_metrics(MaskedScores(queries, table, positives), truth, 10,
+                              groups=truth % 4)
+        cpus(8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(20):
+                assert rank_metrics(MaskedScores(queries, table, positives), truth, 10,
+                                    groups=truth % 4) == expect
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_masked_scores_that_do_not_fit_are_rejected(self, monkeypatch, cpus):
+        monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 6)  # blocks of 2 rows
+        queries, table = np.ones((8, 2)), np.ones((3, 2))
+        no_positives = np.zeros(0, dtype=np.int64)
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            # a truth item past the last item, in the last block only
+            with pytest.raises(ShapeError, match="at row 6"):
+                rank_metrics(MaskedScores(queries, table, no_positives),
+                             [0] * 7 + [3], k=2)
+            with pytest.raises(ShapeError):  # a user more than the rows
+                rank_metrics(MaskedScores(queries, table, no_positives), [0] * 9, k=2)
+            with pytest.raises(ShapeError):  # a row more than the users
+                rank_metrics(MaskedScores(queries, table, no_positives), [0] * 7, k=2)
 
     @pytest.mark.parametrize("cut", ["narrow block", "wide block", "a row too many",
                                      "a block past the end", "a row too few", "no blocks",

@@ -88,3 +88,42 @@ def test_file_based_run_records_the_loader(tmp_path, capsys):
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls.get("hetgraph.load_edge_list", 0) == 2
     assert tracer.counts["hetgraph.load_edge_list.edges"] == 2 * graph.edge_count()
+
+
+def test_threaded_evaluation_keeps_the_trace_whole(monkeypatch, cpus):
+    # worker threads must call no traced name: the tracer keeps one span
+    # stack, so a span entered on a worker would nest under whatever the
+    # caller's thread has open and break the self times
+    tracing = load_tracing()
+    cfg = hgdiff.RunConfig(
+        synthetic=hgdiff.SyntheticSpec(users=60, items=40, density=0.15),
+        encoder=hgdiff.EncoderConfig(layers=2, dim=8),
+        diffusion=hgdiff.DiffusionConfig(steps=10, b_max=0.99, b_min=0.9),
+        epochs=2, seed=7, k=5)
+    model, _ = hgdiff.train(cfg)
+    # walk blocks of 4 rows, score blocks of 3 rows, on three workers
+    monkeypatch.setattr(hgdiff.diffusion, "_WALK_ROWS", 4)
+    monkeypatch.setattr(hgdiff.tasks, "_RANK_BLOCK_ELEMENTS", 3 * 40)
+    cpus(3)
+    tracer = tracing.Tracer("threads")
+    tracer.install(tracing.stage_targets(hgdiff, True))
+    try:
+        tracer.install(tracing.layer_targets(hgdiff))
+        for _ in range(2):
+            model.evaluate()
+    finally:
+        tracer.uninstall()
+    assert tracer._stack == []
+    spans = tracer.spans
+    child_s = [0.0] * len(spans)
+    for span in spans:
+        if span[tracing.PARENT] >= 0:
+            child_s[span[tracing.PARENT]] += span[tracing.END] - span[tracing.START]
+    assert all(span[tracing.END] - span[tracing.START] - inner >= 0
+               for span, inner in zip(spans, child_s))
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["harness.evaluate"] == 2
+    assert calls["tasks.rank_metrics"] == 2
+    sides = len(model.plan.diffusion_sides)
+    assert sides == 2
+    assert calls["diffusion.denoise_predict"] == 2 * sides
