@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import CsrMatrix, Rng
+from .numerics import CsrMatrix, Rng, map_blocks, worker_count
 
 
 class GraphError(ValueError):
@@ -452,24 +452,42 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
     item_comm = _balanced_communities(n_items, rng)
     p_in = min(1.0, 1.6 * density)
     p_out = 2.0 * density - p_in  # never above p_in
-    # the users x items uniform draw is taken in row blocks into one buffer:
-    # consecutive draws continue one Philox stream, so the edges equal those
-    # of a single dense draw while memory stays O(block). A pair is an edge
-    # when its draw is below p_in (same community) or p_out (across), so only
-    # the draws below p_in are candidates.
+    # the users x items uniform draw is taken in row blocks, so memory stays
+    # O(block) per worker. A pair is an edge when its draw is below p_in
+    # (same community) or p_out (across), so only the draws below p_in are
+    # candidates; a block returns its edges' flat users x items indices.
+    # Inline, the blocks continue one Philox stream; on worker threads each
+    # block draws from a copy of the stream moved ahead to its first draw,
+    # and the stream then moves past the whole draw. Either way the edges
+    # equal those of a single dense draw.
     block = max(1, _SYNTH_BLOCK_ELEMENTS // n_items)
-    buffer = np.empty(min(block, n_users) * n_items)
-    below = np.empty(buffer.size, dtype=bool)
-    tu, tv = [], []
-    for start in range(0, n_users, block):
-        draws = rng.uniform(out=buffer[:min(block, n_users - start) * n_items])
-        cand = np.flatnonzero(np.less(draws, p_in, out=below[:draws.size]))
-        rows, cols = np.divmod(cand, n_items)
-        rows += start
-        keep = (user_comm[rows] == item_comm[cols]) | (draws[cand] < p_out)
-        tu.append(rows[keep])
-        tv.append(cols[keep])
-    target_edges = np.stack([np.concatenate(tu), np.concatenate(tv)], axis=1)
+    starts = range(0, n_users, block)
+    workers = worker_count(len(starts), blas=False)
+    if workers > 1:
+        streams = [rng.ahead(start * n_items) for start in starts]
+        rng = rng.ahead(n_users * n_items)
+    else:
+        streams = [rng] * len(starts)
+    # at most `workers` blocks run at once, and list.pop and list.append
+    # are atomic, so every block finds a free buffer and mask
+    size = min(block, n_users) * n_items
+    buffers = [(np.empty(size), np.empty(size, dtype=bool)) for _ in range(workers)]
+
+    def draw_block(i):
+        start = starts[i]
+        buffer, below = buffers.pop()
+        try:
+            draws = streams[i].uniform(out=buffer[:min(block, n_users - start) * n_items])
+            cand = np.flatnonzero(np.less(draws, p_in, out=below[:draws.size]))
+            below_out = draws[cand] < p_out
+            cand += start * n_items
+            rows, cols = np.divmod(cand, n_items)
+            return cand[(user_comm[rows] == item_comm[cols]) | below_out]
+        finally:
+            buffers.append((buffer, below))
+
+    pairs = np.concatenate(map_blocks(draw_block, range(len(starts)), blas=False))
+    target_edges = np.stack(np.divmod(pairs, n_items), axis=1)
 
     relations = [Relation("interact", "user", "item", target_edges)]
     for r in range(n_aux_relations):

@@ -8,6 +8,7 @@ finite differences via :func:`grad_check`.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import os
 from dataclasses import dataclass
@@ -94,9 +95,11 @@ class CsrMatrix:
                 raise ShapeError("row index out of range")
             if col_idx.min() < 0 or col_idx.max() >= cols:
                 raise ShapeError("column index out of range")
-            order = np.lexsort((col_idx, row_idx))
-            row_idx, col_idx, values = row_idx[order], col_idx[order], values[order]
+            # a stable sort keeps duplicates in input order for their sum
             keys = row_idx * cols + col_idx
+            order = np.argsort(keys, kind="stable")
+            row_idx, col_idx, values, keys = (row_idx[order], col_idx[order],
+                                              values[order], keys[order])
             first = np.ones(keys.size, dtype=bool)
             first[1:] = keys[1:] != keys[:-1]
             starts = np.flatnonzero(first)
@@ -207,18 +210,19 @@ def row_blocks(a, rows):
     return np.array_split(a, max(1, min(-(-len(a) // rows), len(a) // 2)))
 
 
-def map_blocks(fn, blocks):
-    """``[fn(block) for block in blocks]``, the calls spread over up to
-    min(len(blocks), :func:`_cpu_count`) worker threads; an exception
-    raised in a call reaches the caller.
+def map_blocks(fn, blocks, blas=True):
+    """``[fn(block) for block in blocks]``, the calls spread over
+    :func:`worker_count` worker threads; an exception raised in a call
+    reaches the caller.
 
     numpy and BLAS release the GIL while they work on an array, so blocks
     run side by side. The caller fixes the blocks, never the CPU count, so
     the results are the same whatever the worker count; `taskset` limits
     the CPUs. One block or one CPU runs inline and starts no thread. `fn`
-    must be safe to run on distinct blocks at once.
+    must be safe to run on distinct blocks at once; `blas=False` says that
+    it calls no BLAS.
     """
-    workers = min(len(blocks), _cpu_count())
+    workers = worker_count(len(blocks), blas)
     if workers <= 1:
         return [fn(block) for block in blocks]
     from concurrent.futures import ThreadPoolExecutor  # only when threads start
@@ -226,13 +230,19 @@ def map_blocks(fn, blocks):
         return list(pool.map(fn, blocks))
 
 
-def _cpu_count():
-    """The CPUs this process may run on, while the BLAS runs one thread per
-    call; else 1. Threaded OpenBLAS products called from several threads at
-    once wait on each other: on a 2-vCPU host a mid-link evaluation took
-    0.73 s on two block workers against 0.58 s inline, both with two BLAS
-    threads."""
-    if _blas_threads() != 1:
+def worker_count(n_blocks, blas=True):
+    """The threads :func:`map_blocks` runs `n_blocks` blocks on, at most one
+    per usable CPU; 1 means inline."""
+    return min(n_blocks, _cpu_count(blas))
+
+
+def _cpu_count(blas=True):
+    """The CPUs this process may run on. For work that calls the BLAS
+    (`blas`), 1 unless the BLAS runs one thread per call: threaded OpenBLAS
+    products called from several threads at once wait on each other, and on
+    a 2-vCPU host a mid-link evaluation took 0.73 s on two block workers
+    against 0.58 s inline, both with two BLAS threads."""
+    if blas and _blas_threads() != 1:
         return 1
     try:
         return len(os.sched_getaffinity(0))
@@ -297,6 +307,31 @@ class Rng:
 
     def permutation(self, n):
         return self._gen.permutation(n)
+
+    def ahead(self, k):
+        """A new stream whose draws are this stream's doubles after its next
+        k; this stream does not move.
+
+        Philox is counter-based: past the doubles left in its 4-value buffer,
+        `advance` skips whole 4-value blocks, and the last 1-4 are drawn, so
+        the new stream's state is the one k draws would leave. The cached
+        32-bit half of a 64-bit draw, which integer draws consume, goes with
+        the copy.
+        """
+        state = self._gen.bit_generator.state
+        bits = np.random.Philox(0)  # seeded only to be replaced
+        bits.state = state
+        used = min(k, 4 - state["buffer_pos"])
+        bits.random_raw(used)  # a double is one 64-bit draw
+        if k > used:
+            bits.advance((k - used - 1) // 4)  # empties the buffer and the half
+            bits.random_raw((k - used - 1) % 4 + 1)
+            moved = bits.state
+            moved["has_uint32"], moved["uinteger"] = state["has_uint32"], state["uinteger"]
+            bits.state = moved
+        out = copy.copy(self)
+        out._gen = np.random.Generator(bits)
+        return out
 
 
 @dataclass

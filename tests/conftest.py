@@ -39,7 +39,8 @@ def allocations():
 
 @pytest.fixture
 def cpus(monkeypatch):
-    """``cpus(n)`` makes :func:`numerics.map_blocks` see n usable CPUs."""
+    """``cpus(n)`` makes :func:`numerics.map_blocks` see n usable CPUs,
+    for work that calls the BLAS and work that does not."""
     def force(n):
-        monkeypatch.setattr(numerics, "_cpu_count", lambda: n)
+        monkeypatch.setattr(numerics, "_cpu_count", lambda blas=True: n)
     return force

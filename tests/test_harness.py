@@ -488,19 +488,22 @@ class TestEvaluation:
             assert all(np.array_equal(again[name], table) for name, table in tables.items())
 
     def test_desk_size_evaluation_starts_no_thread(self):
-        # at desk size each side is one walk block and the test users one
-        # score block, so evaluation runs inline on any CPU count, without
-        # importing concurrent.futures; a fresh interpreter shows the imports
+        # at desk size the generator's draw is one block, each side one walk
+        # block and the test users one score block, so generation and
+        # evaluation run inline on any CPU count, with or without the BLAS,
+        # without importing concurrent.futures and without copying the
+        # generator's stream; a fresh interpreter shows the imports
         script = textwrap.dedent("""
             import sys, threading
 
-            def refuse(thread):
-                raise AssertionError(f"thread {thread.name} started")
+            def refuse(thread, *args):
+                raise AssertionError(f"{thread} started or copied")
 
             threading.Thread.start = refuse
             from hgdiff import DiffusionConfig, EncoderConfig, RunConfig, SyntheticSpec
             from hgdiff import harness, numerics
-            numerics._cpu_count = lambda: 16
+            numerics._cpu_count = lambda blas=True: 16
+            numerics.Rng.ahead = refuse
             for task in ("link", "node"):
                 cfg = RunConfig(
                     task=task, epochs=1, seed=3, train_labels_per_class=5,

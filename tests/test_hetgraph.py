@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,8 @@ from hgdiff.hetgraph import (
     sparsity_buckets,
 )
 from hgdiff.numerics import Rng
+
+from conftest import WORKER_COUNTS
 
 TMALL_SCHEMA = """
 # e-commerce style multi-behavior schema
@@ -620,9 +624,9 @@ class TestSynthetic:
         monkeypatch.setattr(hetgraph, "_first_occurrences", first_occurrences_loop)
         assert fingerprints() == fast
 
-    def test_row_blocks_match_dense_draw(self, monkeypatch):
+    def test_row_blocks_match_dense_draw(self, monkeypatch, cpus):
         # p_in clamps to 1 from density 0.625 on; fidelity 0 and 1 take the
-        # copy draw's extremes
+        # copy draw's extremes; blocks run inline or on worker threads
         sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (500, 300, 1, 0.02, 0.9),
                  (29, 11, 2, 0.625, 0.0), (13, 7, 1, 1.0, 1.0), (40, 9, 2, 0.7, 0.3),
                  (31, 17, 2, 0.2, 0.0), (23, 19, 1, 0.3, 1.0)]
@@ -634,14 +638,34 @@ class TestSynthetic:
                     ref = generate_synthetic_dense(*size, seed=seed)
                     assert g.fingerprint() == ref.fingerprint()
 
-        # more items than the block budget: one row per block
-        check([(3, hetgraph._SYNTH_BLOCK_ELEMENTS + 5, 1, 2e-5, 0.5)])
-        check(sizes)
-        # a budget that cuts blocks of one, two and several rows, the last
-        # block shorter than the others
-        for budget in (1, 50, 700):
-            monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", budget)
+        default = hetgraph._SYNTH_BLOCK_ELEMENTS
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", default)
+            # more items than the block budget: one row per block
+            check([(3, default + 5, 1, 2e-5, 0.5)])
             check(sizes)
+            # a budget that cuts blocks of one, two and several rows, the
+            # last block shorter than the others
+            for budget in (1, 50, 700):
+                monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", budget)
+                check(sizes)
+
+    def test_threaded_blocks_give_one_graph_under_thread_switching(self, monkeypatch, cpus):
+        # 40 blocks of 5 rows; a switch interval of 10 us makes the workers
+        # interleave at nearly every bytecode
+        monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", 5 * 60)
+        size = (200, 60, 2, 0.1, 0.6)
+        expect = generate_synthetic_dense(*size, seed=9).fingerprint()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for workers in (4, 8):
+                cpus(workers)
+                for _ in range(20):
+                    assert generate_synthetic(*size, seed=9)[0].fingerprint() == expect
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_bad_params_rejected(self):
         with pytest.raises(GraphError):

@@ -86,6 +86,25 @@ class TestCsr:
         assert a.nnz == 2
         assert np.array_equal(a.to_dense(), np.array([[0.0, 5.0], [1.0, 0.0]]))
 
+    def test_from_coo_sums_duplicates_in_input_order(self):
+        # numpy's sum of (1, 1e16, -1e16) is 1 and of (1e16, 1, -1e16) is 0,
+        # so a sum that saw the duplicates out of input order differs
+        big = 1e16
+        a = CsrMatrix.from_coo(2, 3, [1, 0, 1, 0, 1, 0], [2, 1, 2, 1, 2, 1],
+                               [1.0, big, big, 1.0, -big, -big])
+        assert np.array_equal(a.to_dense(), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        rng = np.random.default_rng(4)
+        for rows, cols, n in ((1, 1, 9), (5, 7, 60), (40, 3, 300), (3, 50, 300)):
+            r, c = rng.integers(0, rows, n), rng.integers(0, cols, n)
+            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
+            pairs = set(zip(r.tolist(), c.tolist()))
+            dense = np.zeros((rows, cols))
+            for i, j in pairs:
+                dense[i, j] = np.add.reduceat(v[(r == i) & (c == j)], [0])[0]
+            m = CsrMatrix.from_coo(rows, cols, r, c, v)
+            assert np.array_equal(m.to_dense(), dense)
+            assert m.nnz == len(pairs)
+
     def test_transpose_round_trip(self):
         rng = Rng(11)
         a = random_csr(rng, 6, 9)
@@ -228,6 +247,29 @@ class TestMapBlocks:
                 monkeypatch.setenv(name, value)
             assert numerics._blas_threads() == threads, env
             assert numerics._cpu_count() == (usable if threads == 1 else 1), env
+            assert numerics._cpu_count(blas=False) == usable, env
+
+    def test_work_without_blas_runs_on_every_cpu(self, monkeypatch):
+        # OpenBLAS left at one thread per CPU keeps BLAS work inline, not
+        # work that calls no BLAS
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setattr(numerics.os, "sched_getaffinity", lambda pid: {0, 1, 2},
+                            raising=False)
+        monkeypatch.setattr(numerics.os, "cpu_count", lambda: 3)
+        for blas, workers in ((True, 1), (False, 3)):
+            threads = set()
+
+            def which(i):
+                threads.add(threading.get_ident())
+                return i
+
+            assert numerics.worker_count(5, blas) == workers
+            assert map_blocks(which, range(5), blas=blas) == list(range(5))
+            assert 1 <= len(threads) <= workers
+            assert (threading.get_ident() in threads) == (workers == 1)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert numerics.worker_count(5) == numerics.worker_count(5, blas=False) == 3
 
 
 class TestRng:
@@ -262,6 +304,66 @@ class TestRng:
         r1, r2 = Rng(77), Rng(77)
         r1.derive("side")
         assert np.array_equal(r1.standard_normal(6), r2.standard_normal(6))
+
+
+def streams_in_every_state():
+    """A fresh stream, and streams left by `permutation`, `integers` and
+    `uniform` calls at each 4-value buffer position, with and without a
+    cached 32-bit half."""
+    out = {"fresh": Rng(31)}
+    for pos in (1, 2, 3, 4):
+        for half in (0, 1):
+            rng = Rng(31).derive(f"state{pos}{half}")
+            rng.permutation(7 + pos)
+            state = rng._gen.bit_generator.state
+            if state["has_uint32"] != half:
+                rng.integers(0, 5)  # a 32-bit draw sets or takes the cached half
+            while rng._gen.bit_generator.state["buffer_pos"] != pos:
+                rng.uniform(1)
+            state = rng._gen.bit_generator.state
+            assert (state["buffer_pos"], state["has_uint32"]) == (pos, half)
+            out[f"pos{pos}half{half}"] = rng
+    return out
+
+
+def clone(rng):
+    """A second stream in `rng`'s exact state, built without `ahead`."""
+    twin = Rng(rng.seed)
+    twin._gen.bit_generator.state = rng._gen.bit_generator.state
+    return twin
+
+
+def bit_state(rng):
+    state = rng._gen.bit_generator.state
+    return ({k: v.tolist() for k, v in state["state"].items()}, state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class TestAhead:
+    """Rng.ahead(k) draws what the stream draws after its next k doubles."""
+
+    offsets = list(range(10)) + [(1 << 20) + d for d in (-5, -4, -3, -1, 0, 1, 2, 3, 7)]
+
+    def test_draws_are_the_tail_of_one_long_draw(self):
+        for label, rng in streams_in_every_state().items():
+            before = bit_state(rng)
+            long = clone(rng).uniform(max(self.offsets) + 40)
+            for k in self.offsets:
+                got = rng.ahead(k).uniform(40)
+                assert np.array_equal(got, long[k:k + 40]), (label, k)
+            assert bit_state(rng) == before, label  # the source does not move
+
+    def test_state_is_the_one_drawing_leaves(self):
+        for label, rng in streams_in_every_state().items():
+            for k in self.offsets:
+                drawn = clone(rng)
+                drawn.uniform(k)
+                skipped = rng.ahead(k)
+                assert bit_state(skipped) == bit_state(drawn), (label, k)
+                assert np.array_equal(skipped.integers(0, 1000, size=7),
+                                      drawn.integers(0, 1000, size=7)), (label, k)
+                assert skipped.integers(0, 3) == drawn.integers(0, 3), (label, k)
+                assert np.array_equal(skipped.uniform(5), drawn.uniform(5)), (label, k)
 
 
 def scalar_adam_trace(grads, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8, x0=1.0):

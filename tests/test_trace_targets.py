@@ -20,6 +20,19 @@ def load_tracing():
     return module
 
 
+def assert_trace_whole(tracing, tracer):
+    """Every span closed, and none with a negative self time, as a span
+    entered on a worker thread would leave."""
+    assert tracer._stack == []
+    spans = tracer.spans
+    child_s = [0.0] * len(spans)
+    for span in spans:
+        if span[tracing.PARENT] >= 0:
+            child_s[span[tracing.PARENT]] += span[tracing.END] - span[tracing.START]
+    assert all(span[tracing.END] - span[tracing.START] - inner >= 0
+               for span, inner in zip(spans, child_s))
+
+
 def test_every_traced_name_exists():
     tracing = load_tracing()
     targets = tracing.stage_targets(hgdiff, True) + tracing.layer_targets(hgdiff)
@@ -113,17 +126,28 @@ def test_threaded_evaluation_keeps_the_trace_whole(monkeypatch, cpus):
             model.evaluate()
     finally:
         tracer.uninstall()
-    assert tracer._stack == []
-    spans = tracer.spans
-    child_s = [0.0] * len(spans)
-    for span in spans:
-        if span[tracing.PARENT] >= 0:
-            child_s[span[tracing.PARENT]] += span[tracing.END] - span[tracing.START]
-    assert all(span[tracing.END] - span[tracing.START] - inner >= 0
-               for span, inner in zip(spans, child_s))
+    assert_trace_whole(tracing, tracer)
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls["harness.evaluate"] == 2
     assert calls["tasks.rank_metrics"] == 2
     sides = len(model.plan.diffusion_sides)
     assert sides == 2
     assert calls["diffusion.denoise_predict"] == 2 * sides
+
+
+def test_threaded_generation_keeps_the_trace_whole(monkeypatch, cpus):
+    # the generator's row blocks run on workers inside the traced
+    # generate_synthetic span and must open no span of their own
+    tracing = load_tracing()
+    monkeypatch.setattr(hgdiff.hetgraph, "_SYNTH_BLOCK_ELEMENTS", 4 * 40)
+    cpus(3)
+    tracer = tracing.Tracer("threads")
+    tracer.install(tracing.stage_targets(hgdiff, True))
+    try:
+        tracer.install(tracing.layer_targets(hgdiff))
+        hgdiff.harness.generate_synthetic(90, 40, 2, 0.15, 0.9, seed=7)
+    finally:
+        tracer.uninstall()
+    assert_trace_whole(tracing, tracer)
+    calls = {name: row["calls"] for name, row in tracer.summary().items()}
+    assert calls["hetgraph.generate_synthetic"] == 1
