@@ -149,17 +149,37 @@ def _ce_checks(n_points, h):
         yield f"ce.{name}", (lambda _n=name: check_param(_n))
 
 
-def _joint_trainer(task="link"):
+def _joint_trainer(task="link", variant="full", per_row_t=False):
     cfg = RunConfig(
         task=task,
         synthetic=SyntheticSpec(users=10, items=8, aux_relations=2,
                                 density=0.2, fidelity=0.8),
         encoder=EncoderConfig(layers=2, dim=4),
-        diffusion=DiffusionConfig(steps=5, b_max=0.95, b_min=0.6),
-        epochs=1, seed=61, batch_size=64, train_labels_per_class=2)
+        diffusion=DiffusionConfig(steps=5, b_max=0.95, b_min=0.6, per_row_t=per_row_t),
+        epochs=1, seed=61, batch_size=64, train_labels_per_class=2, variant=variant)
     trainer = Trainer(cfg)
     draws = trainer.draw_epoch()
     return trainer, draws
+
+
+def _e0_check(trainer, draws, n_points, h, seed):
+    """Worst error of the joint loss's e0 gradient at points around the
+    trainer's initial e0, with its other parameters held."""
+    base = trainer.params
+    shape = base.e0.shape
+
+    def total_with(e0):
+        params = ModelParams(e0, base.denoiser, base.classifier)
+        return trainer.compute_losses(draws, params=params)
+
+    worst = 0.0
+    for i in range(n_points):
+        e0 = base.e0 + Rng(seed + i).normal(*shape) * 0.1
+        _, _, grads = total_with(e0)
+        err = grad_check(lambda flat: total_with(flat.reshape(shape))[0],
+                         grads["e0"], e0, h=h)
+        worst = max(worst, err)
+    return worst
 
 
 def _joint_checks(n_points, h):
@@ -173,18 +193,12 @@ def _joint_checks(n_points, h):
             base.classifier)
         return trainer.compute_losses(draws, params=params)
 
-    def check_e0():
-        shape = base.e0.shape
-        worst = 0.0
-        for i in range(n_points):
-            e0 = base.e0 + Rng(620 + i).normal(*shape) * 0.1
-            _, _, grads = total_with(e0=e0)
-            err = grad_check(lambda flat: total_with(e0=flat.reshape(shape))[0],
-                             grads["e0"], e0, h=h)
-            worst = max(worst, err)
-        return worst
-
-    yield "joint.e0", check_e0
+    yield "joint.e0", (lambda: _e0_check(trainer, draws, n_points, h, 620))
+    # the steps the benchmark and the acceptance runs train with: one per row
+    yield "joint.e0_per_row_t", (lambda: _e0_check(
+        *_joint_trainer(per_row_t=True), n_points, h, 650))
+    yield "joint.e0_dae", (lambda: _e0_check(
+        *_joint_trainer(variant="DAE"), n_points, h, 660))
 
     def check_denoiser_w1():
         shape = base.denoiser.w1.shape
@@ -204,26 +218,8 @@ def _joint_checks(n_points, h):
 
     yield "joint.denoiser_w1", check_denoiser_w1
 
-    node_trainer, node_draws = _joint_trainer(task="node")
-    node_base = node_trainer.params
-
-    def check_node_e0():
-        shape = node_base.e0.shape
-        worst = 0.0
-        for i in range(n_points):
-            e0 = node_base.e0 + Rng(640 + i).normal(*shape) * 0.1
-            params = ModelParams(e0, node_base.denoiser, node_base.classifier)
-            _, _, grads = node_trainer.compute_losses(node_draws, params=params)
-
-            def f(flat):
-                p = ModelParams(flat.reshape(shape), node_base.denoiser,
-                                node_base.classifier)
-                return node_trainer.compute_losses(node_draws, params=p)[0]
-
-            worst = max(worst, grad_check(f, grads["e0"], e0, h=h))
-        return worst
-
-    yield "joint.node_e0", check_node_e0
+    yield "joint.node_e0", (lambda: _e0_check(
+        *_joint_trainer(task="node"), n_points, h, 640))
 
 
 def named_gradient_checks(n_points=10, h=1e-6):

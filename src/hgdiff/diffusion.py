@@ -31,6 +31,12 @@ class DiffusionConfig:
     per_row_t: bool = False
 
     def __post_init__(self):
+        # exact types: a config file may hold 2.5 or "no", and bool is an int
+        if type(self.steps) is not int or type(self.infer_steps) not in (int, type(None)):
+            raise ScheduleError(f"steps and infer_steps must be integers, got "
+                                f"{self.steps!r} and {self.infer_steps!r}")
+        if type(self.per_row_t) is not bool:
+            raise ScheduleError(f"per_row_t must be true or false, got {self.per_row_t!r}")
         if self.steps < 1:
             raise ScheduleError("need at least one diffusion step")
         if not (0.0 < self.b_min <= self.b_max < 1.0):
@@ -45,9 +51,6 @@ class DiffusionConfig:
         b_max = min(1.0 - 1e-12, max(1e-12, 1.0 - scale))
         b_min = min(b_max, max(1e-12, 1.0 - 10.0 * scale))
         return cls(steps=steps, b_max=b_max, b_min=b_min, **kw)
-
-    def effective_infer_steps(self):
-        return self.steps if self.infer_steps is None else self.infer_steps
 
 
 @dataclass
@@ -100,16 +103,36 @@ def build_schedule(cfg: DiffusionConfig) -> DiffusionSchedule:
     return DiffusionSchedule(cfg.steps, b, beta, alpha, alpha_bar)
 
 
-def q_sample(h0, t, schedule: DiffusionSchedule, rng: Rng = None, noise=None):
+def _step_vector(t, n_rows, steps):
+    """`t` as an int64 vector of integer steps in 1..steps, of length 1 (one
+    step that every row takes by broadcast) or `n_rows` (one step per row)."""
+    t_rows = np.asarray(t)
+    if t_rows.dtype.kind not in "iu" or t_rows.ndim > 1:
+        raise ShapeError(f"steps must be an integer or 1-d integer array, not {t!r}")
+    t_rows = t_rows.astype(np.int64, copy=False).reshape(-1)
+    if t_rows.size not in (1, n_rows):
+        raise ShapeError(f"per-row steps {t_rows.shape} vs {n_rows} rows")
+    bad = t_rows[(t_rows < 1) | (t_rows > steps)]
+    if bad.size:
+        raise ShapeError(f"step {bad[0]} outside 1..{steps}")
+    return t_rows
+
+
+def _corruption(schedule, t, n_rows, keep_signal):
+    """Column factors (signal, noise) of corrupting `n_rows` rows at step t."""
+    ab = schedule.alpha_bar[_step_vector(t, n_rows, schedule.steps) - 1][:, None]
+    return 1.0 if keep_signal else np.sqrt(ab), np.sqrt(1.0 - ab)
+
+
+def q_sample(h0, t, schedule: DiffusionSchedule, rng: Rng = None, noise=None,
+             keep_signal=False):
     """Closed-form corruption to step t: sqrt(a_bar)*h0 + sqrt(1-a_bar)*noise.
 
     `t` is one step for the whole batch, or an array with one step per row.
+    `keep_signal` keeps h0 at full scale: the autoencoder variant's input.
     """
     h0 = np.asarray(h0, dtype=np.float64)
-    if np.ndim(t) == 0:
-        ab = schedule.alpha_bar_at(int(t))
-    else:
-        ab = _alpha_bar_rows(schedule, t, h0.shape[0])[:, None]
+    signal, spread = _corruption(schedule, t, len(h0), keep_signal)
     if noise is None:
         if rng is None:
             raise ValueError("q_sample needs an rng or injected noise")
@@ -118,16 +141,7 @@ def q_sample(h0, t, schedule: DiffusionSchedule, rng: Rng = None, noise=None):
         noise = np.asarray(noise, dtype=np.float64)
         if noise.shape != h0.shape:
             raise ShapeError(f"noise {noise.shape} vs rows {h0.shape}")
-    return np.sqrt(ab) * h0 + np.sqrt(1.0 - ab) * noise
-
-
-def _alpha_bar_rows(schedule, t, n_rows):
-    t = np.asarray(t, dtype=np.int64)
-    if t.shape != (n_rows,):
-        raise ShapeError(f"per-row steps {t.shape} vs {n_rows} rows")
-    if t.min() < 1 or t.max() > schedule.steps:
-        raise ShapeError(f"steps outside 1..{schedule.steps}")
-    return schedule.alpha_bar[t - 1]
+    return signal * h0 + spread * noise
 
 
 def sinusoidal_table(steps, dim):
@@ -181,32 +195,22 @@ class DenoiserParams:
                               self.b2.copy(), self.time_emb.copy(), self.slope)
 
 
-def _denoise_forward(params: DenoiserParams, h_t, t):
+def _denoise_forward(params: DenoiserParams, h_t, t_rows):
     """The denoiser's one forward pass, shared by inference and training.
 
     Returns (x, pre, hidden, out) where x = h_t || s_t is the first layer's
     input, pre its pre-activation, hidden = leaky_relu(pre) and out the
-    prediction. A scalar `t` writes its single step-embedding row into the
-    time half of x by broadcast instead of gathering one row per input row.
+    prediction. `t_rows` is a checked :func:`_step_vector`; one of length 1
+    writes its single step-embedding row into the time half of x by
+    broadcast instead of gathering one row per input row.
     """
     h_t = np.asarray(h_t, dtype=np.float64)
     d = params.dim
     if h_t.ndim != 2 or h_t.shape[1] != d:
         raise ShapeError(f"expected rows of width {d}, got {h_t.shape}")
-    steps = params.time_emb.shape[0]
     x = np.empty((h_t.shape[0], 2 * d))
     x[:, :d] = h_t
-    if np.ndim(t) == 0:
-        if not 1 <= t <= steps:
-            raise ShapeError(f"step {t} outside 1..{steps}")
-        x[:, d:] = params.time_emb[int(t) - 1]
-    else:
-        t_rows = np.asarray(t, dtype=np.int64)
-        if t_rows.shape != (h_t.shape[0],):
-            raise ShapeError(f"per-row steps {t_rows.shape} vs {h_t.shape[0]} rows")
-        if t_rows.size and (t_rows.min() < 1 or t_rows.max() > steps):
-            raise ShapeError(f"steps outside 1..{steps}")
-        x[:, d:] = params.time_emb[t_rows - 1]
+    x[:, d:] = params.time_emb[t_rows - 1]
     pre = x @ params.w1
     pre += params.b1
     # leaky_relu(pre) equals max(pre, slope*pre) bit for bit, signed zeros
@@ -221,20 +225,21 @@ def _denoise_forward(params: DenoiserParams, h_t, t):
 def denoise_predict(params: DenoiserParams, h_t, t):
     """Predict clean rows from corrupted rows at step t (scalar or per-row),
     forward only: linear(leaky_relu(linear(h_t || s_t))) per row."""
-    return _denoise_forward(params, h_t, t)[3]
+    t_rows = _step_vector(t, len(h_t), params.time_emb.shape[0])
+    return _denoise_forward(params, h_t, t_rows)[3]
 
 
 def denoise_predict_vjp(params: DenoiserParams, h_t, t):
     """:func:`denoise_predict` plus a closure mapping upstream gradients to
     (gradients as DenoiserParams, d/d h_t)."""
-    x, pre, hidden, out = _denoise_forward(params, h_t, t)
+    t_rows = _step_vector(t, len(h_t), params.time_emb.shape[0])
+    x, pre, hidden, out = _denoise_forward(params, h_t, t_rows)
     # the backward needs only where the pre-activation is below 0 or NaN,
     # so the closure keeps that bool mask instead of the float rows
     sloped = ~(pre >= 0)
     d = params.dim
     # the step-embedding gradient accumulates row by row in row order
-    t_rows = np.full(x.shape[0], int(t), dtype=np.int64) if np.ndim(t) == 0 \
-        else np.asarray(t, dtype=np.int64)
+    t_rows = np.broadcast_to(t_rows, x.shape[:1])
 
     def vjp(upstream):
         g = np.asarray(upstream, dtype=np.float64)
@@ -252,21 +257,14 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
 
 
 def loss_weight(schedule: DiffusionSchedule, t):
-    """Variational coefficient for step t; step 1 is the unweighted
-    reconstruction term."""
-    if t == 1:
-        return 1.0
-    ab_prev = schedule.alpha_bar_before(t)
-    ab = schedule.alpha_bar_at(t)
-    return 0.5 * (ab_prev / (1.0 - ab_prev) - ab / (1.0 - ab))
-
-
-def _loss_weight_rows(schedule, t_rows):
+    """Variational coefficient of step t, a scalar for one step and an array
+    for an array of steps; step 1 is the unweighted reconstruction term."""
+    t_rows = _step_vector(t, np.size(t), schedule.steps)
     ab = schedule.alpha_bar[t_rows - 1]
     # dummy finite value for t=1 rows, masked out below
     ab_prev = np.where(t_rows > 1, schedule.alpha_bar[np.maximum(t_rows - 2, 0)], 0.5)
     snr_gap = 0.5 * (ab_prev / (1.0 - ab_prev) - ab / (1.0 - ab))
-    return np.where(t_rows == 1, 1.0, snr_gap)
+    return np.where(t_rows == 1, 1.0, snr_gap).reshape(np.shape(t))[()]
 
 
 @dataclass
@@ -277,17 +275,18 @@ class DiffusionLossResult:
     grad_source: np.ndarray
     grad_target: np.ndarray    # label slot is an encoder output, so it gets one
     predict_vjp: object        # reusable closure for extra upstream gradients
-    scale: float               # sqrt(alpha_bar_t), chains h_t grads to source
+    scale: np.ndarray | float  # d h_t / d source: sqrt(alpha_bar_t), or 1 for DAE
 
 
 def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
-                   source, target, t, noise):
+                   source, target, t, noise, autoencoder=False):
     """Step-weighted squared error between the denoiser's clean-signal
     prediction and the target rows, with gradients for the denoiser and the
     source embeddings.
 
     `t` is one step for the batch or one per row, and `noise` the corruption
-    noise; the caller draws both.
+    noise; the caller draws both. `autoencoder` gives the DAE variant's loss,
+    taken at step T: weight 1, with the signal kept at full scale.
     """
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
@@ -296,15 +295,11 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
     n = source.shape[0]
     if n == 0:
         raise ShapeError("empty batch")
-    h_t = q_sample(source, t, schedule, noise=noise)
+    h_t = q_sample(source, t, schedule, noise=noise, keep_signal=autoencoder)
     pred, vjp = denoise_predict_vjp(params, h_t, t)
     diff = pred - target
-    if np.ndim(t) == 0:
-        w_rows = loss_weight(schedule, t)
-        scale = math.sqrt(schedule.alpha_bar_at(t))
-    else:
-        w_rows = _loss_weight_rows(schedule, np.asarray(t, dtype=np.int64))[:, None]
-        scale = np.sqrt(_alpha_bar_rows(schedule, t, n))[:, None]
+    w_rows = 1.0 if autoencoder else np.reshape(loss_weight(schedule, t), (-1, 1))
+    scale = _corruption(schedule, t, n, autoencoder)[0]
     loss = float((w_rows * diff * diff).sum()) / n
     g_pred = (2.0 / n) * w_rows * diff
     grads, g_ht = vjp(g_pred)
@@ -317,34 +312,42 @@ _WALK_ROWS = 1024
 
 
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
-                    source, infer_steps, rng: Rng = None):
-    """Corrupt the source rows to the requested step, then walk the posterior
-    mean back to step zero. No sampling noise is added on the way down, so the
-    output is a deterministic function of (params, source, corruption noise).
+                    source, infer_steps, rng: Rng = None, autoencoder=False):
+    """Corrupt the source rows to step `infer_steps` (None: T), then walk the
+    posterior mean back to step zero. No sampling noise is added on the way
+    down, so the output is a deterministic function of (params, source,
+    corruption noise).
 
     All rows are corrupted by one draw. Each of the :func:`numerics.row_blocks`
     of about `_WALK_ROWS` rows then takes every step down to step 2 on a
     :func:`numerics.map_blocks` worker, and the final step-1 prediction runs
     over all rows at once, bit for bit as the whole-array walk.
+
+    `autoencoder` gives the DAE variant's one-shot prediction at step T from
+    its loss's full-scale corruption instead, and ignores `infer_steps`.
     """
     source = np.asarray(source, dtype=np.float64)
-    if not 0 <= infer_steps <= schedule.steps:
-        raise ShapeError(f"inference steps {infer_steps} outside 0..{schedule.steps}")
+    if autoencoder:
+        h = q_sample(source, schedule.steps, schedule, rng=rng, keep_signal=True)
+        return denoise_predict(params, h, schedule.steps)
+    infer_steps = schedule.steps if infer_steps is None else infer_steps
     if infer_steps == 0:
         return source.copy()
+    # any other step outside 1..T is refused here, before the walk
     h = q_sample(source, infer_steps, schedule, rng=rng)
-    walk = []
-    for t in range(infer_steps, 1, -1):
-        ab = schedule.alpha_bar_at(t)
-        ab_prev = schedule.alpha_bar_before(t)
-        coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
-        coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
-        walk.append((t, coef_h, coef_pred))
+    # the walk's steps, checked at once in the calling thread; each step hands
+    # the forward its own length-1 slice
+    t_walk = _step_vector(np.arange(infer_steps, 1, -1), infer_steps - 1,
+                          params.time_emb.shape[0])
+    ab, ab_prev = schedule.alpha_bar[t_walk - 1], schedule.alpha_bar[t_walk - 2]
+    coef_pred = np.sqrt(ab_prev) * schedule.beta[t_walk - 1] / (1.0 - ab)
+    coef_h = np.sqrt(schedule.alpha[t_walk - 1]) * (1.0 - ab_prev) / (1.0 - ab)
+    walk = [(t_walk[i:i + 1], coef_h[i], coef_pred[i]) for i in range(t_walk.size)]
 
     def walk_block(block):
         # a view of q_sample's fresh array, walked in place
-        for t, coef_h, coef_pred in walk:
-            pred = _denoise_forward(params, block, t)[3]
+        for t_rows, coef_h, coef_pred in walk:
+            pred = _denoise_forward(params, block, t_rows)[3]
             # coef_h*h + coef_pred*pred bit for bit (addition commutes)
             block *= coef_h
             block += coef_pred * pred

@@ -19,10 +19,8 @@ import numpy as np
 from .diffusion import (
     DenoiserParams,
     DiffusionConfig,
-    DiffusionLossResult,
     build_schedule,
-    denoise_predict,
-    denoise_predict_vjp,
+    denoise_predict,  # noqa: F401 -- unused, but perfbench/tracing.py wraps it here
     diffusion_loss,
     reverse_denoise,
 )
@@ -347,16 +345,9 @@ class TrainedModel:
         rng = Rng(cfg.seed).derive(f"eval:{tag}")
         for side in plan.diffusion_sides:
             sl = self.graph.type_slice(side)
-            side_rng = rng.derive(side)
-            if plan.dae:
-                noise = side_rng.standard_normal(denoised[sl].shape)
-                denoised[sl] = denoise_predict(self.params.denoiser,
-                                               _dae_corrupt(self.schedule, denoised[sl], noise),
-                                               self.schedule.steps)
-            else:
-                denoised[sl] = reverse_denoise(
-                    self.params.denoiser, self.schedule, denoised[sl],
-                    cfg.diffusion.effective_infer_steps(), rng=side_rng)
+            denoised[sl] = reverse_denoise(
+                self.params.denoiser, self.schedule, denoised[sl], cfg.diffusion.infer_steps,
+                rng=rng.derive(side), autoencoder=plan.dae)
         tables["denoised"] = denoised
         tables["fused"] = fuse(target_out.pooled, denoised)
         return tables
@@ -597,10 +588,9 @@ class Trainer(TrainedModel):
             n = self.graph.node_counts[side]
             if plan.dae:
                 side_t[side] = self.schedule.steps
-            elif cfg.diffusion.per_row_t:
-                side_t[side] = rng.integers(1, self.schedule.steps + 1, size=n)
-            else:
-                side_t[side] = int(rng.integers(1, self.schedule.steps + 1))
+            else:  # one step for the side, or one per row
+                side_t[side] = rng.integers(1, self.schedule.steps + 1,
+                                            size=n if cfg.diffusion.per_row_t else None)
             side_noise[side] = rng.standard_normal((n, cfg.encoder.dim))
         triplets = None
         if cfg.task == "link":
@@ -627,32 +617,14 @@ class Trainer(TrainedModel):
             denoised = e_source.copy()
 
         side_results = {}
-        deno_parts = []
         for side in plan.diffusion_sides:
             sl = self.graph.type_slice(side)
-            if plan.dae:
-                corrupted = _dae_corrupt(self.schedule, e_source[sl], draws.side_noise[side])
-                pred, vjp_pred = denoise_predict_vjp(params.denoiser, corrupted,
-                                                     self.schedule.steps)
-                diff = pred - e_target[sl]
-                n = pred.shape[0]
-                g_pred = (2.0 / n) * diff
-                grads, g_h = vjp_pred(g_pred)
-                res = DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
-                                          -g_pred, vjp_pred, 1.0)
-            else:
-                res = diffusion_loss(params.denoiser, self.schedule, e_source[sl],
-                                     e_target[sl], t=draws.side_t[side],
-                                     noise=draws.side_noise[side])
-            side_results[side] = res
-            deno_parts.append(res.loss)
+            res = side_results[side] = diffusion_loss(
+                params.denoiser, self.schedule, e_source[sl], e_target[sl],
+                t=draws.side_t[side], noise=draws.side_noise[side], autoencoder=plan.dae)
             denoised[sl] = res.denoised
-        deno = float(np.mean(deno_parts)) if deno_parts else 0.0
-
-        if plan.has_source:
-            fused = fuse(e_target, denoised)
-        else:
-            fused = e_target
+        deno = float(np.mean([r.loss for r in side_results.values()])) if side_results else 0.0
+        fused = fuse(e_target, denoised) if plan.has_source else e_target
 
         clf_grads = None
         if cfg.task == "link":
@@ -736,11 +708,6 @@ class Trainer(TrainedModel):
                             break
         trace.evals.append(self.evaluate(epoch=last_epoch, trace=trace, tag="final"))
         return self, trace
-
-
-def _dae_corrupt(schedule, rows, noise):
-    """The autoencoder variant's input: rows corrupted at the last step's level."""
-    return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
 
 
 def train(cfg: RunConfig, graph=None, labels=None, features=None):

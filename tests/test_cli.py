@@ -107,6 +107,32 @@ class TestTrain:
         code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
         assert code == 1 and "not valid JSON" in err
 
+    def test_diffusion_fields_of_another_type_are_config_errors(self, capsys, tmp_path):
+        # a non-empty string is truthy and 2.5 steps once reached range(),
+        # so each must be refused by its type, with exit 1 and no traceback
+        cfg_path = tmp_path / "cfg.json"
+        synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
+        for diffusion, field in (({"per_row_t": "no"}, "per_row_t"),
+                                 ({"per_row_t": 1}, "per_row_t"),
+                                 ({"per_row_t": None}, "per_row_t"),
+                                 ({"steps": 2.5}, "steps"),
+                                 ({"steps": 8.0}, "steps"),
+                                 ({"steps": True}, "steps"),
+                                 ({"steps": 8, "infer_steps": 2.5}, "infer_steps"),
+                                 ({"steps": 8, "infer_steps": False}, "infer_steps")):
+            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
+                                            "diffusion": diffusion}))
+            code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 1, diffusion
+            assert err.startswith("config error:") and field in err, diffusion
+            assert "Traceback" not in err
+        for per_row_t in (False, True):
+            cfg_path.write_text(json.dumps({
+                "synthetic": synthetic, "epochs": 1, "encoder": {"dim": 4},
+                "diffusion": {"steps": 8, "infer_steps": 3, "per_row_t": per_row_t}}))
+            code, _, _ = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 0, per_row_t
+
     def test_leaky_slope_outside_unit_interval_is_a_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}

@@ -155,20 +155,23 @@ def reference_reverse(params, schedule, source, infer_steps, rng):
 
 def hook_walk_forward(monkeypatch, predict):
     """Replace the denoiser forward that the reverse walk calls at every step
-    with ``predict(first_row, params, h, t)``. Each step-t > 1 call is recorded
-    as (rows, t) under the first row of its block, because calls from worker
-    threads interleave while those of one block do not; the final step-1
-    calls are recorded apart as (first row, rows)."""
+    with ``predict(first_row, params, h, t_rows)``, where `t_rows` is the
+    checked step vector the forward is given: one step for all rows. Each
+    step-t > 1 call is recorded as (rows, t) under the first row of its
+    block, because calls from worker threads interleave while those of one
+    block do not; the final step-1 calls are recorded apart as (first row,
+    rows)."""
     calls = {"blocks": {}, "final": []}
 
-    def forward(params, h, t):
+    def forward(params, h, t_rows):
+        (t,) = t_rows
         base = h if h.base is None else h.base
         first = (h.ctypes.data - base.ctypes.data) // h.strides[0]
         if t == 1:
             calls["final"].append((first, h.shape[0]))
         else:
-            calls["blocks"].setdefault(first, []).append((h.shape[0], t))
-        return None, None, None, predict(first, params, h, t)
+            calls["blocks"].setdefault(first, []).append((h.shape[0], int(t)))
+        return None, None, None, predict(first, params, h, t_rows)
 
     monkeypatch.setattr(diffusion, "_denoise_forward", forward)
     return calls
@@ -262,6 +265,9 @@ class TestDiffusionLoss:
         s = small_schedule()
         assert abs(loss_weight(s, 2) - 25.0) < 1e-9
         assert loss_weight(s, 1) == 1.0
+        # one formula: an array of steps gets each step's own weight
+        steps = np.array([2, 1, 2])
+        assert np.array_equal(loss_weight(s, steps), [loss_weight(s, t) for t in steps])
 
     def test_perfect_reconstruction_zero_loss(self):
         params = zero_denoiser(3, steps=2, constant=0.7)
@@ -295,18 +301,31 @@ class TestDiffusionLoss:
             assert res.loss >= 0.0
 
     def test_per_row_t_matches_scalar_when_uniform(self):
-        s = build_schedule(DiffusionConfig(steps=6, b_max=0.95, b_min=0.6))
-        rng = Rng(34)
-        params = DenoiserParams.init(3, 6, rng)
-        source, target = rng.normal(5, 3), rng.normal(5, 3)
-        noise = rng.standard_normal((5, 3))
-        scalar = diffusion_loss(params, s, source, target, t=4, noise=noise)
-        vector = diffusion_loss(params, s, source, target,
-                                t=np.full(5, 4), noise=noise)
-        assert abs(scalar.loss - vector.loss) < 1e-12
-        for name in ("w1", "b1", "w2", "b2", "time_emb"):
-            assert np.allclose(getattr(scalar.grads, name),
-                               getattr(vector.grads, name), atol=1e-12)
+        # a single step broadcasts its one step-embedding row, where equal
+        # per-row steps gather one row per input row; the bits must agree
+        s = build_schedule(DiffusionConfig.from_noise_scale(1e-4, steps=100))
+        bits = lambda a: np.asarray(a, dtype=np.float64).view(np.int64)
+        for n in (7, 1000, 8000):
+            rng = Rng(34 + n)
+            params = DenoiserParams.init(4, 100, rng)
+            params.w1 = params.w1 + rng.normal(8, 4)
+            source, target = rng.normal(n, 4), rng.normal(n, 4)
+            noise = rng.standard_normal((n, 4))
+            upstream = rng.normal(n, 4)
+            for t in (1, 2, 37, 100):
+                scalar = diffusion_loss(params, s, source, target, t=t, noise=noise)
+                vector = diffusion_loss(params, s, source, target,
+                                        t=np.full(n, t), noise=noise)
+                assert bits(scalar.loss) == bits(vector.loss), (n, t)
+                for name in ("denoised", "grad_source", "grad_target"):
+                    assert np.array_equal(bits(getattr(scalar, name)),
+                                          bits(getattr(vector, name))), (n, t, name)
+                extra = [res.predict_vjp(upstream) for res in (scalar, vector)]
+                assert np.array_equal(bits(extra[0][1]), bits(extra[1][1])), (n, t)
+                for grads in ((scalar.grads, vector.grads), (extra[0][0], extra[1][0])):
+                    for name, arr in grads[0].arrays().items():
+                        assert np.array_equal(bits(arr), bits(grads[1].arrays()[name])), \
+                            (n, t, name)
 
     def test_per_row_t_gradients_certified(self):
         s = build_schedule(DiffusionConfig(steps=6, b_max=0.95, b_min=0.6))
@@ -501,16 +520,84 @@ class TestReverse:
             sys.setswitchinterval(interval)
 
     def test_worker_error_reaches_the_caller(self, monkeypatch, cpus):
-        # a denoiser with step embeddings for 3 steps, walked from step 6
+        # the block of rows 9-11 fails at step 4, on a worker when there are
+        # several
+        s = build_schedule(DiffusionConfig(steps=6, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(4, 6, Rng(25))
+        real = diffusion._denoise_forward
+
+        class BlockFailed(Exception):
+            pass
+
+        def predict(first, p, h, t_rows):
+            if first == 9 and t_rows[0] == 4:
+                raise BlockFailed(f"block at row {first}")
+            return real(p, h, t_rows)[3]
+
+        hook_walk_forward(monkeypatch, predict)
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
+        for workers in WORKER_COUNTS:
+            cpus(workers)
+            with pytest.raises(BlockFailed, match="block at row 9"):
+                reverse_denoise(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
+
+    def test_walk_step_outside_the_denoiser_is_refused_before_the_walk(
+            self, monkeypatch, cpus):
+        # a denoiser with step embeddings for 3 steps, walked from step 6:
+        # the steps are checked once, in the calling thread, before any block
         s = build_schedule(DiffusionConfig(steps=6, b_max=0.99, b_min=0.5))
         params = DenoiserParams.init(4, 3, Rng(25))
+        real = diffusion._denoise_forward
+        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[3])
         monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
         for workers in WORKER_COUNTS:
             cpus(workers)
             with pytest.raises(ShapeError, match="step 6 outside 1..3"):
                 reverse_denoise(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
+            assert calls == {"blocks": {}, "final": []}
 
     def test_too_many_steps_rejected(self):
         s = small_schedule()
         with pytest.raises(ShapeError):
             reverse_denoise(zero_denoiser(2, 2), s, np.ones((2, 2)), 3, rng=Rng(1))
+
+
+# every public entry point that takes steps, called on (params, schedule,
+# rows, t) with the two-step schedule and a denoiser of width 3
+STEP_ENTRY_POINTS = {
+    "q_sample": lambda p, s, rows, t: q_sample(rows, t, s, noise=np.zeros_like(rows)),
+    "denoise_predict": lambda p, s, rows, t: denoise_predict(p, rows, t),
+    "denoise_predict_vjp": lambda p, s, rows, t: diffusion.denoise_predict_vjp(p, rows, t)[0],
+    "diffusion_loss": lambda p, s, rows, t: diffusion_loss(
+        p, s, rows, rows + 1.0, t=t, noise=np.zeros_like(rows)).denoised,
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STEP_ENTRY_POINTS))
+def test_every_entry_point_checks_steps_alike(entry):
+    call = STEP_ENTRY_POINTS[entry]
+    s = small_schedule()
+    params = DenoiserParams.init(3, 2, Rng(28))
+    rows = Rng(29).normal(4, 3)
+    # one step, one step in a vector, and one per row agree
+    one = call(params, s, rows, 2)
+    for t in (np.array([2]), np.full(4, 2), np.full(4, 2, dtype=np.uint8)):
+        assert np.array_equal(call(params, s, rows, t), one)
+    # a step that is not an integer is refused, not truncated
+    for t in (2.7, 2.0, np.array([1.0, 2.0, 1.0, 2.0]), True, "2"):
+        with pytest.raises(ShapeError, match="steps must be"):
+            call(params, s, rows, t)
+    for t in (0, 3, -1, np.array([1, 2, 3, 1])):
+        with pytest.raises(ShapeError, match=r"step (0|3|-1) outside 1..2"):
+            call(params, s, rows, t)
+    for t in (np.array([1, 2]), np.ones((4, 1), dtype=np.int64)):
+        with pytest.raises(ShapeError):
+            call(params, s, rows, t)
+    # zero rows: a single step and a zero-length step vector are one case
+    empty = np.empty((0, 3))
+    for t in (1, np.array([1]), np.empty(0, dtype=np.int64)):
+        if entry == "diffusion_loss":  # a mean over no rows
+            with pytest.raises(ShapeError, match="empty batch"):
+                call(params, s, empty, t)
+        else:
+            assert call(params, s, empty, t).shape == (0, 3)

@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from hgdiff import cli, diffusion, harness, tasks
-from hgdiff.diffusion import DiffusionConfig
+from hgdiff.diffusion import (
+    DiffusionConfig,
+    DiffusionLossResult,
+    denoise_predict,
+    denoise_predict_vjp,
+)
 from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
     ConfigError,
@@ -313,6 +318,59 @@ class TestTraining:
     def test_variant_dae_runs(self):
         _, trace = train(small_cfg(variant="DAE", epochs=3))
         assert np.isfinite(trace.losses[-1]["total"])
+
+    @pytest.mark.parametrize("task", ["link", "node"])
+    def test_dae_matches_hand_written_reference(self, monkeypatch, task):
+        # the DAE variant through the one diffusion path, against its loss,
+        # gradient and one-shot inference written out by hand
+        cfg = small_cfg(variant="DAE", epochs=2, task=task, train_labels_per_class=5)
+        trainer, _ = Trainer(cfg).train()
+        draws = trainer.draw_epoch()
+        total, parts, grads = trainer.compute_losses(draws)
+        tables = trainer.inference_tables(tag="probe")
+        monkeypatch.setattr(harness, "diffusion_loss", reference_dae_loss)
+        monkeypatch.setattr(harness, "reverse_denoise", reference_dae_inference)
+        ref_total, ref_parts, ref_grads = trainer.compute_losses(draws)
+        ref_tables = trainer.inference_tables(tag="probe")
+        bits = lambda a: np.asarray(a, dtype=np.float64).view(np.int64)
+        assert bits(total) == bits(ref_total)
+        assert parts.keys() == ref_parts.keys()
+        for name, value in parts.items():
+            assert bits(value) == bits(ref_parts[name]), name
+        assert grads.keys() == ref_grads.keys()
+        for name, arr in grads.items():
+            assert np.array_equal(bits(arr), bits(ref_grads[name])), name
+        assert tables.keys() == ref_tables.keys()
+        for name, arr in tables.items():
+            assert np.array_equal(bits(arr), bits(ref_tables[name])), name
+
+
+def _dae_input(schedule, rows, noise):
+    """The autoencoder variant's input: the rows at full scale plus noise at
+    the last step's level."""
+    return rows + float(np.sqrt(1.0 - schedule.alpha_bar[-1])) * noise
+
+
+def reference_dae_loss(denoiser, schedule, source, target, t, noise, autoencoder):
+    """Reference for one side of the DAE variant's training: squared error of
+    the step-T prediction from its input, unweighted."""
+    assert autoencoder and t == schedule.steps
+    pred, vjp = denoise_predict_vjp(denoiser, _dae_input(schedule, source, noise),
+                                    schedule.steps)
+    diff = pred - target
+    n = pred.shape[0]
+    g_pred = (2.0 / n) * diff
+    grads, g_h = vjp(g_pred)
+    return DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
+                               -g_pred, vjp, 1.0)
+
+
+def reference_dae_inference(denoiser, schedule, source, infer_steps, rng, autoencoder):
+    """Reference for one side of the DAE variant's inference: one noise draw
+    and one prediction at step T."""
+    assert autoencoder
+    noise = rng.standard_normal(source.shape)
+    return denoise_predict(denoiser, _dae_input(schedule, source, noise), schedule.steps)
 
 
 def _capture_score_blocks(monkeypatch):
