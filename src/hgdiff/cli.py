@@ -13,6 +13,7 @@ import sys
 
 from .diffusion import DiffusionConfig, ScheduleError
 from .harness import (
+    VARIANTS,
     ConfigError,
     DivergenceError,
     RunConfig,
@@ -26,39 +27,46 @@ from .hetgraph import GraphError, generate_synthetic, write_dataset_files
 from .numerics import ShapeError
 
 
+# (flag, config group or None for the top level, field it sets, argparse keywords)
+_CONFIG_FLAGS = (
+    ("--task", None, "task", {"choices": ("link", "node")}),
+    ("--edge-file", None, "edge_file", {}),
+    ("--schema-file", None, "schema_file", {}),
+    ("--label-file", None, "label_file", {}),
+    ("--labeled-type", None, "labeled_type", {}),
+    ("--synth-users", "synthetic", "users", {"type": int}),
+    ("--synth-items", "synthetic", "items", {"type": int}),
+    ("--synth-aux", "synthetic", "aux_relations", {"type": int}),
+    ("--synth-density", "synthetic", "density", {"type": float}),
+    ("--synth-fidelity", "synthetic", "fidelity", {"type": float}),
+    ("--synth-seed", "synthetic", "seed", {"type": int}),
+    ("--dim", "encoder", "dim", {"type": int}),
+    ("--layers", "encoder", "layers", {"type": int}),
+    ("--activation", "encoder", "activation", {"choices": ("leaky_relu", "identity")}),
+    ("--pooling", "encoder", "pooling", {"choices": ("mean", "sum")}),
+    ("--steps", "diffusion", "steps", {"type": int, "help": "diffusion steps T"}),
+    ("--b-max", "diffusion", "b_max", {"type": float}),
+    ("--b-min", "diffusion", "b_min", {"type": float}),
+    ("--infer-steps", "diffusion", "infer_steps", {"type": int}),
+    ("--per-row-t", "diffusion", "per_row_t", {"action": "store_true", "default": None}),
+    ("--lam", "loss", "lam", {"type": float, "help": "denoising loss weight"}),
+    ("--l2", "loss", "l2", {"type": float}),
+    ("--lr", None, "lr", {"type": float}),
+    ("--batch-size", None, "batch_size", {"type": int}),
+    ("--epochs", None, "epochs", {"type": int}),
+    ("--eval-every", None, "eval_every", {"type": int}),
+    ("--seed", None, "seed", {"type": int}),
+    ("--variant", None, "variant", {"choices": VARIANTS}),
+    ("--k", None, "k", {"type": int}),
+)
+
+
 def _add_config_flags(p):
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--task", choices=("link", "node"))
-    p.add_argument("--edge-file")
-    p.add_argument("--schema-file")
-    p.add_argument("--label-file")
-    p.add_argument("--labeled-type")
-    p.add_argument("--synth-users", type=int)
-    p.add_argument("--synth-items", type=int)
-    p.add_argument("--synth-aux", type=int)
-    p.add_argument("--synth-density", type=float)
-    p.add_argument("--synth-fidelity", type=float)
-    p.add_argument("--synth-seed", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--layers", type=int)
-    p.add_argument("--activation", choices=("leaky_relu", "identity"))
-    p.add_argument("--pooling", choices=("mean", "sum"))
-    p.add_argument("--steps", type=int, help="diffusion steps T")
+    for flag, _, _, keywords in _CONFIG_FLAGS:
+        p.add_argument(flag, **keywords)
     p.add_argument("--noise-scale", type=float,
                    help="scalar S mapped to retention endpoints (1-S, 1-10S)")
-    p.add_argument("--b-max", type=float)
-    p.add_argument("--b-min", type=float)
-    p.add_argument("--infer-steps", type=int)
-    p.add_argument("--per-row-t", action="store_true", default=None)
-    p.add_argument("--lam", type=float, help="denoising loss weight")
-    p.add_argument("--l2", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--eval-every", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--variant", choices=("full", "-D", "-U", "-I", "-H", "DAE"))
-    p.add_argument("--k", type=int)
     p.add_argument("--report", help="write the machine-readable report here")
 
 
@@ -70,20 +78,6 @@ def _deep_merge(base, extra):
         else:
             out[key] = value
     return out
-
-
-# config group (None: top level) -> {flag's dest: field it sets}
-_FIELD_FLAGS = {
-    None: {key: key for key in ("task", "edge_file", "schema_file", "label_file",
-                                "labeled_type", "lr", "batch_size", "epochs", "eval_every",
-                                "seed", "variant", "k")},
-    "synthetic": {"synth_users": "users", "synth_items": "items", "synth_aux": "aux_relations",
-                  "synth_density": "density", "synth_fidelity": "fidelity",
-                  "synth_seed": "seed"},
-    "encoder": {key: key for key in ("dim", "layers", "activation", "pooling")},
-    "diffusion": {key: key for key in ("steps", "b_max", "b_min", "infer_steps", "per_row_t")},
-    "loss": {"lam": "lam", "l2": "l2"},
-}
 
 
 def build_config(args) -> RunConfig:
@@ -100,10 +94,10 @@ def build_config(args) -> RunConfig:
     if args.noise_scale is not None:  # --b-max and --b-min override the preset
         preset = DiffusionConfig.from_noise_scale(args.noise_scale)
         over["diffusion"] = {"b_max": preset.b_max, "b_min": preset.b_min}
-    for group, flags in _FIELD_FLAGS.items():
-        for flag, key in flags.items():
-            if getattr(args, flag) is not None:
-                (over.setdefault(group, {}) if group else over)[key] = getattr(args, flag)
+    for flag, group, key, _ in _CONFIG_FLAGS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None:
+            (over.setdefault(group, {}) if group else over)[key] = value
     merged = _deep_merge(data, over)
     if "synthetic" not in merged and not merged.get("edge_file"):
         merged["synthetic"] = {}  # default desk-scale dataset

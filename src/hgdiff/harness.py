@@ -12,7 +12,7 @@ import hashlib
 import json
 import time
 import zipfile
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -141,7 +141,20 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
+# exact types a field's annotation admits: a config file may hold 2.5 or
+# "no" where an integer or a flag belongs, and bool is an int subclass
+_EXACT_TYPES = {"int": ((int,), "an integer"),
+                "int | None": ((int, type(None)), "an integer or null"),
+                "bool": ((bool,), "true or false")}
+
+
 def _build(cls, values, where):
+    for f in fields(cls):
+        if f.type in _EXACT_TYPES and f.name in values:
+            allowed, wanted = _EXACT_TYPES[f.type]
+            if type(values[f.name]) not in allowed:
+                raise ConfigError(f"bad {where} config: {f.name} must be {wanted}, "
+                                  f"got {values[f.name]!r}")
     try:
         return cls(**values)
     except ConfigError:

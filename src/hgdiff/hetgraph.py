@@ -371,25 +371,29 @@ def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
 
     Bipartite relations land in the off-diagonal blocks of a square matrix over
     both endpoint types, symmetrized so one product updates both sides. The
-    pattern is symmetric and every raw value is exactly 1.0, so each scaled
-    entry is the commutative product inv_sqrt[i] * inv_sqrt[j] and the
-    normalized matrix is bitwise equal to its transpose.
+    pattern is symmetric and each entry is the commutative product
+    inv_sqrt[i] * inv_sqrt[j], so the normalized matrix is bitwise equal to
+    its transpose.
     """
     if relation not in g.relations:
         raise GraphError(f"unknown relation {relation!r}")
     e = g.global_edges(relation)
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    # duplicate coordinates (self edges, both directions given) collapse to 1
-    raw = CsrMatrix.from_coo(g.num_nodes, g.num_nodes, rows, cols,
-                             np.ones(rows.size))
-    raw = CsrMatrix(raw.rows, raw.cols, raw.row_offsets, raw.col_indices,
-                    np.minimum(raw.values, 1.0))
-    deg = raw.row_sums()
-    inv_sqrt = np.zeros_like(deg)
+    n = g.num_nodes
+    # duplicate coordinates (self edges, both directions given) count once
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]),
+                   kind="stable")
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    rows, cols = np.divmod(keys, n)
+    deg = np.bincount(rows, minlength=n)
+    inv_sqrt = np.zeros(n)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
-    return RelationAdjacency(relation, raw.scale_rows_cols(inv_sqrt, inv_sqrt))
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(deg, out=offsets[1:])
+    return RelationAdjacency(relation, CsrMatrix(n, n, offsets, cols,
+                                                 inv_sqrt[rows] * inv_sqrt[cols]))
 
 
 def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:

@@ -149,21 +149,6 @@ class CsrMatrix:
             self._buckets = cached
         return cached
 
-    def row_sums(self):
-        sums = np.zeros(self.rows)
-        counts = np.diff(self.row_offsets)
-        nz = np.flatnonzero(counts)
-        if nz.size:
-            sums[nz] = np.add.reduceat(self.values, self.row_offsets[nz])
-        return sums
-
-    def scale_rows_cols(self, row_scale, col_scale):
-        """New matrix with entry (i,j) multiplied by row_scale[i]*col_scale[j]."""
-        row_of = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
-        vals = self.values * row_scale[row_of] * col_scale[self.col_indices]
-        return CsrMatrix(self.rows, self.cols, self.row_offsets.copy(),
-                         self.col_indices.copy(), vals)
-
 
 def spmm(a: CsrMatrix, b) -> np.ndarray:
     """Sparse @ dense product, O(nnz * d) with no per-row Python work.

@@ -9,7 +9,6 @@ with hand-derived gradients.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,7 +252,7 @@ def joint_loss(main, deno, cfg: JointLossConfig, embed_table):
     return float(main) + cfg.lam * float(deno) + reg, parts
 
 
-_RANK_BLOCK_ELEMENTS = 1 << 17  # scores per block in MaskedScores and rank_metrics
+_RANK_BLOCK_ELEMENTS = 1 << 17  # scores per MaskedScores block
 
 
 class MaskedScores:
@@ -261,11 +260,10 @@ class MaskedScores:
     `_RANK_BLOCK_ELEMENTS` scores, with the (query row, item) pairs whose
     :func:`positive_keys` are `positives` set to -inf.
 
-    Iterating yields the blocks in row order, each a view of one reused
-    buffer; :meth:`map` scores them on worker threads instead. Scores equal
-    the whole product's where dot products are exact; else OpenBLAS may
-    round the last ``items % 8`` columns by a block's row count (seen at 257
-    and 300 items), though link reports still equaled the whole product's at
+    :meth:`map` scores the blocks on worker threads. Scores equal the whole
+    product's where dot products are exact; else OpenBLAS may round the last
+    ``items % 8`` columns by a block's row count (seen at 257 and 300
+    items), though link reports still equaled the whole product's at
     600x300, 3000x257 and 2000x1001 users x items.
     """
 
@@ -282,14 +280,6 @@ class MaskedScores:
         out.reshape(-1)[self.positives[lo:hi] - base] = -np.inf
         return out
 
-    def _buffer(self):
-        return np.empty((len(self.blocks[0]), len(self.items)))
-
-    def __iter__(self):
-        buffer = self._buffer()
-        for i in range(len(self.blocks)):
-            yield self._score(i, buffer)
-
     def map(self, fn):
         """``[fn(scores, first_row) for each block]`` in row order, the
         blocks spread over :func:`numerics.map_blocks` workers, each scoring
@@ -298,7 +288,7 @@ class MaskedScores:
 
         def work(i):
             if not hasattr(local, "buffer"):
-                local.buffer = self._buffer()
+                local.buffer = np.empty((len(self.blocks[0]), len(self.items)))
             return fn(self._score(i, local.buffer), self.starts[i])
 
         return map_blocks(work, range(len(self.blocks)))
@@ -307,12 +297,12 @@ class MaskedScores:
 def rank_metrics(scores, truth, k, groups=None):
     """Leave-one-out Recall@k and NDCG@k averaged over users.
 
-    `scores` is (users, items), an iterator over its row blocks in row
-    order, or a :class:`MaskedScores`, whose blocks are scored and ranked
-    on worker threads; a block of another width than the first, or blocks
-    that do not hold one row per user, raise ShapeError. `truth` holds the
-    single held-out item per user. An item outranks the truth when its
-    score is higher, or equal with a smaller id (deterministic tie rule).
+    `scores` is a (users, items) matrix, ranked as one block, or a
+    :class:`MaskedScores`, whose blocks are scored and ranked on worker
+    threads. Every input is checked before any block is scored. `truth`
+    holds the single held-out item per user. An item outranks the truth
+    when its score is higher, or equal with a smaller id (deterministic tie
+    rule).
 
     With `groups`, one nonnegative group id per user, a third value maps each
     group id present to its (recall, ndcg, n_users): the means of the same
@@ -321,46 +311,36 @@ def rank_metrics(scores, truth, k, groups=None):
     """
     truth = np.asarray(truth, dtype=np.int64)
     n = truth.size
-    if not isinstance(scores, (Iterator, MaskedScores)):
+    if isinstance(scores, MaskedScores):
+        n_rows, n_items = scores.starts[-1], len(scores.items)
+    else:
         scores = as_matrix(scores, "scores")
-        step = max(1, _RANK_BLOCK_ELEMENTS // max(1, scores.shape[1]))
-        scores = iter(np.split(scores, range(step, len(scores), step)))
-    if truth.ndim != 1 or n == 0 or truth.min() < 0:
-        raise ShapeError("truth must hold one nonnegative item id per test user")
+        n_rows, n_items = scores.shape
+    if truth.ndim != 1 or n == 0 or n_rows != n:
+        raise ShapeError(f"need one truth item per score row, got {truth.shape} "
+                         f"for {n_rows} rows")
+    if truth.min() < 0 or truth.max() >= n_items:
+        raise ShapeError(f"truth items must lie in 0..{n_items - 1}")
     if groups is not None:
         groups = np.asarray(groups, dtype=np.int64)
         if groups.shape != (n,) or groups.min() < 0:
             raise ShapeError("groups must hold one nonnegative id per user")
     rank = np.ones(n, dtype=np.int64)
-    n_items = len(scores.items) if isinstance(scores, MaskedScores) else None
 
     def rank_block(block, start):
-        # both comparisons run on one cache-sized block of rows; the per-row
-        # counts are below n_items, so int32 sums are exact. Blocks write
-        # disjoint rows of `rank`, so they may run at once
-        block = np.asarray(block, dtype=np.float64)
+        # the per-row counts are below n_items, so int32 sums are exact.
+        # Blocks write disjoint rows of `rank`, so they may run at once
         rows = slice(start, start + len(block))
-        if (block.ndim != 2 or block.shape[1] != n_items or rows.stop > n
-                or truth[rows].max(initial=0) >= n_items):
-            raise ShapeError(f"score block {block.shape} at row {start} does not fit "
-                             f"{n} users x {n_items} items and their truth items")
         t = block[np.arange(len(block)), truth[rows]][:, None]
         tied_before = block == t
         tied_before &= np.arange(n_items) < truth[rows, None]
         rank[rows] += (block > t).sum(axis=1, dtype=np.int32)
         rank[rows] += tied_before.sum(axis=1, dtype=np.int32)
-        return rows.stop
 
     if isinstance(scores, MaskedScores):
-        start = scores.map(rank_block)[-1]
+        scores.map(rank_block)
     else:
-        start = 0
-        for block in scores:
-            if n_items is None and np.ndim(block) == 2:
-                n_items = np.shape(block)[1]
-            start = rank_block(block, start)
-    if start != n:
-        raise ShapeError(f"score blocks hold {start} rows for {n} users")
+        rank_block(scores, 0)
     hit = rank <= k
     gain = np.where(hit, 1.0 / np.log2(rank + 1), 0.0)
     recall, ndcg = float(hit.mean()), float(gain.mean())

@@ -2,7 +2,7 @@ import json
 
 import numpy as np
 
-from hgdiff.cli import main
+from hgdiff.cli import _CONFIG_FLAGS, build_config, main, make_parser
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.hetgraph import GraphError
 
@@ -108,30 +108,67 @@ class TestTrain:
         assert code == 1 and "not valid JSON" in err
 
     def test_diffusion_fields_of_another_type_are_config_errors(self, capsys, tmp_path):
-        # a non-empty string is truthy and 2.5 steps once reached range(),
-        # so each must be refused by its type, with exit 1 and no traceback
+        # a non-empty string is truthy, 2.5 steps once reached range() and
+        # 2.5 epochs still does, and true trained as one epoch: each must be
+        # refused by its type, with exit 1 and no traceback
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
-        for diffusion, field in (({"per_row_t": "no"}, "per_row_t"),
-                                 ({"per_row_t": 1}, "per_row_t"),
-                                 ({"per_row_t": None}, "per_row_t"),
-                                 ({"steps": 2.5}, "steps"),
-                                 ({"steps": 8.0}, "steps"),
-                                 ({"steps": True}, "steps"),
-                                 ({"steps": 8, "infer_steps": 2.5}, "infer_steps"),
-                                 ({"steps": 8, "infer_steps": False}, "infer_steps")):
-            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
-                                            "diffusion": diffusion}))
+        for config, field in (({"diffusion": {"per_row_t": "no"}}, "per_row_t"),
+                              ({"diffusion": {"per_row_t": 1}}, "per_row_t"),
+                              ({"diffusion": {"per_row_t": None}}, "per_row_t"),
+                              ({"diffusion": {"steps": 2.5}}, "steps"),
+                              ({"diffusion": {"steps": 8.0}}, "steps"),
+                              ({"diffusion": {"steps": True}}, "steps"),
+                              ({"diffusion": {"steps": 8, "infer_steps": 2.5}}, "infer_steps"),
+                              ({"diffusion": {"steps": 8, "infer_steps": False}},
+                               "infer_steps"),
+                              ({"epochs": 1.5}, "epochs"),
+                              ({"epochs": True}, "epochs"),
+                              ({"batch_size": 2.5}, "batch_size"),
+                              ({"seed": 1.5}, "seed"),
+                              ({"k": 2.5}, "k"),
+                              ({"eval_every": "1"}, "eval_every"),
+                              ({"patience": None}, "patience"),
+                              ({"train_labels_per_class": 2.0}, "train_labels_per_class"),
+                              ({"encoder": {"dim": 8.0}}, "dim"),
+                              ({"encoder": {"layers": 1.5}}, "layers"),
+                              ({"synthetic": {**synthetic, "users": 50.5}}, "users"),
+                              ({"synthetic": {**synthetic, "aux_relations": False}},
+                               "aux_relations"),
+                              ({"synthetic": {**synthetic, "seed": 1.0}}, "seed")):
+            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1, **config}))
             code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
-            assert code == 1, diffusion
-            assert err.startswith("config error:") and field in err, diffusion
+            assert code == 1, config
+            assert err.startswith("config error:") and field in err, config
             assert "Traceback" not in err
         for per_row_t in (False, True):
             cfg_path.write_text(json.dumps({
-                "synthetic": synthetic, "epochs": 1, "encoder": {"dim": 4},
+                "synthetic": {**synthetic, "seed": None}, "epochs": 1,
+                "encoder": {"dim": 4},
                 "diffusion": {"steps": 8, "infer_steps": 3, "per_row_t": per_row_t}}))
             code, _, _ = run_cli(capsys, "train", "--config", str(cfg_path))
             assert code == 0, per_row_t
+
+    def test_every_config_flag_sets_its_field(self):
+        values = {
+            "--task": "node", "--edge-file": "e.txt", "--schema-file": "s.txt",
+            "--label-file": "l.txt", "--labeled-type": "item", "--synth-users": 101,
+            "--synth-items": 102, "--synth-aux": 3, "--synth-density": 0.21,
+            "--synth-fidelity": 0.22, "--synth-seed": 104, "--dim": 105, "--layers": 6,
+            "--activation": "identity", "--pooling": "sum", "--steps": 107,
+            "--b-max": 0.93, "--b-min": 0.91, "--infer-steps": 8, "--per-row-t": True,
+            "--lam": 0.24, "--l2": 0.25, "--lr": 0.26, "--batch-size": 109,
+            "--epochs": 110, "--eval-every": 11, "--seed": 112, "--variant": "DAE",
+            "--k": 13,
+        }
+        assert set(values) == {flag for flag, _, _, _ in _CONFIG_FLAGS}
+        argv = ["train"]
+        for flag, value in values.items():
+            argv += [flag] if value is True else [flag, str(value)]
+        cfg = build_config(make_parser().parse_args(argv))
+        for flag, group, field, _ in _CONFIG_FLAGS:
+            holder = getattr(cfg, group) if group else cfg
+            assert getattr(holder, field) == values[flag], flag
 
     def test_leaky_slope_outside_unit_interval_is_a_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -380,8 +380,8 @@ def _capture_score_blocks(monkeypatch):
     real = harness.rank_metrics
 
     def capture(scores, truth, k, groups=None):
-        seen.append([block.copy() for block in scores])
-        return real(iter(seen[-1]), truth, k, groups=groups)
+        seen.append(scores.map(lambda block, start: block.copy()))
+        return real(np.vstack(seen[-1]), truth, k, groups=groups)
 
     monkeypatch.setattr(harness, "rank_metrics", capture)
     return seen

@@ -19,7 +19,7 @@ from hgdiff.hetgraph import (
     parse_schema,
     sparsity_buckets,
 )
-from hgdiff.numerics import Rng
+from hgdiff.numerics import CsrMatrix, Rng
 
 from conftest import WORKER_COUNTS
 
@@ -440,7 +440,45 @@ class TestWriterMatchesReference:
             assert same_graph(back, g), case
 
 
+def normalize_reference(g, relation):
+    """Reference for hetgraph.normalize: sum the symmetrized coordinates,
+    clamp each entry to 1, take row sums as degrees, and scale each entry
+    by its row's and then its column's inverse square-root degree."""
+    e = g.global_edges(relation)
+    rows = np.concatenate([e[:, 0], e[:, 1]])
+    cols = np.concatenate([e[:, 1], e[:, 0]])
+    raw = CsrMatrix.from_coo(g.num_nodes, g.num_nodes, rows, cols, np.ones(rows.size))
+    values = np.minimum(raw.values, 1.0)
+    row_of = np.repeat(np.arange(g.num_nodes), np.diff(raw.row_offsets))
+    deg = np.zeros(g.num_nodes)
+    np.add.at(deg, row_of, values)
+    inv_sqrt = np.zeros(g.num_nodes)
+    inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
+    return CsrMatrix(raw.rows, raw.cols, raw.row_offsets, raw.col_indices,
+                     values * inv_sqrt[row_of] * inv_sqrt[raw.col_indices])
+
+
 class TestNormalize:
+    def test_equals_reference_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        for trial in range(40):
+            n_user, n_item, n_other = (int(x) for x in rng.integers(1, 30, size=3))
+            # few nodes make self edges and edges given both ways common; the
+            # "other" nodes, and nodes no edge reaches, stay isolated
+            m = 0 if trial % 8 == 0 else int(rng.integers(1, 60))
+            follows = np.unique(rng.integers(0, n_user, size=(m, 2)), axis=0)
+            buys = np.unique(np.column_stack((rng.integers(0, n_user, size=m),
+                                              rng.integers(0, n_item, size=m))), axis=0)
+            g = HeteroGraph({"user": n_user, "item": n_item, "other": n_other},
+                            [Relation("follow", "user", "user", follows),
+                             Relation("buy", "user", "item", buys)], "buy")
+            for relation in g.relations:
+                got, expect = normalize(g, relation).normalized, normalize_reference(g, relation)
+                assert np.array_equal(got.row_offsets, expect.row_offsets)
+                assert np.array_equal(got.col_indices, expect.col_indices)
+                assert np.array_equal(got.values.view(np.int64),
+                                      expect.values.view(np.int64))
+
     def test_single_edge_unit_degrees(self):
         g = HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 1)])], "e")
         adj = normalize(g, "e")

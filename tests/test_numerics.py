@@ -112,13 +112,6 @@ class TestCsr:
         assert np.array_equal(at.to_dense(), a.to_dense().T)
         assert np.array_equal(at.transpose().to_dense(), a.to_dense())
 
-    def test_row_sums_and_scaling(self):
-        a = CsrMatrix.from_coo(3, 3, [0, 0, 2], [0, 2, 1], [1.0, 2.0, 4.0])
-        assert np.array_equal(a.row_sums(), np.array([3.0, 0.0, 4.0]))
-        scaled = a.scale_rows_cols(np.array([2.0, 1.0, 1.0]), np.array([1.0, 1.0, 10.0]))
-        assert np.array_equal(scaled.to_dense(),
-                              np.array([[2.0, 0.0, 40.0], [0, 0, 0], [0, 4.0, 0]]))
-
     def test_invariant_violations_rejected(self):
         with pytest.raises(ShapeError):
             CsrMatrix(2, 2, [0, 1], [0], [1.0])  # offsets wrong length

@@ -383,13 +383,11 @@ class TestJoint:
 # ---------------------------------------------------------------- rank metrics
 
 
-def tie_heavy_instances(monkeypatch):
+def tie_heavy_instances():
     """120 small (scores, truth, k, groups) ranking instances on coarse
-    integer score grids; the second half runs with a 7-element rank block."""
+    integer score grids."""
     rng = np.random.default_rng(12)
     for trial in range(120):
-        if trial == 60:
-            monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
         users = int(rng.integers(1, 300 if trial % 4 == 0 else 12))
         items = int(rng.integers(2, 11))
         k = int(rng.integers(1, items + 1))
@@ -423,12 +421,9 @@ class TestRankMetrics:
         recall, ndcg = rank_metrics(scores, [20], k=20)
         assert recall == 0.0 and ndcg == 0.0
 
-    def test_matches_brute_force_small_instances(self, monkeypatch):
+    def test_matches_brute_force_small_instances(self):
         rng = np.random.default_rng(11)
         for trial in range(180):
-            # the default block holds every instance whole; 7 elements splits most
-            if trial == 90:
-                monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 7)
             users = int(rng.integers(1, 6))
             items = int(rng.integers(2, 11))
             k = int(rng.integers(1, items + 1))
@@ -443,8 +438,8 @@ class TestRankMetrics:
             assert abs(recall - np.mean([r for r, _ in per_user])) < 1e-12
             assert abs(ndcg - np.mean([n for _, n in per_user])) < 1e-12
 
-    def test_groups_equal_separate_calls(self, monkeypatch):
-        for scores, truth, k, groups in tie_heavy_instances(monkeypatch):
+    def test_groups_equal_separate_calls(self):
+        for scores, truth, k, groups in tie_heavy_instances():
             recall, ndcg, per_group = rank_metrics(scores, truth, k, groups=groups)
             assert (recall, ndcg) == rank_metrics(scores, truth, k)
             expect = {}
@@ -455,15 +450,6 @@ class TestRankMetrics:
                                  int(mask.sum()))
             assert per_group == expect
             assert list(per_group) == sorted(per_group)
-
-    def test_block_stream_equals_whole_matrix(self, monkeypatch):
-        rng = np.random.default_rng(13)
-        for scores, truth, k, groups in tie_heavy_instances(monkeypatch):
-            # blocks of random row counts, one-row and whole-matrix blocks included
-            cuts = np.sort(rng.integers(0, scores.shape[0] + 1, size=int(rng.integers(0, 4))))
-            blocks = iter(np.split(scores, cuts))
-            assert (rank_metrics(blocks, truth, k, groups=groups)
-                    == rank_metrics(scores, truth, k, groups=groups))
 
     def test_masked_scores_rank_alike_on_any_worker_count(self, monkeypatch, cpus):
         # small integer tables make every score exact and ties common, so
@@ -486,9 +472,9 @@ class TestRankMetrics:
             k = int(rng.integers(1, items + 1))
             groups = rng.integers(0, 3, size=users)
             expect = rank_metrics(dense, truth, k, groups=groups)
-            stream = [block.copy() for block in MaskedScores(queries, table, positives)]
-            assert np.array_equal(np.vstack(stream), dense)
-            assert rank_metrics(iter(stream), truth, k, groups=groups) == expect
+            blocks = MaskedScores(queries, table, positives).map(
+                lambda block, start: block.copy())
+            assert np.array_equal(np.vstack(blocks), dense)
             for workers in WORKER_COUNTS:
                 cpus(workers)
                 scores = MaskedScores(queries, table, positives)
@@ -519,36 +505,31 @@ class TestRankMetrics:
             sys.setswitchinterval(interval)
 
     def test_masked_scores_that_do_not_fit_are_rejected(self, monkeypatch, cpus):
+        # every input is checked before a block is scored
         monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 6)  # blocks of 2 rows
+        scored = []
+        score = MaskedScores._score
+
+        def counting_score(self, i, buffer):
+            scored.append(i)
+            return score(self, i, buffer)
+
+        monkeypatch.setattr(MaskedScores, "_score", counting_score)
         queries, table = np.ones((8, 2)), np.ones((3, 2))
         no_positives = np.zeros(0, dtype=np.int64)
         for workers in WORKER_COUNTS:
             cpus(workers)
-            # a truth item past the last item, in the last block only
-            with pytest.raises(ShapeError, match="at row 6"):
-                rank_metrics(MaskedScores(queries, table, no_positives),
-                             [0] * 7 + [3], k=2)
-            with pytest.raises(ShapeError):  # a user more than the rows
-                rank_metrics(MaskedScores(queries, table, no_positives), [0] * 9, k=2)
-            with pytest.raises(ShapeError):  # a row more than the users
-                rank_metrics(MaskedScores(queries, table, no_positives), [0] * 7, k=2)
-
-    @pytest.mark.parametrize("cut", ["narrow block", "wide block", "a row too many",
-                                     "a block past the end", "a row too few", "no blocks",
-                                     "1-d block"])
-    def test_bad_block_stream_rejected(self, cut):
-        scores = np.arange(12.0).reshape(4, 3)
-        blocks = {
-            "narrow block": [scores[:2], scores[2:, :2]],
-            "wide block": [scores[:2], np.ones((2, 4))],
-            "a row too many": [scores, scores[:1]],
-            "a block past the end": [scores[:2], scores[1:]],
-            "a row too few": [scores[:3]],
-            "no blocks": [],
-            "1-d block": [scores[0], scores[1:]],
-        }[cut]
-        with pytest.raises(ShapeError):
-            rank_metrics(iter(blocks), [0, 1, 2, 0], k=2)
+            for truth, groups in (([0] * 7 + [3], None),  # a truth item past the last item
+                                  ([0] * 7 + [-1], None),  # a negative truth item
+                                  ([0] * 9, None),         # a user more than the rows
+                                  ([0] * 7, None),         # a row more than the users
+                                  ([0] * 8, [0] * 7 + [-1])):  # a negative group
+                with pytest.raises(ShapeError):
+                    rank_metrics(MaskedScores(queries, table, no_positives), truth, k=2,
+                                 groups=groups)
+            assert scored == []
+        rank_metrics(MaskedScores(queries, table, no_positives), [0] * 8, k=2)
+        assert sorted(scored) == [0, 1, 2, 3]
 
     def test_bad_input_rejected(self):
         with pytest.raises(ShapeError):
@@ -564,8 +545,10 @@ class TestRankMetrics:
         for truth in ([0, 1, -1], [0, 1, 4]):
             with pytest.raises(ShapeError):
                 rank_metrics(scores, truth, k=2)
+        for bad in (np.zeros((4, 4)), np.zeros((2, 4)), np.zeros(3)):
+            # a row too many, a row too few, 1-d scores
             with pytest.raises(ShapeError):
-                rank_metrics(iter([scores[:1], scores[1:]]), truth, k=2)
+                rank_metrics(bad, [0, 1, 2], k=2)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000))
