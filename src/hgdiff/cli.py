@@ -230,9 +230,23 @@ def make_parser():
     return parser
 
 
+def _join_variant_values(argv):
+    """`--variant -U` as `--variant=-U`, and so for `--variants`, when the
+    value is made of variant names only: argparse takes a separate value
+    that starts with "-" for an option, and four variant names do."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--variant", "--variants") \
+                and set(arg.split(",")) <= set(VARIANTS):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_variant_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.fn(args)
     except (ConfigError, ScheduleError, ShapeError) as exc:

@@ -9,7 +9,6 @@ index space via type offsets, so every relation can be materialized as a
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,8 +201,22 @@ def parse_schema(text: str) -> Schema:
 
 
 def load_schema(path) -> Schema:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_schema(fh.read())
+    return parse_schema(_read_text(path))
+
+
+def _read_text(path):
+    """A file's UTF-8 text with its line breaks read as `open` reads them:
+    `\\r\\n` and a lone `\\r` become `\\n`. A file that is not UTF-8 is a
+    GraphError at the line of its first bad byte."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[:exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        raise GraphError(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 class _Rows:
@@ -211,18 +224,19 @@ class _Rows:
 
     Lines break at `\\n`, `\\r\\n` and `\\r`. A line's text from its first `#`
     is a comment, fields are split at whatever `str.isspace` accepts, and
-    lines with no field are skipped. Checks run one column at a time over the
-    first `rows` rows. Each failing check records its error and cuts `rows`
-    to the rows before it, so the next checks look only at earlier lines,
-    and `check` raises the error of the first bad line in file order, as a
-    reader that checks line by line would.
+    lines with no field are skipped. A field is held as its span of code
+    points in `cp`, so no field is made a string unless a check needs it.
+    Checks run one column at a time over the first `rows` rows. Each failing
+    check records its error and cuts `rows` to the rows before it, so the
+    next checks look only at earlier lines, and `check` raises the error of
+    the first bad line in file order, as a reader that checks line by line
+    would.
     """
 
     def __init__(self, path, width, shape_message):
         self.path, self.width = path, width
-        with open(path, "r", encoding="utf-8") as fh:
-            self.text = fh.read()
-        self.fields, counts = _split_fields(self.text)
+        self.text = _read_text(path)
+        self.cp, self.starts, self.ends, counts = _split_fields(self.text)
         self.lineno = np.flatnonzero(counts) + 1
         self.rows = self.lineno.size
         self.error = None
@@ -240,22 +254,42 @@ class _Rows:
         self.error = f"{self.path}:{self.lineno[row]}: {message(self.line(row))}"
 
     def column(self, j):
-        return self.fields[j:self.rows * self.width:self.width]
+        """The (starts, ends) code-point spans of column j's fields."""
+        cut = slice(j, self.rows * self.width, self.width)
+        return self.starts[cut], self.ends[cut]
 
     def ints(self, columns, message):
-        """The named columns parsed by `int`, as an int64 (rows, k) array."""
+        """The named columns parsed as `int` parses them, as an int64
+        (rows, k) array. A field spelled `[+-]?[0-9]{1,18}` is parsed from
+        its code points; any other field is passed to `int` on its own."""
         parsed = []
         for j in columns:
-            col = self.column(j)
-            try:
-                values = np.fromiter(map(int, col), np.int64, len(col))
-            except (ValueError, OverflowError):
-                row, too_large = _first_bad_int(col)
-                self.fail(row, (lambda line: f"integer out of range in {line!r}")
-                          if too_large else message)
-                values = np.fromiter(map(int, col[:row]), np.int64, row)
+            starts, ends = self.column(j)
+            values, plain = _plain_ints(self.cp, starts, ends)
+            for i in np.flatnonzero(~plain).tolist():
+                try:
+                    value = int(self.text[starts[i]:ends[i]])
+                except ValueError:
+                    self.fail(i, message)
+                    break
+                if not -(1 << 63) <= value < 1 << 63:
+                    self.fail(i, lambda line: f"integer out of range in {line!r}")
+                    break
+                values[i] = value
             parsed.append(values)
         return np.stack([values[:self.rows] for values in parsed], axis=1)
+
+    def names(self, j, names):
+        """Column j as the index of the name in `names` that each field
+        spells, or -1 where it spells none of them."""
+        starts, ends = self.column(j)
+        ids = np.full(starts.size, -1, dtype=np.int64)
+        for i, name in enumerate(names):
+            hits = np.flatnonzero(ends - starts == len(name))
+            for k, c in enumerate(name):
+                hits = hits[self.cp[starts[hits] + k] == ord(c)]
+            ids[hits] = i
+        return ids
 
     def first(self, bad, message):
         """Fail at the first of the current rows where `bad` holds."""
@@ -269,10 +303,14 @@ class _Rows:
 
 
 def _split_fields(text):
-    """The fields of `text` in order, and the number on each `\\n` line, with
-    every `#` comment blanked. Whitespace is found over the code points, as
-    `str.split()` finds it."""
-    cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
+    """The code points of `text` with every `#` comment blanked, each
+    field's (start, end) span over them, and the number of fields on each
+    `\\n` line. Whitespace is found over the code points, as `str.split()`
+    finds it. ASCII text is held as uint8, other text as uint32."""
+    if text.isascii():
+        cp = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        cp = np.frombuffer(text.encode("utf-32-le"), dtype=np.uint32)
     newlines = np.flatnonzero(cp == 10)
     hashes = np.flatnonzero(cp == 35)
     if hashes.size:
@@ -283,31 +321,38 @@ def _split_fields(text):
         toggle = np.zeros(cp.size + 1, dtype=np.int8)
         toggle[hashes[first]] = 1
         toggle[np.append(newlines, cp.size)[line[first]]] = -1
-        cp = np.where(np.cumsum(toggle[:-1], dtype=np.int8) > 0, np.uint32(32), cp)
-        text = cp.tobytes().decode("utf-32-le")
+        cp = np.where(np.cumsum(toggle[:-1], dtype=np.int8) > 0, cp.dtype.type(32), cp)
     # ASCII whitespace is 9-13, 28-31 and 32; others are looked up once each
     space = (cp == 32) | ((cp - 9) < 5) | ((cp - 28) < 4)
-    high = np.flatnonzero(cp > 127)
-    if high.size:
+    if cp.dtype == np.uint32:
+        high = np.flatnonzero(cp > 127)
         wide = [c for c in np.unique(cp[high]).tolist() if chr(c).isspace()]
         space[high] = np.isin(cp[high], wide)
-    starts = np.flatnonzero(~space & np.concatenate(([True], space[:-1])))
+    # +1 where a field ends, -1 where one starts, with space around the text
+    edge = np.diff(space.view(np.int8), prepend=np.int8(1), append=np.int8(1))
+    starts = np.flatnonzero(edge == -1)
+    ends = np.flatnonzero(edge == 1)
     before = np.searchsorted(starts, newlines)  # fields before each line break
-    counts = np.diff(np.concatenate(([0], before, [starts.size])))
-    return text.split(), counts
+    counts = np.diff(before, prepend=0, append=starts.size)
+    return cp, starts, ends, counts
 
 
-def _first_bad_int(fields):
-    """Index of the first field that `int` refuses or that is past int64,
-    and whether it was past int64."""
-    for i, field in enumerate(fields):
-        try:
-            value = int(field)
-        except ValueError:
-            return i, False
-        if not -(1 << 63) <= value < 1 << 63:
-            return i, True
-    raise AssertionError("every field parses")
+def _plain_ints(cp, starts, ends):
+    """The fields spelled `[+-]?[0-9]{1,18}` parsed from their code points:
+    int64 values, which hold only where the returned mask marks such a
+    field. Eighteen digits always fit in int64."""
+    sign = cp[starts]
+    negative = sign == 45
+    digits = starts + (negative | (sign == 43))
+    length = ends - digits
+    plain = (length >= 1) & (length <= 18)
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(int(length.max(initial=0, where=plain))):
+        live = plain & (length > k)
+        digit = cp[np.where(live, digits + k, 0)] - 48  # unsigned: below "0" wraps high
+        plain &= (digit < 10) | ~live
+        values = np.where(live, values * 10 + digit, values)
+    return np.where(negative, -values, values), plain
 
 
 def load_edge_list(path, schema: Schema) -> HeteroGraph:
@@ -316,11 +361,9 @@ def load_edge_list(path, schema: Schema) -> HeteroGraph:
     Node counts come from the schema when declared, otherwise max index + 1.
     """
     rel_types = {name: (s, d) for name, s, d in schema.relations}
-    index = {name: i for i, name in enumerate(rel_types)}
     table = _Rows(path, 3, lambda line: f"expected 'src dst relation', got {line!r}")
     pairs = table.ints((0, 1), lambda line: f"non-integer endpoint in {line!r}")
-    names = table.column(2)
-    rel = np.fromiter(map(index.get, names, itertools.repeat(-1)), np.int64, len(names))
+    rel = table.names(2, list(rel_types))
     table.first(rel < 0, lambda line: f"undeclared relation {line.split()[2]!r}")
     table.first(np.minimum(pairs[:, 0], pairs[:, 1]) < 0, lambda line: "negative node id")
     table.check()

@@ -215,6 +215,38 @@ class TestTrain:
         assert code == 2
         assert "data error" in err
 
+    def test_files_that_are_not_utf8_are_data_errors(self, capsys, tmp_path):
+        out_dir = tmp_path / "ds"
+        assert run_cli(capsys, "synth", "--users", "60", "--items", "40", "--aux", "1",
+                       "--density", "0.1", "--seed", "3", "--out-dir", str(out_dir))[0] == 0
+        node = ("train", "--task", "node", "--edge-file", str(out_dir / "edges.txt"),
+                "--schema-file", str(out_dir / "schema.txt"),
+                "--label-file", str(out_dir / "labels.txt"),
+                "--epochs", "1", "--dim", "8", "--steps", "8")
+        for name in ("edges.txt", "labels.txt", "schema.txt"):
+            path = out_dir / name
+            good = path.read_bytes()
+            lines = good.split(b"\n")
+            # the bad byte on line 3, after a lone \r and a \r\n break
+            path.write_bytes(lines[0] + b"\r" + lines[1] + b"\r\n" + lines[2][:1] + b"\xff"
+                             + lines[2][1:] + b"\n" + b"\n".join(lines[3:]))
+            code, _, err = run_cli(capsys, *node)
+            assert code == 2, name
+            assert err == f"data error: {path}:3: not UTF-8 text\n"
+            path.write_bytes(good)
+        assert run_cli(capsys, *node)[0] == 0
+
+    def test_variant_names_starting_with_dash_as_separate_arguments(self, capsys, tmp_path):
+        reports = [tmp_path / "a.json", tmp_path / "b.json"]
+        for flags, report in zip((["--variant=-U"], ["--variant", "-U"]), reports):
+            code, _, _ = run_cli(capsys, "train", *BASE, "--epochs", "1", *flags,
+                                 "--report", str(report))
+            assert code == 0
+        a, b = (json.loads(r.read_text()) for r in reports)
+        for report in (a, b):
+            del report["wall_clock_per_epoch"]
+        assert a["config"]["variant"] == "-U" and a == b
+
     def test_exit_code_divergence(self, capsys):
         with np.errstate(all="ignore"):
             code, _, err = run_cli(capsys, "train", *BASE, "--lr", "1e200",
@@ -359,6 +391,14 @@ class TestExperimentCommands:
         assert out.count("variant=") == 3
         payload = json.loads(report.read_text())
         assert set(payload) == {"full", "-D", "-H"}
+
+    def test_ablate_variants_starting_with_dash(self, capsys, tmp_path):
+        report = tmp_path / "abl.json"
+        code, out, _ = run_cli(capsys, "ablate", *BASE, "--epochs", "1",
+                               "--variants", "-D,-U", "--report", str(report))
+        assert code == 0
+        assert out.count("variant=") == 2
+        assert set(json.loads(report.read_text())) == {"-D", "-U"}
 
     def test_noise_exp(self, capsys, tmp_path):
         report = tmp_path / "noise.json"

@@ -1,3 +1,4 @@
+import os
 import sys
 
 import numpy as np
@@ -74,6 +75,21 @@ def generate_synthetic_dense(n_users, n_items, n_aux_relations, density, fidelit
     return HeteroGraph({"user": n_users, "item": n_items}, relations, "interact")
 
 
+def int64_fields(parts, line, where, kind):
+    """The first two fields parsed by `int`, one field at a time: the first
+    field `int` refuses or that is past int64 is the line's error."""
+    values = []
+    for field in parts[:2]:
+        try:
+            value = int(field)
+        except ValueError:
+            raise GraphError(f"{where}: non-integer {kind} in {line!r}") from None
+        if not -(1 << 63) <= value < 1 << 63:
+            raise GraphError(f"{where}: integer out of range in {line!r}")
+        values.append(value)
+    return values
+
+
 def load_edge_list_loop(path, schema):
     """Reference for load_edge_list: one line at a time."""
     rel_types = {name: (s, d) for name, s, d in schema.relations}
@@ -87,10 +103,7 @@ def load_edge_list_loop(path, schema):
             parts = line.split()
             if len(parts) != 3:
                 raise GraphError(f"{path}:{lineno}: expected 'src dst relation', got {line!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer endpoint in {line!r}") from None
+            u, v = int64_fields(parts, line, f"{path}:{lineno}", "endpoint")
             name = parts[2]
             if name not in rel_types:
                 raise GraphError(f"{path}:{lineno}: undeclared relation {name!r}")
@@ -129,10 +142,7 @@ def load_labels_loop(path, node_type, n_classes=None, node_count=None):
             parts = line.split()
             if len(parts) != 2:
                 raise GraphError(f"{path}:{lineno}: expected 'node_id class_id'")
-            try:
-                node, cls = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise GraphError(f"{path}:{lineno}: non-integer field in {line!r}") from None
+            node, cls = int64_fields(parts, line, f"{path}:{lineno}", "field")
             if node < 0:
                 raise GraphError(f"{path}:{lineno}: negative node id")
             if node_count is not None and node >= node_count:
@@ -232,6 +242,17 @@ def raised(fn, *args, **kw):
         return f"GraphError: {exc}"
 
 
+def outcome(fn, *args, **kw):
+    """What fn(*args) gives, in a form that compares: its GraphError
+    message, or the content of the graph or labels it returns."""
+    result = raised(fn, *args, **kw)
+    if isinstance(result, HeteroGraph):
+        return result.fingerprint(), result.node_counts, list(result.relations)
+    if isinstance(result, LabelSet):
+        return result.node_ids.tolist(), result.class_ids.tolist(), result.n_classes
+    return result
+
+
 def same_graph(a, b):
     return (a.fingerprint() == b.fingerprint() and a.node_counts == b.node_counts
             and list(a.relations) == list(b.relations))
@@ -298,6 +319,13 @@ class TestLoading:
     def test_schema_requires_target(self):
         with pytest.raises(GraphError):
             parse_schema("node user 2\nrelation buy user user")
+
+
+@pytest.fixture(scope="session")
+def mid_dataset_files(tmp_path_factory):
+    """Edge, schema and label files of the generator's 8000 x 4000 graph."""
+    graph, labels = generate_synthetic(8000, 4000, 2, 1.25e-3, 0.9, seed=4003)
+    return hetgraph.write_dataset_files(graph, labels, tmp_path_factory.mktemp("mid"))
 
 
 class TestLoaderMatchesReference:
@@ -374,6 +402,75 @@ class TestLoaderMatchesReference:
         path.write_text("0 0 buy\n0 99999999999999999999 buy\n")
         with pytest.raises(GraphError, match=":2: integer out of range"):
             load_edge_list(path, schema)
+
+    # fields on both sides of the plain-integer path: [+-]?[0-9]{1,18} is
+    # parsed from code points, every other field goes to `int`
+    BOUNDARY_FIELDS = [
+        "9" * 17, "9" * 18, "9" * 19, "9" * 20, "1" + "0" * 17, "1" + "0" * 18,
+        "-" + "9" * 18, "-" + "9" * 19, "0" * 19 + "7",
+        str(2**63 - 2), str(2**63 - 1), str(2**63),
+        str(-2**63 - 1), str(-2**63), str(-2**63 + 1),
+        "+0", "-0", "-", "+", "+-1", "--1", "1__0", "_1", "1_", "1_0",
+        "\u0663", "\u0661\u0662", "-\u0663", "7\u0663", "\uff13", "+\uff11\uff12",
+    ]
+    # one non-ASCII character keeps the code points in 32 bits
+    WIDE_LINE = "# caf\u00e9\n"
+
+    def test_plain_integer_boundaries(self, tmp_path):
+        schema = parse_schema("node user\nnode item\nrelation buy user item\ntarget buy\n")
+        edges, labels = tmp_path / "edges.txt", tmp_path / "labels.txt"
+        for field in self.BOUNDARY_FIELDS:
+            for extra in ("", self.WIDE_LINE):
+                for line in (f"{field} 3 buy", f"3 {field} buy"):
+                    edges.write_text(f"1 2 buy\n{line}\n{extra}", encoding="utf-8")
+                    assert outcome(load_edge_list, edges, schema) \
+                        == outcome(load_edge_list_loop, edges, schema), line
+                for line in (f"{field} 1", f"5 {field}"):
+                    labels.write_text(f"{extra}0 1\n{line}\n", encoding="utf-8")
+                    assert outcome(load_labels, labels, "user") \
+                        == outcome(load_labels_loop, labels, "user"), line
+
+    def test_ascii_and_wide_files_read_alike(self, tmp_path):
+        rng = np.random.default_rng(14)
+        schema = parse_schema(MIXED_SCHEMA)
+        path = tmp_path / "edges.txt"
+        for trial in range(20):
+            lines = random_lines(rng, int(rng.integers(1, 30)), edge_fields)
+            text = "\n".join(line.split("#")[0] for line in lines) + "\n"
+            text = "".join(c if c.isascii() else " " for c in text)
+            results = []
+            for extra in ("", self.WIDE_LINE):
+                path.write_text(text + extra, encoding="utf-8")
+                results.append(outcome(load_edge_list, path, schema))
+                assert results[-1] == outcome(load_edge_list_loop, path, schema), text
+            assert results[0] == results[1]
+
+    def test_relation_names_outside_ascii(self, tmp_path):
+        schema = parse_schema("node user\nnode item\nrelation k\u00f6p user item\n"
+                              "relation buy user item\nrelation \u8cfc\u5165 user item\n"
+                              "relation bu user item\ntarget k\u00f6p\n")
+        path = tmp_path / "edges.txt"
+        for text in ["0 1 buy\n1 1 bu\n",  # ASCII text: the wide names match nothing
+                     "0 1 buy\n1 2 k\u00f6p\n2 0 \u8cfc\u5165\n0 0 bu\n0 1 k\u00f6p\n",
+                     "0 1 k\u00f6p\n1 1 kop\n",
+                     "0 1 buy\n1 1 \u8cfc\n",
+                     "0 1 buy\n1 1 buyer\n",
+                     "0 1 buy\n1 1 k\u00f6\n",
+                     "0 1 \u8cfc\u5165\u5165\n"]:
+            path.write_text(text, encoding="utf-8")
+            assert outcome(load_edge_list, path, schema) \
+                == outcome(load_edge_list_loop, path, schema), text
+
+    def test_mid_size_file_within_memory_bound(self, mid_dataset_files, allocations):
+        """A per-field Python string cost over 20 bytes of traced memory per
+        byte of this file; code-point spans cost under half of that."""
+        schema = hetgraph.load_schema(mid_dataset_files["schema"])
+        path = mid_dataset_files["edges"]
+        got, peak, _ = allocations(load_edge_list, path, schema)
+        assert same_graph(got, load_edge_list_loop(path, schema))
+        size = os.path.getsize(path)
+        assert size > 1_500_000
+        assert peak < 14 * size
 
     def test_random_label_files(self, tmp_path):
         rng = np.random.default_rng(13)
