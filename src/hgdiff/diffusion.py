@@ -312,42 +312,51 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     down, so the output is a deterministic function of (params, source,
     corruption noise).
 
-    All rows are corrupted by one draw. Each of the :func:`numerics.row_blocks`
-    of about `_WALK_ROWS` rows then takes every step down to step 2 on a
+    `source` is one side's rows, corrupted from `rng`, or a dict of sides'
+    rows, each corrupted from its own stream ``rng.derive(name)``; the
+    result takes the same form. The corrupted rows of all sides are stacked
+    and walked together: each of the :func:`numerics.row_blocks` of about
+    `_WALK_ROWS` rows takes every step down to step 2 on a
     :func:`numerics.map_blocks` worker, and the final step-1 prediction runs
-    over all rows at once, bit for bit as the whole-array walk.
+    over all rows at once. A product's rows round alike in any block of two
+    or more rows, so this is bit for bit each side walked alone, except a
+    side of one row, which alone takes the one-row BLAS path.
 
     `autoencoder` gives the DAE variant's one-shot prediction at step T from
     its loss's full-scale corruption instead, and ignores `infer_steps`.
     """
-    source = np.asarray(source, dtype=np.float64)
-    if autoencoder:
-        h = q_sample(source, schedule.steps, schedule, rng=rng, keep_signal=True)
-        return denoise_predict(params, h, schedule.steps)
-    infer_steps = schedule.steps if infer_steps is None else infer_steps
-    if infer_steps == 0:
-        return source.copy()
-    # any other step outside 1..T is refused here, before the walk
-    h = q_sample(source, infer_steps, schedule, rng=rng)
-    # the walk's steps, checked at once in the calling thread; each step hands
-    # the forward its own length-1 slice
-    t_walk = _step_vector(np.arange(infer_steps, 1, -1), infer_steps - 1,
-                          params.time_emb.shape[0])
-    ab, ab_prev = schedule.alpha_bar[t_walk - 1], schedule.alpha_bar[t_walk - 2]
-    coef_pred = np.sqrt(ab_prev) * schedule.beta[t_walk - 1] / (1.0 - ab)
-    coef_h = np.sqrt(schedule.alpha[t_walk - 1]) * (1.0 - ab_prev) / (1.0 - ab)
-    walk = [(t_walk[i:i + 1], coef_h[i], coef_pred[i]) for i in range(t_walk.size)]
+    sides = source if isinstance(source, dict) else {None: source}
+    rows = [np.asarray(part, dtype=np.float64) for part in sides.values()]
+    t = schedule.steps if autoencoder or infer_steps is None else infer_steps
+    if t == 0:
+        walked = [part.copy() for part in rows]
+    else:
+        # any step outside 1..T is refused here, before the walk
+        h = np.concatenate([
+            q_sample(part, t, schedule, rng=rng if name is None else rng.derive(name),
+                     keep_signal=autoencoder)
+            for name, part in zip(sides, rows)])
+        # the walk's steps, checked at once in the calling thread; each step
+        # hands the forward its own length-1 slice
+        down = np.arange(1 if autoencoder else t, 1, -1)
+        t_walk = _step_vector(down, down.size, params.time_emb.shape[0])
+        ab, ab_prev = schedule.alpha_bar[t_walk - 1], schedule.alpha_bar[t_walk - 2]
+        coef_pred = np.sqrt(ab_prev) * schedule.beta[t_walk - 1] / (1.0 - ab)
+        coef_h = np.sqrt(schedule.alpha[t_walk - 1]) * (1.0 - ab_prev) / (1.0 - ab)
+        walk = [(t_walk[i:i + 1], coef_h[i], coef_pred[i]) for i in range(t_walk.size)]
 
-    def walk_block(block):
-        # a view of q_sample's fresh array, walked in place
-        for t_rows, coef_h, coef_pred in walk:
-            pred = _denoise_forward(params, block, t_rows)[3]
-            # coef_h*h + coef_pred*pred bit for bit (addition commutes)
-            block *= coef_h
-            block += coef_pred * pred
+        def walk_block(block):
+            # a view of the stacked corrupted rows, walked in place
+            for t_rows, coef_h, coef_pred in walk:
+                pred = _denoise_forward(params, block, t_rows)[3]
+                # coef_h*h + coef_pred*pred bit for bit (addition commutes)
+                block *= coef_h
+                block += coef_pred * pred
 
-    if walk:
-        map_blocks(walk_block, row_blocks(h, _WALK_ROWS))
-    # looked up as a module global in the caller's thread, so a caller may
-    # replace it
-    return denoise_predict(params, h, 1)
+        if walk:
+            map_blocks(walk_block, row_blocks(h, _WALK_ROWS))
+        # looked up as a module global in the caller's thread, so a caller
+        # may replace it
+        pred = denoise_predict(params, h, t if autoencoder else 1)
+        walked = np.split(pred, np.cumsum([len(part) for part in rows[:-1]]))
+    return dict(zip(sides, walked)) if isinstance(source, dict) else walked[0]

@@ -340,7 +340,9 @@ class TrainedModel:
         """Deterministic embedding tables for evaluation and export.
 
         The denoised table comes from the full reverse pass (or the one-shot
-        reconstruction for the autoencoder variant), seeded by `tag`.
+        reconstruction for the autoencoder variant), seeded by `tag`: one
+        :func:`reverse_denoise` call per evaluation walks every diffused side
+        together, each side corrupted from its own stream.
         """
         cfg, plan = self.cfg, self.plan
         target_out = encode(self.target_adj, self.params.e0, cfg.encoder)
@@ -355,12 +357,15 @@ class TrainedModel:
         for name, table in source_out.per_relation.items():
             tables[f"relation:{name}"] = table
         denoised = source_out.pooled.copy()
-        rng = Rng(cfg.seed).derive(f"eval:{tag}")
-        for side in plan.diffusion_sides:
-            sl = self.graph.type_slice(side)
-            denoised[sl] = reverse_denoise(
-                self.params.denoiser, self.schedule, denoised[sl], cfg.diffusion.infer_steps,
-                rng=rng.derive(side), autoencoder=plan.dae)
+        sides = {side: self.graph.type_slice(side) for side in plan.diffusion_sides}
+        if sides:
+            # one walk of every diffused side, each corrupted from its own stream
+            walked = reverse_denoise(
+                self.params.denoiser, self.schedule,
+                {side: denoised[sl] for side, sl in sides.items()}, cfg.diffusion.infer_steps,
+                rng=Rng(cfg.seed).derive(f"eval:{tag}"), autoencoder=plan.dae)
+            for side, sl in sides.items():
+                denoised[sl] = walked[side]
         tables["denoised"] = denoised
         tables["fused"] = fuse(target_out.pooled, denoised)
         return tables

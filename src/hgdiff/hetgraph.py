@@ -24,7 +24,8 @@ class GraphError(ValueError):
 class Relation:
     """A named edge list between two node types. It holds no (u, v) pair
     twice; that is checked once, here, so graphs that carry a relation over
-    do not check it again."""
+    do not check it again. :meth:`deduplicated` builds one from edges that
+    may repeat."""
 
     name: str
     src_type: str
@@ -35,6 +36,16 @@ class Relation:
         self.edges = np.asarray(self.edges, dtype=np.int64).reshape(-1, 2)
         if not _first_occurrences(self.edges).all():
             raise GraphError(f"relation {self.name!r} contains duplicate edges")
+
+    @classmethod
+    def deduplicated(cls, name, src_type, dst_type, edges):
+        """The relation of `edges` without each repeat of an earlier (u, v)
+        pair. The sort that finds the repeats is the check, so it runs once."""
+        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        rel = cls.__new__(cls)
+        rel.name, rel.src_type, rel.dst_type = name, src_type, dst_type
+        rel.edges = edges[_first_occurrences(edges)]
+        return rel
 
 
 class HeteroGraph:
@@ -372,10 +383,9 @@ def load_edge_list(path, schema: Schema) -> HeteroGraph:
     observed = {t: 0 for t in schema.node_types}
     for i, (name, (s, d)) in enumerate(rel_types.items()):
         edges = pairs[rel == i]
-        edges = edges[_first_occurrences(edges)]
         for t, side in ((s, 0), (d, 1)):
             observed[t] = max(observed.get(t, 0), int(edges[:, side].max(initial=-1)) + 1)
-        relations.append(Relation(name, s, d, edges))
+        relations.append(Relation.deduplicated(name, s, d, edges))
     counts = {}
     for t, declared in schema.node_types.items():
         if declared is None:
@@ -544,8 +554,7 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
         if n_rand:
             edges[~copy, 0] = rng.integers(0, n_users, size=n_rand)
             edges[~copy, 1] = rng.integers(0, n_items, size=n_rand)
-        edges = edges[_first_occurrences(edges)]
-        relations.append(Relation(f"aux{r + 1}", "user", "item", edges))
+        relations.append(Relation.deduplicated(f"aux{r + 1}", "user", "item", edges))
     graph = HeteroGraph({"user": n_users, "item": n_items}, relations, "interact")
     labels = LabelSet("user", np.arange(n_users), user_comm, 2)
     return graph, labels

@@ -126,38 +126,66 @@ class CsrMatrix:
         return CsrMatrix.from_coo(self.cols, self.rows, self.col_indices, row_of, self.values)
 
     def degree_buckets(self):
-        """Rows grouped by nonzero count, memoized on the instance (safe
+        """Rows grouped for :func:`spmm`, memoized on the instance (safe
         because values are immutable by convention after construction).
 
-        One `(rows, cols, vals)` triple per nonzero count k > 0: the rows
-        with k nonzeros, ascending, and their column indices and values as
-        (len(rows), k) arrays in stored order.
+        One `(rows, cols, vals)` triple per group: the group's rows, and
+        their column indices and values as (len(rows), k) arrays in stored
+        order, k the group's largest nonzero count. Degrees are taken from
+        the largest down, and the next degree's rows join the current group
+        while the group pads at most `_PAD_ENTRIES` entries; a shorter row is
+        padded to k with value 0.0 at a repeat of its last column. Rows with
+        no nonzeros are in no group.
         """
         cached = getattr(self, "_buckets", None)
         if cached is None:
             counts = np.diff(self.row_offsets)
-            order = np.argsort(counts, kind="stable")
+            order = np.argsort(-counts, kind="stable")  # largest degree first
             per_count = np.bincount(counts)
-            ends = np.cumsum(per_count)
-            cached = []
-            for k in per_count.nonzero()[0]:
-                if k == 0:
-                    continue
-                rows = order[ends[k] - per_count[k]:ends[k]]
-                pos = self.row_offsets[rows][:, None] + np.arange(k)
-                cached.append((rows, self.col_indices[pos], self.values[pos]))
+            groups = []  # (largest degree, rows, padded entries)
+            for k in np.flatnonzero(per_count[1:])[::-1] + 1:
+                top, n, pad = groups[-1] if groups else (k, 0, 0)
+                pad += per_count[k] * (top - k)
+                if groups and pad <= _PAD_ENTRIES:
+                    groups[-1] = (top, n + per_count[k], pad)
+                else:
+                    groups.append((k, per_count[k], 0))
+            cached, start = [], 0
+            for k, n, _ in groups:
+                rows = order[start:start + n]
+                start += n
+                row_k, slots = counts[rows][:, None], np.arange(k)
+                pos = self.row_offsets[rows][:, None] + np.minimum(slots, row_k - 1)
+                vals = self.values[pos]
+                vals[slots >= row_k] = 0.0
+                cached.append((rows, self.col_indices[pos], vals))
             self._buckets = cached
         return cached
+
+
+# padded entries a degree group of CsrMatrix.degree_buckets may hold. Each
+# group costs spmm a gather, an einsum and a scatter, ~6.5 us of calls at
+# any size; 64 padded entries at d = 32 cost ~2.5 us of gathered zero
+# products (one BLAS thread, 2-vCPU Xeon). Desk relations (200 x 100 users x
+# items) fall from 16-19 groups to 6-7, with 10-13% of their entries
+# padded; mid relations (8k x 4k), whose low degrees hold hundreds of rows
+# each, merge only their sparse top degrees and pad ~0.1%.
+_PAD_ENTRIES = 64
 
 
 def spmm(a: CsrMatrix, b) -> np.ndarray:
     """Sparse @ dense product, O(nnz * d) with no per-row Python work.
 
-    Rows are grouped by nonzero count k (:meth:`CsrMatrix.degree_buckets`);
-    each group of n rows is one gather of its (n, k, d) operand rows and one
-    contraction over k. A row's k products are summed in an order fixed by
-    k and d alone (stored column order when d > 1), whatever the other rows
-    hold, so reruns are bit-identical. Rows with no nonzeros stay zero.
+    Rows are grouped by nonzero count (:meth:`CsrMatrix.degree_buckets`);
+    each group of n rows padded to k entries is one gather of its (n, k, d)
+    operand rows and one contraction over k. For d >= 2 a row's products
+    are summed in stored column order from +0.0, whatever the other rows
+    hold, so reruns are bit-identical. A padded entry adds 0.0 times a
+    finite operand, a product of +-0.0, to a partial sum that is never -0.0,
+    so for finite operands padding changes no bit. At d = 1 the contraction
+    keeps several partial sums over k, so a row's last bits depend on its
+    group's k; reruns are still bit-identical. Rows with no nonzeros stay
+    zero.
     """
     b = as_matrix(b, "dense operand")
     if a.cols != b.shape[0]:

@@ -500,6 +500,31 @@ class TestReverse:
                 out = reverse_denoise(params, s, source, steps, rng=Rng(21))
                 assert np.array_equal(out, expect), (rows, n, workers)
 
+    @pytest.mark.parametrize("dim", [4, 32])
+    def test_sides_walked_together_match_each_side_alone(self, monkeypatch, cpus, dim):
+        # each side is corrupted from rng.derive(name) and the stacked rows
+        # are cut into blocks that span the sides' boundaries; sides of one
+        # row are left out, as alone they take the one-row BLAS path
+        steps = 5
+        s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
+        params = DenoiserParams.init(dim, steps, Rng(30))
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 4)
+        for sizes in ((2, 3), (7, 2, 9), (30, 20), (0, 5)):
+            sides = {f"s{i}": Rng(31 + i).normal(n, dim) if n else np.empty((0, dim))
+                     for i, n in enumerate(sizes)}
+            for infer, autoencoder in ((0, False), (1, False), (3, False), (steps, False),
+                                       (None, True)):
+                alone = {name: reverse_denoise(params, s, rows, infer, rng=Rng(32).derive(name),
+                                               autoencoder=autoencoder)
+                         for name, rows in sides.items()}
+                for workers in (1, 3):
+                    cpus(workers)
+                    out = reverse_denoise(params, s, sides, infer, rng=Rng(32),
+                                          autoencoder=autoencoder)
+                    assert list(out) == list(sides)
+                    for name in sides:
+                        assert np.array_equal(out[name], alone[name]), (sizes, infer, name)
+
     def test_threaded_walk_repeats_bit_for_bit(self, cpus):
         # five blocks on four workers, concurrent BLAS calls at every step,
         # with the interpreter switching threads as often as it can

@@ -43,7 +43,7 @@ from hgdiff.hetgraph import (
     inject_edge_noise,
     write_dataset_files,
 )
-from hgdiff.numerics import Rng
+from hgdiff.numerics import Rng, row_blocks
 from hgdiff.tasks import JointLossConfig
 
 from conftest import WORKER_COUNTS
@@ -365,12 +365,16 @@ def reference_dae_loss(denoiser, schedule, source, target, t, noise, autoencoder
                                -g_pred, vjp, 1.0)
 
 
-def reference_dae_inference(denoiser, schedule, source, infer_steps, rng, autoencoder):
-    """Reference for one side of the DAE variant's inference: one noise draw
-    and one prediction at step T."""
+def reference_dae_inference(denoiser, schedule, sides, infer_steps, rng, autoencoder):
+    """Reference for the DAE variant's inference: for each side, one noise
+    draw from the side's own stream and one prediction at step T."""
     assert autoencoder
-    noise = rng.standard_normal(source.shape)
-    return denoise_predict(denoiser, _dae_input(schedule, source, noise), schedule.steps)
+    out = {}
+    for side, rows in sides.items():
+        noise = rng.derive(side).standard_normal(rows.shape)
+        out[side] = denoise_predict(denoiser, _dae_input(schedule, rows, noise),
+                                    schedule.steps)
+    return out
 
 
 def _capture_score_blocks(monkeypatch):
@@ -545,8 +549,39 @@ class TestEvaluation:
             again = model.inference_tables()
             assert all(np.array_equal(again[name], table) for name, table in tables.items())
 
+    @pytest.mark.parametrize("variant", ["full", "-U", "DAE"])
+    def test_joint_walk_matches_a_walk_per_side(self, monkeypatch, cpus, variant):
+        # the tables of one walk of every diffused side against one
+        # reverse_denoise call per side. A side of one row would be the
+        # exception: alone it takes the one-row BLAS path
+        model, _ = train(small_cfg(variant=variant, epochs=2))
+        real = harness.reverse_denoise
+
+        def per_side(params, schedule, sides, infer_steps, rng, autoencoder):
+            return {side: real(params, schedule, {side: rows}, infer_steps, rng=rng,
+                               autoencoder=autoencoder)[side]
+                    for side, rows in sides.items()}
+
+        # walk blocks of 6-7 rows over the 30 user and 20 item rows: one
+        # block holds the last users and the first items
+        monkeypatch.setattr(diffusion, "_WALK_ROWS", 7)
+        ends = np.cumsum([len(b) for b in row_blocks(np.empty((50, 1)), 7)])
+        assert 30 not in ends
+        for infer_steps in (0, 1, 5, model.cfg.diffusion.steps):
+            monkeypatch.setattr(model.cfg.diffusion, "infer_steps", infer_steps)
+            for workers in (1, 3):
+                cpus(workers)
+                joint = model.inference_tables(tag="probe")
+                with monkeypatch.context() as m:
+                    m.setattr(harness, "reverse_denoise", per_side)
+                    alone = model.inference_tables(tag="probe")
+                assert joint.keys() == alone.keys()
+                for name, table in joint.items():
+                    assert np.array_equal(table.view(np.int64), alone[name].view(np.int64)), \
+                        (infer_steps, name)
+
     def test_desk_size_evaluation_starts_no_thread(self):
-        # at desk size the generator's draw is one block, each side one walk
+        # at desk size the generator's draw is one block, both sides one walk
         # block and the test users one score block, so generation and
         # evaluation run inline on any CPU count, with or without the BLAS,
         # without importing concurrent.futures and without copying the
@@ -616,6 +651,45 @@ class TestEvaluation:
         lines = trace.evals[-1].lines()
         assert any(line.startswith("recall@5=") for line in lines)
         assert all("=" in line for line in lines)
+
+
+class TestDeskCallCounts:
+    """Guards of the numpy calls a desk-scale run makes, counted, not timed:
+    at desk size fixed per-call costs dominate."""
+
+    @staticmethod
+    def desk_cfg(seed):
+        # the acceptance suite's desk experiment (tests/test_acceptance.py)
+        return RunConfig(
+            synthetic=SyntheticSpec(users=200, items=100, aux_relations=2,
+                                    density=0.05, fidelity=0.9),
+            encoder=EncoderConfig(layers=3, dim=32),
+            diffusion=DiffusionConfig.from_noise_scale(1e-4, steps=100, per_row_t=True),
+            epochs=0, k=20, seed=seed)
+
+    def test_desk_relations_take_few_spmm_groups(self):
+        # one group per nonzero count took 16-19 groups a relation; the
+        # acceptance seed's relations take 6 padded groups, seeds 2-5 at most 7
+        for seed in (1, 2, 3, 4, 5):
+            model = Trainer(self.desk_cfg(seed))
+            groups = [len(adj.normalized.degree_buckets())
+                      for adj in (*model.target_adj.values(), *model.aux_adj.values())]
+            assert len(groups) == 3
+            assert max(groups) <= (6 if seed == 1 else 7), (seed, groups)
+
+    def test_one_reverse_walk_per_evaluation(self, monkeypatch):
+        model = Trainer(self.desk_cfg(1))
+        assert model.plan.diffusion_sides == ("user", "item")
+        calls = []
+        real = harness.reverse_denoise
+
+        def counted(*args, **kwargs):
+            calls.append(sorted(args[2]))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "reverse_denoise", counted)
+        model.evaluate()
+        assert calls == [["item", "user"]]
 
 
 class TestAblation:

@@ -844,11 +844,31 @@ class TestBuckets:
 
 
 class TestGraphValidation:
-    def test_relations_are_checked_for_duplicates_once(self, monkeypatch):
+    def test_relations_are_checked_for_duplicates_once(self, monkeypatch, tmp_path):
         g = toy_graph()
         # a relation that has both a repeat and an out-of-range id reports the repeat
         with pytest.raises(GraphError, match="duplicate"):
             HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 5), (0, 5)])], "e")
+        # a file load and a synthetic generation sort each relation once,
+        # the relations that drop repeats included
+        real = hetgraph._first_occurrences
+        sorted_edges = []
+
+        def count(edges):
+            sorted_edges.append(len(edges))
+            return real(edges)
+
+        monkeypatch.setattr(hetgraph, "_first_occurrences", count)
+        schema = parse_schema(TMALL_SCHEMA)
+        p = tmp_path / "edges.txt"
+        p.write_text("0 0 View\n0 0 View\n0 0 Favorite\n1 1 Cart\n1 0 Purchase\n")
+        loaded = load_edge_list(p, schema)
+        assert loaded.edge_count("View") == 1
+        assert sorted_edges == [2, 1, 1, 1]
+        sorted_edges.clear()
+        synthetic, _ = generate_synthetic(30, 20, 3, 0.2, 0.5, seed=3)
+        assert len(sorted_edges) == len(synthetic.relations) == 4
+        assert sum(sorted_edges) > synthetic.edge_count()  # repeats were dropped
 
         def refuse(edges):
             raise AssertionError("a carried-over relation was checked again")

@@ -28,6 +28,26 @@ def random_csr(rng, rows, cols, density=0.3):
     return CsrMatrix.from_coo(rows, cols, r, c, vals)
 
 
+def spread_degree_csr(rng, rows, cols):
+    """A CSR matrix whose rows draw their density from 0 to 1, so its
+    nonzero counts spread over many degrees, some rows left empty."""
+    mask = rng.uniform((rows, cols)) < rng.uniform((rows, 1)) ** 2
+    r, c = np.nonzero(mask)
+    return CsrMatrix.from_coo(rows, cols, r, c, rng.standard_normal(r.size))
+
+
+def spmm_per_degree(a, b):
+    """Reference for spmm: one gather and one contraction over k per nonzero
+    count k, with no padding."""
+    out = np.zeros((a.rows, b.shape[1]))
+    counts = np.diff(a.row_offsets)
+    for k in np.unique(counts[counts > 0]):
+        rows = np.flatnonzero(counts == k)
+        pos = a.row_offsets[rows][:, None] + np.arange(k)
+        out[rows] = np.einsum("nk,nkd->nd", a.values[pos], b[a.col_indices[pos]])
+    return out
+
+
 class TestCsr:
     def test_identity_spmm(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -75,6 +95,62 @@ class TestCsr:
             out = spmm(a, b)
             assert np.max(np.abs(out - expect)) < 1e-12
             assert np.array_equal(spmm(a, b), out)
+
+    def test_padded_groups_match_the_per_degree_kernel_bit_for_bit(self):
+        rng = Rng(31)
+        cases = []
+        for trial in range(12):
+            rows = int(rng.integers(2, 80))
+            inner = int(rng.integers(1, 60))
+            cases.append(spread_degree_csr(rng.derive(f"spread{trial}"), rows, inner))
+        cases.append(random_csr(rng.derive("random"), 50, 40))
+        # empty rows between and around filled ones
+        cases.append(CsrMatrix.from_coo(7, 5, [1, 1, 4, 4, 4, 6], [0, 3, 1, 2, 4, 0],
+                                        rng.derive("gaps").standard_normal(6)))
+        # one dominant row over rows of one and two nonzeros
+        r = np.concatenate([np.zeros(60, dtype=np.int64), [2, 5, 5, 7, 8, 8]])
+        c = np.concatenate([np.arange(60), [3, 7, 59, 0, 1, 2]])
+        cases.append(CsrMatrix.from_coo(9, 60, r, c, rng.derive("skew").standard_normal(r.size)))
+        padded = 0
+        for a in cases:
+            padded += sum(int((vals == 0.0).sum()) for _, _, vals in a.degree_buckets())
+            for d in (2, 3, 32):
+                b = rng.derive(f"b{a.rows}x{d}").standard_normal((a.cols, d))
+                # operand rows that are all +0.0 and all -0.0
+                b[::3] = 0.0
+                b[1::4] = -0.0
+                assert np.array_equal(bits(spmm(a, b)), bits(spmm_per_degree(a, b))), (a.rows, d)
+            # at d = 1 the contraction's partial sums over k depend on the
+            # group's k, so only closeness to the reference and reruns hold
+            b = rng.derive(f"b{a.rows}x1").standard_normal((a.cols, 1))
+            out = spmm(a, b)
+            assert np.max(np.abs(out - spmm_per_degree(a, b))) < 1e-12
+            assert np.array_equal(bits(spmm(a, b)), bits(out))
+        assert padded > 0
+
+    def test_degree_groups_stay_within_the_padding_budget(self):
+        rng = Rng(32)
+        for trial in range(20):
+            a = spread_degree_csr(rng.derive(f"{trial}"), int(rng.integers(2, 120)), 70)
+            counts = np.diff(a.row_offsets)
+            groups = a.degree_buckets()
+            assert a.degree_buckets() is groups  # memoized
+            rows = np.concatenate([g[0] for g in groups]) if groups else np.zeros(0, int)
+            assert np.array_equal(np.sort(rows), np.flatnonzero(counts))
+            for grp_rows, cols, vals in groups:
+                k = cols.shape[1]
+                assert k == counts[grp_rows].max()
+                assert int((k - counts[grp_rows]).sum()) <= numerics._PAD_ENTRIES
+                for row, row_cols, row_vals in zip(grp_rows, cols, vals):
+                    n, lo = counts[row], a.row_offsets[row]
+                    assert np.array_equal(row_cols[:n], a.col_indices[lo:lo + n])
+                    assert np.array_equal(row_vals[:n], a.values[lo:lo + n])
+                    # padding: value +0.0 at a repeat of the row's last column
+                    assert np.all(row_cols[n:] == row_cols[n - 1])
+                    assert np.array_equal(bits(row_vals[n:]), bits(np.zeros(k - n)))
+            # groups hold disjoint degree ranges, the largest degrees first
+            for (upper, _, _), (lower, _, _) in zip(groups, groups[1:]):
+                assert counts[upper].min() > counts[lower].max()
 
     def test_spmm_shape_mismatch(self):
         a = CsrMatrix.identity(3)

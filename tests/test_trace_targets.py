@@ -130,9 +130,10 @@ def test_threaded_evaluation_keeps_the_trace_whole(monkeypatch, cpus):
     calls = {name: row["calls"] for name, row in tracer.summary().items()}
     assert calls["harness.evaluate"] == 2
     assert calls["tasks.rank_metrics"] == 2
-    sides = len(model.plan.diffusion_sides)
-    assert sides == 2
-    assert calls["diffusion.denoise_predict"] == 2 * sides
+    assert len(model.plan.diffusion_sides) == 2
+    # both sides are walked together: one final prediction per evaluation
+    assert calls["diffusion.reverse_denoise"] == 2
+    assert calls["diffusion.denoise_predict"] == 2
 
 
 def test_threaded_generation_keeps_the_trace_whole(monkeypatch, cpus):
