@@ -1,20 +1,45 @@
 """Registry of every hand-derived gradient, certified by finite differences.
 
-Each entry builds a tiny fixed instance, evaluates the analytic gradient at a
-number of random points, and reports the worst relative disagreement with
-central differences. The acceptance suite requires every entry below 1e-4.
+Each entry is a row of one table: an objective that maps named arrays to a
+loss and the gradients of those arrays, the name of the array the entry
+certifies, and the points at which it is checked. One loop reports the
+worst relative disagreement of a row's gradient with central differences,
+and the acceptance suite requires every entry below 1e-4.
+
+The joint rows cover (task, variant, per_row_t) x every key of the gradient
+dict `Trainer.compute_losses` returns, so a new parameter group or variant
+joins the table by itself. A new config lever joins it by adding its value
+to the axes in `joint_trainers`; a new loss function by a row family like
+`_bpr_rows`. ``python -m hgdiff.certify`` prints one line per entry and
+exits 1 if any entry is above 1e-4.
 """
 
 from __future__ import annotations
 
+import sys
+import time
+
 import numpy as np
 
-from .diffusion import DiffusionConfig, build_schedule, diffusion_loss
-from .encoder import EncoderConfig, encode, encode_vjp, relation_adjacencies
-from .harness import ModelParams, RunConfig, SyntheticSpec, Trainer
+from .diffusion import DenoiserParams, DiffusionConfig, build_schedule, diffusion_loss
+from .encoder import EncoderConfig, encode_vjp, relation_adjacencies
+from .harness import VARIANTS, ModelParams, RunConfig, SyntheticSpec, Trainer
 from .hetgraph import HeteroGraph, LabelSet, Relation
 from .numerics import Rng, grad_check
 from .tasks import ClassifierParams, TripletBatch, bpr_loss, ce_loss
+
+TOLERANCE = 1e-4
+
+
+def _worst_error(objective, key, points, h):
+    """The one grad-check loop: the worst relative error, over `points`, of
+    the gradient of array `key` that `objective` returns. A point maps names
+    to arrays, and `objective` maps such a dict to (loss, gradients by name)."""
+    worst = 0.0
+    for point in points:
+        loss = lambda x: objective({**point, key: x})[0]
+        worst = max(worst, grad_check(loss, objective(point)[1][key], point[key], h=h))
+    return worst
 
 
 def _small_graph(seed):
@@ -30,81 +55,42 @@ def _small_graph(seed):
                        [Relation("a", "n", "n", g1), Relation("b", "n", "n", g2)], "a")
 
 
-def _encoder_check(n_points, h, activation="leaky_relu"):
+# Each row family yields (name, objective, key, points) rows.
+
+def _encoder_rows(n_points):
     adjs = relation_adjacencies(_small_graph(seed=51))
-    cfg = EncoderConfig(layers=2, dim=3, activation=activation)
     probe = Rng(52).normal(8, 3)
+    points = [{"e0": Rng(520 + i).normal(8, 3)} for i in range(n_points)]
+    for name, activation in (("encoder.e0", "leaky_relu"),
+                             ("encoder.e0_identity", "identity")):
+        cfg = EncoderConfig(layers=2, dim=3, activation=activation)
 
-    def f(e0):
-        return float((encode(adjs, e0.reshape(8, 3), cfg).pooled * probe).sum())
+        def objective(a, cfg=cfg):
+            out, vjp = encode_vjp(adjs, a["e0"], cfg)
+            return float((out.pooled * probe).sum()), {"e0": vjp(probe)}
 
-    worst = 0.0
-    for i in range(n_points):
-        e0 = Rng(520 + i).normal(8, 3)
-        _, vjp = encode_vjp(adjs, e0, cfg)
-        worst = max(worst, grad_check(f, vjp(probe), e0, h=h))
-    return worst
+        yield name, objective, "e0", points
 
 
-def _diffusion_checks(n_points, h):
+def _denoiser_rows(n_points):
     schedule = build_schedule(DiffusionConfig(steps=6, b_max=0.95, b_min=0.6))
     rng = Rng(53)
     target = rng.normal(8, 4)
     noise = rng.standard_normal((8, 4))
-    t = 4
 
-    def run(params, source):
-        return diffusion_loss(params, schedule, source, target, t=t, noise=noise)
+    def objective(a):
+        a = dict(a)
+        source = a.pop("source")
+        res = diffusion_loss(DenoiserParams(**a), schedule, source, target, t=4, noise=noise)
+        return res.loss, {**res.grads.arrays(), "source": res.grad_source}
 
-    def check_param(name):
-        worst = 0.0
-        for i in range(n_points):
-            params = _denoiser_point(530 + i)
-            source = Rng(540 + i).normal(8, 4)
-            res = run(params, source)
+    def points(seed):  # the denoiser from Rng(seed + i), the source from Rng(seed + 10 + i)
+        return [{**DenoiserParams.init(4, 6, Rng(seed + i)).arrays(),
+                 "source": Rng(seed + 10 + i).normal(8, 4)} for i in range(n_points)]
 
-            def f(flat):
-                p = params.copy()
-                setattr(p, name, flat.reshape(getattr(params, name).shape))
-                return run(p, source).loss
-
-            worst = max(worst, grad_check(f, getattr(res.grads, name),
-                                          getattr(params, name), h=h))
-        return worst
-
-    for name in ("w1", "b1", "w2", "b2", "time_emb"):
-        yield f"denoiser.{name}", (lambda _n=name: check_param(_n))
-
-    def check_source():
-        worst = 0.0
-        for i in range(n_points):
-            params = _denoiser_point(550 + i)
-            source = Rng(560 + i).normal(8, 4)
-            res = run(params, source)
-            err = grad_check(lambda flat: run(params, flat.reshape(8, 4)).loss,
-                             res.grad_source, source, h=h)
-            worst = max(worst, err)
-        return worst
-
-    yield "denoiser.source", check_source
-
-
-def _denoiser_point(seed):
-    from .diffusion import DenoiserParams
-
-    return DenoiserParams.init(4, 6, Rng(seed))
-
-
-def _bpr_check(n_points, h, batch, rows, chunk=None):
-    def f(flat):
-        return bpr_loss(flat.reshape(rows, 2), batch, chunk=chunk)[0]
-
-    worst = 0.0
-    for i in range(n_points):
-        emb = Rng(570 + i).normal(rows, 2)
-        _, grad = bpr_loss(emb, batch, chunk=chunk)
-        worst = max(worst, grad_check(f, grad, emb, h=h))
-    return worst
+    for key in ("w1", "b1", "w2", "b2", "time_emb"):
+        yield f"denoiser.{key}", objective, key, points(530)
+    yield "denoiser.source", objective, "source", points(550)
 
 
 # chunks of 3, 3 and 1 triplets: user row 0 repeats within the first chunk and
@@ -113,43 +99,59 @@ _CHUNKED_BATCH = TripletBatch([0, 1, 0, 2, 0, 1, 0], [4, 5, 6, 4, 7, 5, 6],
                               [5, 4, 7, 6, 4, 6, 5])
 
 
-def _ce_checks(n_points, h):
+def _bpr_rows(n_points):
+    for name, batch, rows, chunk in (
+            ("bpr.embeddings", TripletBatch([0, 1, 2], [3, 4, 5], [5, 3, 4]), 6, None),
+            ("bpr.chunked", _CHUNKED_BATCH, 8, 3)):
+
+        def objective(a, batch=batch, chunk=chunk):
+            loss, grad = bpr_loss(a["emb"], batch, chunk=chunk)
+            return loss, {"emb": grad}
+
+        yield name, objective, "emb", [{"emb": Rng(570 + i).normal(rows, 2)}
+                                       for i in range(n_points)]
+
+
+def _ce_rows(n_points):
     labels = LabelSet("user", np.array([0, 1, 3, 4]), np.array([0, 1, 1, 0]), 2)
 
-    def check_emb():
-        worst = 0.0
-        for i in range(n_points):
-            clf = ClassifierParams.init(3, 2, Rng(580 + i))
-            emb = Rng(590 + i).normal(5, 3)
-            _, g_emb, _ = ce_loss(emb, clf, labels)
-            err = grad_check(lambda flat: ce_loss(flat.reshape(5, 3), clf, labels)[0],
-                             g_emb, emb, h=h)
-            worst = max(worst, err)
-        return worst
+    def objective(a):
+        a = dict(a)
+        loss, g_emb, grads = ce_loss(a.pop("emb"), ClassifierParams(**a), labels)
+        return loss, {**grads.arrays(), "emb": g_emb}
 
-    yield "ce.embeddings", check_emb
+    def points(seed):  # the classifier from Rng(seed + i), the rows from Rng(seed + 10 + i)
+        return [{**ClassifierParams.init(3, 2, Rng(seed + i)).arrays(),
+                 "emb": Rng(seed + 10 + i).normal(5, 3)} for i in range(n_points)]
 
-    def check_param(name):
-        worst = 0.0
-        for i in range(n_points):
-            clf = ClassifierParams.init(3, 2, Rng(600 + i))
-            emb = Rng(610 + i).normal(5, 3)
-            _, _, grads = ce_loss(emb, clf, labels)
-
-            def f(flat):
-                p = clf.copy()
-                setattr(p, name, flat.reshape(getattr(clf, name).shape))
-                return ce_loss(emb, p, labels)[0]
-
-            worst = max(worst, grad_check(f, getattr(grads, name),
-                                          getattr(clf, name), h=h))
-        return worst
-
-    for name in ("w1", "b1", "w2", "b2"):
-        yield f"ce.{name}", (lambda _n=name: check_param(_n))
+    yield "ce.embeddings", objective, "emb", points(580)
+    for key in ("w1", "b1", "w2", "b2"):
+        yield f"ce.{key}", objective, key, points(600)
 
 
-def _joint_trainer(task="link", variant="full", per_row_t=False):
+# Joint cells with names and point seeds of their own, so that their values
+# compare across versions: (task, variant, per_row_t, key) -> (name, seed).
+# They take n_points points; every other cell takes one point at _CELL_SEED,
+# which keeps the whole table within the acceptance suite's time bound.
+_NAMED_CELLS = {
+    ("link", "full", False, "e0"): ("joint.e0", 620),
+    ("link", "full", False, "denoiser.w1"): ("joint.denoiser_w1", 630),
+    ("node", "full", False, "e0"): ("joint.node_e0", 640),
+    # the steps the benchmark and the acceptance runs train with: one per row
+    ("link", "full", True, "e0"): ("joint.e0_per_row_t", 650),
+    ("link", "DAE", False, "e0"): ("joint.e0_dae", 660),
+}
+_CELL_SEED = 700
+
+
+def cell_name(task, variant, per_row_t, key):
+    """The entry name of one joint cell."""
+    named = _NAMED_CELLS.get((task, variant, per_row_t, key))
+    return named[0] if named else \
+        f"joint.{task}.{variant}{'.per_row_t' if per_row_t else ''}.{key}"
+
+
+def _joint_trainer(task, variant, per_row_t):
     cfg = RunConfig(
         task=task,
         synthetic=SyntheticSpec(users=10, items=8, aux_relations=2,
@@ -158,82 +160,77 @@ def _joint_trainer(task="link", variant="full", per_row_t=False):
         diffusion=DiffusionConfig(steps=5, b_max=0.95, b_min=0.6, per_row_t=per_row_t),
         epochs=1, seed=61, batch_size=64, train_labels_per_class=2, variant=variant)
     trainer = Trainer(cfg)
-    draws = trainer.draw_epoch()
-    return trainer, draws
+    return trainer, trainer.draw_epoch()
 
 
-def _e0_check(trainer, draws, n_points, h, seed):
-    """Worst error of the joint loss's e0 gradient at points around the
-    trainer's initial e0, with its other parameters held."""
-    base = trainer.params
-    shape = base.e0.shape
-
-    def total_with(e0):
-        params = ModelParams(e0, base.denoiser, base.classifier)
-        return trainer.compute_losses(draws, params=params)
-
-    worst = 0.0
-    for i in range(n_points):
-        e0 = base.e0 + Rng(seed + i).normal(*shape) * 0.1
-        _, _, grads = total_with(e0)
-        err = grad_check(lambda flat: total_with(flat.reshape(shape))[0],
-                         grads["e0"], e0, h=h)
-        worst = max(worst, err)
-    return worst
+def joint_trainers():
+    """Yield ((task, variant, per_row_t), trainer, draws) for every trainer
+    of the joint table. Per-row steps only change a variant that draws
+    steps: one that diffuses and is not DAE."""
+    for task in ("link", "node"):
+        for variant in VARIANTS:
+            trainer, draws = _joint_trainer(task, variant, False)
+            yield (task, variant, False), trainer, draws
+            if trainer.plan.diffusion_sides and not trainer.plan.dae:
+                yield (task, variant, True), *_joint_trainer(task, variant, True)
 
 
-def _joint_checks(n_points, h):
-    trainer, draws = _joint_trainer()
-    base = trainer.params
+def _model_params(a):
+    """The ModelParams whose `arrays()` is `a`."""
+    def group(cls, prefix):
+        named = {k[len(prefix):]: v for k, v in a.items() if k.startswith(prefix)}
+        return cls(**named) if named else None
 
-    def total_with(e0=None, denoiser=None):
-        params = ModelParams(
-            base.e0 if e0 is None else e0,
-            base.denoiser if denoiser is None else denoiser,
-            base.classifier)
-        return trainer.compute_losses(draws, params=params)
+    return ModelParams(a["e0"], group(DenoiserParams, "denoiser."),
+                       group(ClassifierParams, "classifier."))
 
-    yield "joint.e0", (lambda: _e0_check(trainer, draws, n_points, h, 620))
-    # the steps the benchmark and the acceptance runs train with: one per row
-    yield "joint.e0_per_row_t", (lambda: _e0_check(
-        *_joint_trainer(per_row_t=True), n_points, h, 650))
-    yield "joint.e0_dae", (lambda: _e0_check(
-        *_joint_trainer(variant="DAE"), n_points, h, 660))
 
-    def check_denoiser_w1():
-        shape = base.denoiser.w1.shape
-        worst = 0.0
-        for i in range(n_points):
-            den = base.denoiser.copy()
-            den.w1 = den.w1 + Rng(630 + i).normal(*shape) * 0.1
-            _, _, grads = total_with(denoiser=den)
+def _joint_rows(n_points):
+    """One row per cell: the gradient of the joint loss in one parameter
+    group, at points around the trainer's initial parameters that move
+    that group only."""
+    for (task, variant, per_row_t), trainer, draws in joint_trainers():
+        def objective(a, trainer=trainer, draws=draws):
+            total, _, grads = trainer.compute_losses(draws, params=_model_params(a))
+            return total, grads
 
-            def f(flat):
-                d2 = den.copy()
-                d2.w1 = flat.reshape(shape)
-                return total_with(denoiser=d2)[0]
-
-            worst = max(worst, grad_check(f, grads["denoiser.w1"], den.w1, h=h))
-        return worst
-
-    yield "joint.denoiser_w1", check_denoiser_w1
-
-    yield "joint.node_e0", (lambda: _e0_check(
-        *_joint_trainer(task="node"), n_points, h, 640))
+        base = trainer.params.arrays()
+        for key in objective(base)[1]:
+            cell = (task, variant, per_row_t, key)
+            seed, n = ((_NAMED_CELLS[cell][1], n_points) if cell in _NAMED_CELLS
+                       else (_CELL_SEED, min(n_points, 1)))
+            points = [{**base, key: base[key]
+                       + Rng(seed + i).standard_normal(base[key].shape) * 0.1}
+                      for i in range(n)]
+            yield cell_name(*cell), objective, key, points
 
 
 def named_gradient_checks(n_points=10, h=1e-6):
     """Yield (name, runner) pairs; each runner returns the worst relative
-    error across its random points."""
-    yield "encoder.e0", (lambda: _encoder_check(n_points, h))
-    yield "encoder.e0_identity", (lambda: _encoder_check(n_points, h, "identity"))
-    yield from _diffusion_checks(n_points, h)
-    yield "bpr.embeddings", (lambda: _bpr_check(
-        n_points, h, TripletBatch([0, 1, 2], [3, 4, 5], [5, 3, 4]), rows=6))
-    yield "bpr.chunked", (lambda: _bpr_check(n_points, h, _CHUNKED_BATCH, rows=8, chunk=3))
-    yield from _ce_checks(n_points, h)
-    yield from _joint_checks(n_points, h)
+    error across its points."""
+    for rows in (_encoder_rows, _denoiser_rows, _bpr_rows, _ce_rows, _joint_rows):
+        for name, objective, key, points in rows(n_points):
+            yield name, (lambda o=objective, k=key, p=points: _worst_error(o, k, p, h))
 
 
 def run_all(n_points=10, h=1e-6):
     return {name: runner() for name, runner in named_gradient_checks(n_points, h)}
+
+
+def main():
+    """Print each entry's name, worst error and seconds; 1 if any entry is
+    above TOLERANCE, else 0."""
+    failed = []
+    for name, runner in named_gradient_checks():
+        started = time.perf_counter()
+        worst = runner()
+        print(f"{name}  {worst:.2e}  {time.perf_counter() - started:.2f}s", flush=True)
+        if not worst <= TOLERANCE:
+            failed.append(name)
+    if failed:
+        print(f"{len(failed)} above {TOLERANCE:g}: {', '.join(failed)}", file=sys.stderr)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

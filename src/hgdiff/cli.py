@@ -150,7 +150,11 @@ def cmd_ablate(args):
 
 def cmd_noise_exp(args):
     cfg = build_config(args)
-    ratios = [float(r) for r in args.ratios.split(",")]
+    try:
+        ratios = [float(r) for r in args.ratios.split(",")]
+    except ValueError:
+        raise ConfigError(f"--ratios must be comma-separated numbers, "
+                          f"got {args.ratios!r}") from None
     result = run_noise_robustness(cfg, ratios)
     print("retention (% of clean metric) per auxiliary relation and noise ratio")
     for line in result.table_lines():

@@ -113,7 +113,15 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
             raise ConfigError("epochs >= 0, batch_size >= 1, lr > 0 required")
-        self.bucket_boundaries = tuple(self.bucket_boundaries)
+        for name, low in (("k", 1), ("eval_every", 0), ("patience", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
+        b = self.bucket_boundaries
+        if not (isinstance(b, (list, tuple)) and all(type(x) is int for x in b)
+                and all(x < y for x, y in zip(b, b[1:]))):
+            raise ConfigError("bucket_boundaries must be a strictly increasing list "
+                              f"of integers, got {b!r}")
+        self.bucket_boundaries = tuple(b)
 
     def to_dict(self):
         d = asdict(self)
@@ -132,8 +140,6 @@ class RunConfig:
             elif key in d and not (isinstance(d[key], sub)
                                    or key == "synthetic" and d[key] is None):
                 raise ConfigError(f"{key} config must be a JSON object, not {d[key]!r}")
-        if "bucket_boundaries" in d:
-            d["bucket_boundaries"] = tuple(d["bucket_boundaries"])
         return _build(cls, d, "run")
 
     def fingerprint(self):
@@ -739,11 +745,13 @@ def train(cfg: RunConfig, graph=None, labels=None, features=None):
 
 def run_ablation(cfg: RunConfig, variants=VARIANTS, graph=None, labels=None):
     """Train every variant on identical data and seed; one report each."""
+    # every variant's config is checked before any data is loaded or trained on
+    configs = {variant: replace(cfg, variant=variant) for variant in variants}
     if graph is None:
         graph, labels = load_dataset(cfg)
     reports = {}
-    for variant in variants:
-        model, trace = train(replace(cfg, variant=variant), graph=graph, labels=labels)
+    for variant, variant_cfg in configs.items():
+        model, trace = train(variant_cfg, graph=graph, labels=labels)
         reports[variant] = trace.evals[-1]
     return reports
 

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 
+from hgdiff import cli, harness
 from hgdiff.cli import _CONFIG_FLAGS, build_config, main, make_parser
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.hetgraph import GraphError
@@ -110,7 +111,10 @@ class TestTrain:
     def test_diffusion_fields_of_another_type_are_config_errors(self, capsys, tmp_path):
         # a non-empty string is truthy, 2.5 steps once reached range() and
         # 2.5 epochs still does, and true trained as one epoch: each must be
-        # refused by its type, with exit 1 and no traceback
+        # refused by its type, with exit 1 and no traceback; so must k < 1, a
+        # negative eval_every or patience, and bucket boundaries that are not
+        # increasing integers, which trained and then exited 0, 2 or with a
+        # traceback
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
         for config, field in (({"diffusion": {"per_row_t": "no"}}, "per_row_t"),
@@ -135,7 +139,13 @@ class TestTrain:
                               ({"synthetic": {**synthetic, "users": 50.5}}, "users"),
                               ({"synthetic": {**synthetic, "aux_relations": False}},
                                "aux_relations"),
-                              ({"synthetic": {**synthetic, "seed": 1.0}}, "seed")):
+                              ({"synthetic": {**synthetic, "seed": 1.0}}, "seed"),
+                              ({"k": 0}, "k must be"), ({"k": -3}, "k must be"),
+                              ({"eval_every": -1}, "eval_every must be"),
+                              ({"patience": -1}, "patience must be"),
+                              *(({"bucket_boundaries": b}, "bucket_boundaries must be")
+                                for b in ([4, 2], [2, 2], ["a"], [2, 4.0], [True, 2], 3,
+                                          "24", None))):
             cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1, **config}))
             code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
             assert code == 1, config
@@ -399,6 +409,26 @@ class TestExperimentCommands:
         assert code == 0
         assert out.count("variant=") == 2
         assert set(json.loads(report.read_text())) == {"-D", "-U"}
+
+    def test_unknown_variant_is_refused_before_any_training(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(harness, "train", refuse)
+        monkeypatch.setattr(harness, "load_dataset", refuse)
+        code, out, err = run_cli(capsys, "ablate", *BASE, "--variants", "full,bogus")
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and "'bogus'" in err
+
+    def test_ratios_that_are_not_numbers_are_a_config_error(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("trained")
+
+        monkeypatch.setattr(cli, "run_noise_robustness", refuse)
+        code, out, err = run_cli(capsys, "noise-exp", *BASE, "--ratios", "0,abc")
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and "'0,abc'" in err
+        assert "Traceback" not in err
 
     def test_noise_exp(self, capsys, tmp_path):
         report = tmp_path / "noise.json"

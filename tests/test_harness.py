@@ -848,6 +848,10 @@ class TestConfig:
     def test_round_trip(self):
         cfg = small_cfg(variant="-U", epochs=12)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
+        for boundaries in ([], [1], [-1, 0, 5], (3, 7)):
+            cfg = small_cfg(bucket_boundaries=boundaries)
+            assert cfg.bucket_boundaries == tuple(boundaries)
+            assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):
