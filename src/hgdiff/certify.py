@@ -60,16 +60,14 @@ def _small_graph(seed):
 def _encoder_rows(n_points):
     adjs = relation_adjacencies(_small_graph(seed=51))
     probe = Rng(52).normal(8, 3)
-    points = [{"e0": Rng(520 + i).normal(8, 3)} for i in range(n_points)]
-    for name, activation in (("encoder.e0", "leaky_relu"),
-                             ("encoder.e0_identity", "identity")):
-        cfg = EncoderConfig(layers=2, dim=3, activation=activation)
+    cfg = EncoderConfig(layers=2, dim=3)
 
-        def objective(a, cfg=cfg):
-            out, vjp = encode_vjp(adjs, a["e0"], cfg)
-            return float((out.pooled * probe).sum()), {"e0": vjp(probe)}
+    def objective(a):
+        out, vjp = encode_vjp(adjs, a["e0"], cfg)
+        return float((out.pooled * probe).sum()), {"e0": vjp(probe)}
 
-        yield name, objective, "e0", points
+    yield "encoder.e0", objective, "e0", [{"e0": Rng(520 + i).normal(8, 3)}
+                                          for i in range(n_points)]
 
 
 def _denoiser_rows(n_points):

@@ -42,8 +42,6 @@ _CONFIG_FLAGS = (
     ("--synth-seed", "synthetic", "seed", {"type": int}),
     ("--dim", "encoder", "dim", {"type": int}),
     ("--layers", "encoder", "layers", {"type": int}),
-    ("--activation", "encoder", "activation", {"choices": ("leaky_relu", "identity")}),
-    ("--pooling", "encoder", "pooling", {"choices": ("mean", "sum")}),
     ("--steps", "diffusion", "steps", {"type": int, "help": "diffusion steps T"}),
     ("--b-max", "diffusion", "b_max", {"type": float}),
     ("--b-min", "diffusion", "b_min", {"type": float}),
@@ -128,7 +126,7 @@ def cmd_train(args):
 
 def cmd_eval(args):
     model = TrainedModel.load(args.model)
-    report = model.evaluate()  # "final" tag: matches the post-training report
+    report = model.evaluate()  # the same tables as the post-training report
     _emit(report, args.report)
     return 0
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Rng, ShapeError, map_blocks, row_blocks, scatter_add
+from .numerics import LEAKY_SLOPE, Rng, ShapeError, map_blocks, row_blocks, scatter_add
 
 
 class ScheduleError(ValueError):
@@ -150,6 +150,9 @@ def sinusoidal_table(steps, dim):
     return table
 
 
+_INIT_JITTER = 0.01  # scale of the Gaussian jitter on the initial weights
+
+
 @dataclass
 class DenoiserParams:
     """Two-layer denoiser weights plus the learnable step-embedding table."""
@@ -159,19 +162,18 @@ class DenoiserParams:
     w2: np.ndarray  # (d, d)
     b2: np.ndarray  # (d,)
     time_emb: np.ndarray  # (T, d)
-    slope: float = 0.2  # leaky_relu slope; the forward needs 0 <= slope <= 1
 
     @classmethod
-    def init(cls, dim, steps, rng: Rng, scale=0.01):
+    def init(cls, dim, steps, rng: Rng):
         # identity-leaning start: at mild corruption the optimal clean-signal
         # predictor is near the identity on its input, so the input block of
         # the first layer and the output layer begin at I plus a small jitter
         w1 = np.zeros((2 * dim, dim))
         w1[:dim] = np.eye(dim)
         return cls(
-            w1=w1 + rng.normal(2 * dim, dim) * scale,
+            w1=w1 + rng.normal(2 * dim, dim) * _INIT_JITTER,
             b1=np.zeros(dim),
-            w2=np.eye(dim) + rng.normal(dim, dim) * scale,
+            w2=np.eye(dim) + rng.normal(dim, dim) * _INIT_JITTER,
             b2=np.zeros(dim),
             time_emb=sinusoidal_table(steps, dim),
         )
@@ -183,10 +185,6 @@ class DenoiserParams:
     def arrays(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "time_emb": self.time_emb}
-
-    def copy(self):
-        return DenoiserParams(self.w1.copy(), self.b1.copy(), self.w2.copy(),
-                              self.b2.copy(), self.time_emb.copy(), self.slope)
 
 
 def _denoise_forward(params: DenoiserParams, h_t, t_rows):
@@ -207,9 +205,8 @@ def _denoise_forward(params: DenoiserParams, h_t, t_rows):
     x[:, d:] = params.time_emb[t_rows - 1]
     pre = x @ params.w1
     pre += params.b1
-    # leaky_relu(pre) equals max(pre, slope*pre) bit for bit, signed zeros
-    # included, only while 0 <= slope <= 1 (DenoiserParams.slope is 0.2)
-    hidden = np.multiply(pre, params.slope)
+    # leaky ReLU as max(pre, slope * pre) (see LEAKY_SLOPE)
+    hidden = np.multiply(pre, LEAKY_SLOPE)
     np.maximum(pre, hidden, out=hidden)
     out = hidden @ params.w2
     out += params.b2
@@ -240,7 +237,7 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g_b2 = g.sum(axis=0)
         g_w2 = hidden.T @ g
         g_hidden = g @ params.w2.T
-        g_pre = g_hidden * np.where(sloped, params.slope, 1.0)
+        g_pre = g_hidden * np.where(sloped, LEAKY_SLOPE, 1.0)
         g_b1 = g_pre.sum(axis=0)
         g_w1 = x.T @ g_pre
         g_x = g_pre @ params.w1.T
@@ -306,16 +303,16 @@ _WALK_ROWS = 1024
 
 
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
-                    source, infer_steps, rng: Rng = None, autoencoder=False):
-    """Corrupt the source rows to step `infer_steps` (None: T), then walk the
+                    sides, infer_steps, rng: Rng = None, autoencoder=False):
+    """Corrupt each side's rows to step `infer_steps` (None: T), then walk the
     posterior mean back to step zero. No sampling noise is added on the way
-    down, so the output is a deterministic function of (params, source,
+    down, so the output is a deterministic function of (params, rows,
     corruption noise).
 
-    `source` is one side's rows, corrupted from `rng`, or a dict of sides'
-    rows, each corrupted from its own stream ``rng.derive(name)``; the
-    result takes the same form. The corrupted rows of all sides are stacked
-    and walked together: each of the :func:`numerics.row_blocks` of about
+    `sides` maps each side's name to its rows, and the result maps the same
+    names to the walked rows; each side is corrupted from its own stream
+    ``rng.derive(name)``. The corrupted rows of all sides are stacked and
+    walked together: each of the :func:`numerics.row_blocks` of about
     `_WALK_ROWS` rows takes every step down to step 2 on a
     :func:`numerics.map_blocks` worker, and the final step-1 prediction runs
     over all rows at once. A product's rows round alike in any block of two
@@ -325,38 +322,34 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     `autoencoder` gives the DAE variant's one-shot prediction at step T from
     its loss's full-scale corruption instead, and ignores `infer_steps`.
     """
-    sides = source if isinstance(source, dict) else {None: source}
     rows = [np.asarray(part, dtype=np.float64) for part in sides.values()]
     t = schedule.steps if autoencoder or infer_steps is None else infer_steps
     if t == 0:
-        walked = [part.copy() for part in rows]
-    else:
-        # any step outside 1..T is refused here, before the walk
-        h = np.concatenate([
-            q_sample(part, t, schedule, rng=rng if name is None else rng.derive(name),
-                     keep_signal=autoencoder)
-            for name, part in zip(sides, rows)])
-        # the walk's steps, checked at once in the calling thread; each step
-        # hands the forward its own length-1 slice
-        down = np.arange(1 if autoencoder else t, 1, -1)
-        t_walk = _step_vector(down, down.size, params.time_emb.shape[0])
-        ab, ab_prev = schedule.alpha_bar[t_walk - 1], schedule.alpha_bar[t_walk - 2]
-        coef_pred = np.sqrt(ab_prev) * schedule.beta[t_walk - 1] / (1.0 - ab)
-        coef_h = np.sqrt(schedule.alpha[t_walk - 1]) * (1.0 - ab_prev) / (1.0 - ab)
-        walk = [(t_walk[i:i + 1], coef_h[i], coef_pred[i]) for i in range(t_walk.size)]
+        return {name: part.copy() for name, part in zip(sides, rows)}
+    # any step outside 1..T is refused here, before the walk
+    h = np.concatenate([q_sample(part, t, schedule, rng=rng.derive(name),
+                                 keep_signal=autoencoder)
+                        for name, part in zip(sides, rows)])
+    # the walk's steps, checked at once in the calling thread; each step
+    # hands the forward its own length-1 slice
+    down = np.arange(1 if autoencoder else t, 1, -1)
+    t_walk = _step_vector(down, down.size, params.time_emb.shape[0])
+    ab, ab_prev = schedule.alpha_bar[t_walk - 1], schedule.alpha_bar[t_walk - 2]
+    coef_pred = np.sqrt(ab_prev) * schedule.beta[t_walk - 1] / (1.0 - ab)
+    coef_h = np.sqrt(schedule.alpha[t_walk - 1]) * (1.0 - ab_prev) / (1.0 - ab)
+    walk = [(t_walk[i:i + 1], coef_h[i], coef_pred[i]) for i in range(t_walk.size)]
 
-        def walk_block(block):
-            # a view of the stacked corrupted rows, walked in place
-            for t_rows, coef_h, coef_pred in walk:
-                pred = _denoise_forward(params, block, t_rows)[3]
-                # coef_h*h + coef_pred*pred bit for bit (addition commutes)
-                block *= coef_h
-                block += coef_pred * pred
+    def walk_block(block):
+        # a view of the stacked corrupted rows, walked in place
+        for t_rows, coef_h, coef_pred in walk:
+            pred = _denoise_forward(params, block, t_rows)[3]
+            # coef_h*h + coef_pred*pred bit for bit (addition commutes)
+            block *= coef_h
+            block += coef_pred * pred
 
-        if walk:
-            map_blocks(walk_block, row_blocks(h, _WALK_ROWS))
-        # looked up as a module global in the caller's thread, so a caller
-        # may replace it
-        pred = denoise_predict(params, h, t if autoencoder else 1)
-        walked = np.split(pred, np.cumsum([len(part) for part in rows[:-1]]))
-    return dict(zip(sides, walked)) if isinstance(source, dict) else walked[0]
+    if walk:
+        map_blocks(walk_block, row_blocks(h, _WALK_ROWS))
+    # looked up as a module global in the caller's thread, so a caller
+    # may replace it
+    pred = denoise_predict(params, h, t if autoencoder else 1)
+    return dict(zip(sides, np.split(pred, np.cumsum([len(part) for part in rows[:-1]]))))

@@ -1,8 +1,8 @@
 """Relation-wise graph convolution encoder.
 
-Each relation runs L rounds of (normalized propagation, activation, per-row
-l2 normalization); the multi-order sum keeps the layer-0 input alive, and a
-pooling step merges the per-relation tables. Gradients with respect to the
+Each relation runs L rounds of (normalized propagation, leaky ReLU, per-row
+l2 normalization); the multi-order sum keeps the layer-0 input alive, and the
+elementwise mean merges the per-relation tables. Gradients with respect to the
 initial embeddings are hand-derived and certified by finite differences.
 """
 
@@ -12,43 +12,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hetgraph import GraphError, HeteroGraph, RelationAdjacency, normalize
-from .numerics import ShapeError, spmm
+from .hetgraph import GraphError, HeteroGraph, normalize
+from .numerics import LEAKY_SLOPE, CsrMatrix, ShapeError, spmm
 
 
 @dataclass
 class EncoderConfig:
     layers: int = 3
     dim: int = 32
-    activation: str = "leaky_relu"  # or "identity"
-    leaky_slope: float = 0.2  # in [0, 1]: the forward takes max(x, slope * x)
-    pooling: str = "mean"  # or "sum"
 
     def __post_init__(self):
         if self.layers < 0 or self.dim < 1:
             raise ShapeError("need layers >= 0 and dim >= 1")
-        if self.activation not in ("leaky_relu", "identity"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.pooling not in ("mean", "sum"):
-            raise ValueError(f"unknown pooling {self.pooling!r}")
-        if not 0.0 <= self.leaky_slope <= 1.0:
-            raise ValueError(f"leaky_slope must be in [0, 1], got {self.leaky_slope!r}")
 
 
 @dataclass
 class EncoderOutput:
     per_relation: dict
     pooled: np.ndarray
-
-
-def _activate(x, cfg, scratch):
-    """The activation written over the pre-activation `x`; `scratch` is a
-    spare array shaped like `x`."""
-    if cfg.activation != "identity":
-        # leaky_relu(x) equals max(x, slope*x) bit for bit, signed zeros
-        # included, while 0 <= slope <= 1 (EncoderConfig checks it)
-        np.maximum(x, np.multiply(x, cfg.leaky_slope, out=scratch), out=x)
-    return x
 
 
 def _row_normalize(z):
@@ -72,27 +53,26 @@ def _row_normalize_vjp(z, norms, upstream):
     return upstream
 
 
-def _propagate(adj: RelationAdjacency, e0, cfg: EncoderConfig, outputs=None, saved=None):
+def _propagate(adj: CsrMatrix, e0, cfg: EncoderConfig, outputs=None, saved=None):
     """The one forward pass of a relation: e0 plus the sum of L refined layers.
 
     Appends each layer's output to `outputs` and its (slope mask,
     activation, row norms) to `saved` when those lists are given; the
     backward needs only `saved`, so a forward-only call keeps nothing. The
     slope mask is ``~(x >= 0)`` of the pre-activation x, True where x < 0 or
-    NaN, or None for the identity activation.
+    NaN.
     """
     e0 = np.asarray(e0, dtype=np.float64)
-    if e0.shape[0] != adj.normalized.rows:
-        raise ShapeError(f"embedding rows {e0.shape[0]} vs adjacency {adj.normalized.rows}")
+    if e0.shape[0] != adj.rows:
+        raise ShapeError(f"embedding rows {e0.shape[0]} vs adjacency {adj.rows}")
     total = e0.copy()
     prev = e0
     scratch = np.empty_like(e0)
     for _ in range(cfg.layers):
-        x = spmm(adj.normalized, prev)
-        sloped = None
-        if saved is not None and cfg.activation != "identity":
-            sloped = ~(x >= 0)
-        z = _activate(x, cfg, scratch)
+        x = spmm(adj, prev)
+        sloped = ~(x >= 0) if saved is not None else None
+        # leaky ReLU written over the pre-activation (see LEAKY_SLOPE)
+        z = np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=scratch), out=x)
         prev, norms = _row_normalize(z)
         total += prev
         if outputs is not None:
@@ -102,7 +82,7 @@ def _propagate(adj: RelationAdjacency, e0, cfg: EncoderConfig, outputs=None, sav
     return total
 
 
-def propagate_relation(adj: RelationAdjacency, e0, cfg: EncoderConfig,
+def propagate_relation(adj: CsrMatrix, e0, cfg: EncoderConfig,
                        collect_layers=False):
     """Multi-order propagation sum for one relation: e0 plus L refined layers."""
     if not collect_layers:
@@ -111,7 +91,7 @@ def propagate_relation(adj: RelationAdjacency, e0, cfg: EncoderConfig,
     return _propagate(adj, e0, cfg, outputs=layers), layers
 
 
-def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
+def propagate_relation_vjp(adj: CsrMatrix, e0, cfg: EncoderConfig):
     """Forward pass plus a closure mapping upstream gradients to d/d e0."""
     saved = []
     total = _propagate(adj, e0, cfg, saved=saved)
@@ -123,39 +103,35 @@ def propagate_relation_vjp(adj: RelationAdjacency, e0, cfg: EncoderConfig):
         for sloped, z, norms in reversed(saved):
             chain += g  # equals g + chain: addition commutes bit for bit
             g_x = _row_normalize_vjp(z, norms, chain)
-            if sloped is not None:
-                # g * 1.0 is g, so this is np.where(x >= 0, g, slope * g)
-                g_x *= np.where(sloped, cfg.leaky_slope, 1.0)
+            # g * 1.0 is g, so this is np.where(x >= 0, g, slope * g)
+            g_x *= np.where(sloped, LEAKY_SLOPE, 1.0)
             # the normalized adjacency is its own transpose (see normalize)
-            chain = spmm(adj.normalized, g_x)
+            chain = spmm(adj, g_x)
         return g + chain
 
     return total, vjp
 
 
-def _pool(tables, cfg: EncoderConfig) -> EncoderOutput:
+def _pool(tables) -> EncoderOutput:
     if not tables:
         raise GraphError("encode needs at least one relation")
-    stack = np.stack(list(tables.values()))
-    pooled = stack.mean(axis=0) if cfg.pooling == "mean" else stack.sum(axis=0)
-    return EncoderOutput(tables, pooled)
+    return EncoderOutput(tables, np.stack(list(tables.values())).mean(axis=0))
 
 
 def encode(adjacencies, e0, cfg: EncoderConfig) -> EncoderOutput:
     """Propagate every relation from one shared initial table, then pool
     elementwise across relations."""
-    return _pool({name: _propagate(adj, e0, cfg) for name, adj in adjacencies.items()},
-                 cfg)
+    return _pool({name: _propagate(adj, e0, cfg) for name, adj in adjacencies.items()})
 
 
 def encode_vjp(adjacencies, e0, cfg: EncoderConfig):
     """:func:`encode` plus a closure mapping upstream gradients of the pooled
     table to d/d e0."""
     packs = {name: propagate_relation_vjp(adj, e0, cfg) for name, adj in adjacencies.items()}
-    out = _pool({name: table for name, (table, _) in packs.items()}, cfg)
+    out = _pool({name: table for name, (table, _) in packs.items()})
 
     def vjp(upstream):
-        branch = upstream / len(packs) if cfg.pooling == "mean" else upstream
+        branch = upstream / len(packs)
         total = np.zeros_like(np.asarray(upstream, dtype=np.float64))
         for _, back in packs.values():
             total += back(branch)

@@ -103,7 +103,6 @@ class RunConfig:
     k: int = 20
     bucket_boundaries: tuple = (2, 4, 8, 16)
     train_labels_per_class: int = 20
-    init_scale: float = 0.1
     patience: int = 0  # stop after this many non-improving evals; 0 = fixed epochs
 
     def __post_init__(self):
@@ -342,13 +341,14 @@ class TrainedModel:
         self.schedule = build_schedule(cfg.diffusion)
         self.params = None
 
-    def inference_tables(self, tag="final"):
+    def inference_tables(self):
         """Deterministic embedding tables for evaluation and export.
 
         The denoised table comes from the full reverse pass (or the one-shot
-        reconstruction for the autoencoder variant), seeded by `tag`: one
-        :func:`reverse_denoise` call per evaluation walks every diffused side
-        together, each side corrupted from its own stream.
+        reconstruction for the autoencoder variant): one
+        :func:`reverse_denoise` call walks every diffused side together, each
+        side corrupted from its own stream under the run's one evaluation
+        stream, so equal parameters always give equal tables.
         """
         cfg, plan = self.cfg, self.plan
         target_out = encode(self.target_adj, self.params.e0, cfg.encoder)
@@ -369,16 +369,15 @@ class TrainedModel:
             walked = reverse_denoise(
                 self.params.denoiser, self.schedule,
                 {side: denoised[sl] for side, sl in sides.items()}, cfg.diffusion.infer_steps,
-                rng=Rng(cfg.seed).derive(f"eval:{tag}"), autoencoder=plan.dae)
+                rng=Rng(cfg.seed).derive("eval:final"), autoencoder=plan.dae)
             for side, sl in sides.items():
                 denoised[sl] = walked[side]
         tables["denoised"] = denoised
         tables["fused"] = fuse(target_out.pooled, denoised)
         return tables
 
-    def evaluate(self, epoch=None, trace=None, tag=None):
-        tag = tag or (f"epoch{epoch}" if epoch is not None else "final")
-        tables = self.inference_tables(tag=tag)
+    def evaluate(self, epoch=None, trace=None):
+        tables = self.inference_tables()
         if self.cfg.task == "link":
             report = self._evaluate_link(tables["fused"])
         else:
@@ -566,7 +565,9 @@ class Trainer(TrainedModel):
     """A model in training: adds the rng streams, the initial parameters,
     the optimizer state and the triplet sampler's inputs."""
 
-    def __init__(self, cfg: RunConfig, graph=None, labels=None, features=None):
+    INIT_SCALE = 0.1  # standard deviation of the initial embeddings
+
+    def __init__(self, cfg: RunConfig, graph=None, labels=None):
         super().__init__(cfg, graph, labels)
         graph = self.graph
         root = Rng(cfg.seed)
@@ -574,13 +575,7 @@ class Trainer(TrainedModel):
                      for name in ("init", "triplets", "diffusion")}
 
         init_rng = self.rngs["init"]
-        if features is not None:
-            e0 = np.array(features, dtype=np.float64)
-            if e0.shape != (graph.num_nodes, cfg.encoder.dim):
-                raise ConfigError(f"features must be {graph.num_nodes}x{cfg.encoder.dim}")
-        else:
-            e0 = init_rng.derive("e0").normal(graph.num_nodes, cfg.encoder.dim) \
-                * cfg.init_scale
+        e0 = init_rng.derive("e0").normal(graph.num_nodes, cfg.encoder.dim) * self.INIT_SCALE
         denoiser = None
         if self.plan.diffusion_sides:
             denoiser = DenoiserParams.init(cfg.encoder.dim, cfg.diffusion.steps,
@@ -730,14 +725,13 @@ class Trainer(TrainedModel):
                         stale += 1
                         if stale >= cfg.patience:
                             break
-        trace.evals.append(self.evaluate(epoch=last_epoch, trace=trace, tag="final"))
+        trace.evals.append(self.evaluate(epoch=last_epoch, trace=trace))
         return self, trace
 
 
-def train(cfg: RunConfig, graph=None, labels=None, features=None):
+def train(cfg: RunConfig, graph=None, labels=None):
     """Run a full training job; returns (TrainedModel, TrainTrace)."""
-    trainer = Trainer(cfg, graph=graph, labels=labels, features=features)
-    return trainer.train()
+    return Trainer(cfg, graph=graph, labels=labels).train()
 
 
 # ------------------------------------------------------------------ runners
@@ -825,7 +819,7 @@ def export_embeddings(model: TrainedModel, path, table="fused"):
     The header records the dimension and the node-type offsets so files are
     self-describing; floats print via repr and round-trip exactly.
     """
-    tables = model.inference_tables(tag="export")
+    tables = model.inference_tables()
     if table not in tables:
         raise ConfigError(f"unknown table {table!r}; have {sorted(tables)}")
     data = tables[table]

@@ -123,21 +123,6 @@ class HeteroGraph:
 
 
 @dataclass
-class RelationAdjacency:
-    """One relation's symmetrized, degree-normalized adjacency.
-
-    The matrix is square over the global index space and equals its own
-    transpose bit for bit: the pattern is symmetric, and `normalized[i, j]` and
-    `normalized[j, i]` are the same product inv_sqrt[i] * inv_sqrt[j]. The
-    encoder's backward pass relies on this and multiplies by `normalized`
-    where it would otherwise need the transpose.
-    """
-
-    relation: str
-    normalized: CsrMatrix
-
-
-@dataclass
 class LabelSet:
     node_type: str
     node_ids: np.ndarray
@@ -418,7 +403,7 @@ def load_labels(path, node_type, n_classes=None, node_count=None) -> LabelSet:
     return LabelSet(node_type, ids, classes, n_classes)
 
 
-def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
+def normalize(g: HeteroGraph, relation) -> CsrMatrix:
     """Symmetric degree normalization of one relation over the global index
     space: entry (i,j) becomes 1/sqrt(d_i d_j), zero-degree rows/cols stay zero.
 
@@ -426,7 +411,8 @@ def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
     both endpoint types, symmetrized so one product updates both sides. The
     pattern is symmetric and each entry is the commutative product
     inv_sqrt[i] * inv_sqrt[j], so the normalized matrix is bitwise equal to
-    its transpose.
+    its own transpose. The encoder's backward relies on this and multiplies
+    by the matrix where it would otherwise need the transpose.
     """
     if relation not in g.relations:
         raise GraphError(f"unknown relation {relation!r}")
@@ -445,8 +431,7 @@ def normalize(g: HeteroGraph, relation) -> RelationAdjacency:
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(deg, out=offsets[1:])
-    return RelationAdjacency(relation, CsrMatrix(n, n, offsets, cols,
-                                                 inv_sqrt[rows] * inv_sqrt[cols]))
+    return CsrMatrix(n, n, offsets, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:

@@ -16,6 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# The slope of every leaky ReLU: the encoder's, the denoiser's and the
+# classifier's. For 0 <= slope <= 1, max(x, slope * x) is x where x >= 0 and
+# slope * x where x < 0, signed zeros and NaN included, so it equals the
+# branch form np.where(x >= 0, x, slope * x) bit for bit.
+LEAKY_SLOPE = 0.2
+
+
 class ShapeError(ValueError):
     """Operands with incompatible shapes."""
 
@@ -347,6 +354,9 @@ class Rng:
         return out
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class AdamState:
     """Moment accumulators for one parameter array."""
@@ -355,16 +365,12 @@ class AdamState:
     v: np.ndarray
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_param(cls, param, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def for_param(cls, param, lr=1e-3):
         param = np.asarray(param)
         return cls(np.zeros_like(param, dtype=np.float64),
-                   np.zeros_like(param, dtype=np.float64),
-                   0, lr, beta1, beta2, eps)
+                   np.zeros_like(param, dtype=np.float64), 0, lr)
 
 
 def adam_step(state: AdamState, param, grad):
@@ -376,13 +382,13 @@ def adam_step(state: AdamState, param, grad):
     if state.m.shape != param.shape:
         raise ShapeError(f"optimizer state {state.m.shape} vs param {param.shape}")
     state.step += 1
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * grad
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * grad * grad
-    m_hat = state.m / (1.0 - state.beta1 ** state.step)
-    v_hat = state.v / (1.0 - state.beta2 ** state.step)
-    param -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    state.m *= ADAM_BETA1
+    state.m += (1.0 - ADAM_BETA1) * grad
+    state.v *= ADAM_BETA2
+    state.v += (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.step)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.step)
+    param -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return param
 
 

@@ -14,7 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hetgraph import LabelSet
-from .numerics import Rng, ShapeError, as_matrix, map_blocks, row_blocks, scatter_add
+from .numerics import (
+    LEAKY_SLOPE,
+    Rng,
+    ShapeError,
+    as_matrix,
+    map_blocks,
+    row_blocks,
+    scatter_add,
+)
 
 
 def fuse(target_emb, denoised):
@@ -170,33 +178,30 @@ def _sigmoid(x):
     return out
 
 
+_CLASSIFIER_INIT_SCALE = 0.1  # standard deviation of the initial weights
+
+
 @dataclass
 class ClassifierParams:
-    """One-hidden-layer softmax classifier."""
+    """One-hidden-layer softmax classifier with d hidden units."""
 
-    w1: np.ndarray  # (d, hidden)
+    w1: np.ndarray  # (d, d)
     b1: np.ndarray
-    w2: np.ndarray  # (hidden, classes)
+    w2: np.ndarray  # (d, classes)
     b2: np.ndarray
-    slope: float = 0.2
 
     @classmethod
-    def init(cls, dim, n_classes, rng: Rng, hidden=None, scale=0.1):
-        hidden = hidden or dim
-        return cls(rng.normal(dim, hidden) * scale, np.zeros(hidden),
-                   rng.normal(hidden, n_classes) * scale, np.zeros(n_classes))
+    def init(cls, dim, n_classes, rng: Rng):
+        return cls(rng.normal(dim, dim) * _CLASSIFIER_INIT_SCALE, np.zeros(dim),
+                   rng.normal(dim, n_classes) * _CLASSIFIER_INIT_SCALE, np.zeros(n_classes))
 
     def arrays(self):
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
 
-    def copy(self):
-        return ClassifierParams(self.w1.copy(), self.b1.copy(),
-                                self.w2.copy(), self.b2.copy(), self.slope)
-
 
 def classifier_logits(emb_rows, clf: ClassifierParams):
     pre = emb_rows @ clf.w1 + clf.b1
-    hidden = np.where(pre >= 0, pre, clf.slope * pre)
+    hidden = np.where(pre >= 0, pre, LEAKY_SLOPE * pre)
     return hidden @ clf.w2 + clf.b2, pre, hidden
 
 
@@ -224,7 +229,7 @@ def ce_loss(emb, clf: ClassifierParams, labels: LabelSet, row_offset=0):
     g_b2 = g_logits.sum(axis=0)
     g_w2 = hidden.T @ g_logits
     g_hidden = g_logits @ clf.w2.T
-    g_pre = g_hidden * np.where(pre >= 0, 1.0, clf.slope)
+    g_pre = g_hidden * np.where(pre >= 0, 1.0, LEAKY_SLOPE)
     g_b1 = g_pre.sum(axis=0)
     g_w1 = x.T @ g_pre
     g_x = g_pre @ clf.w1.T

@@ -165,7 +165,7 @@ class TestTrain:
             "--label-file": "l.txt", "--labeled-type": "item", "--synth-users": 101,
             "--synth-items": 102, "--synth-aux": 3, "--synth-density": 0.21,
             "--synth-fidelity": 0.22, "--synth-seed": 104, "--dim": 105, "--layers": 6,
-            "--activation": "identity", "--pooling": "sum", "--steps": 107,
+            "--steps": 107,
             "--b-max": 0.93, "--b-min": 0.91, "--infer-steps": 8, "--per-row-t": True,
             "--lam": 0.24, "--l2": 0.25, "--lr": 0.26, "--batch-size": 109,
             "--epochs": 110, "--eval-every": 11, "--seed": 112, "--variant": "DAE",
@@ -179,21 +179,6 @@ class TestTrain:
         for flag, group, field, _ in _CONFIG_FLAGS:
             holder = getattr(cfg, group) if group else cfg
             assert getattr(holder, field) == values[flag], flag
-
-    def test_leaky_slope_outside_unit_interval_is_a_config_error(self, capsys, tmp_path):
-        cfg_path = tmp_path / "cfg.json"
-        synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
-        for slope in (-0.1, 1.5, float("nan")):
-            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
-                                            "encoder": {"leaky_slope": slope}}))
-            code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
-            assert code == 1, slope
-            assert "config error" in err and "leaky_slope" in err
-        for slope in (0.0, 1.0):
-            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1,
-                                            "encoder": {"leaky_slope": slope, "dim": 4}}))
-            code, _, _ = run_cli(capsys, "train", "--config", str(cfg_path))
-            assert code == 0, slope
 
     def test_noise_scale_uses_the_library_preset(self, capsys, tmp_path):
         report = tmp_path / "r.json"
@@ -317,18 +302,25 @@ class TestModelCommands:
         assert "fingerprint" in err
 
     def test_eval_refuses_model_with_removed_config_field(self, capsys, tmp_path):
-        # a model saved with a config field this version no longer has
+        # a model saved with a config field this version no longer has, such
+        # as the settings that are now constants, which were saved with values
         model_path = tmp_path / "m.npz"
         assert run_cli(capsys, "train", *BASE, "--save", str(model_path))[0] == 0
         with np.load(model_path) as data:
-            arrays = {k: data[k] for k in data.files}
-        cfg = json.loads(bytes(arrays["config_json"]).decode())
-        cfg["encoder"]["shared_initial"] = True
-        arrays["config_json"] = np.frombuffer(json.dumps(cfg).encode(), dtype=np.uint8)
-        np.savez(model_path, **arrays)
-        code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
-        assert code == 1
-        assert "config error" in err and "shared_initial" in err
+            saved = {k: data[k] for k in data.files}
+        for group, field, value in (("encoder", "shared_initial", True),
+                                    ("encoder", "activation", "leaky_relu"),
+                                    ("encoder", "pooling", "mean"),
+                                    ("encoder", "leaky_slope", 0.2),
+                                    (None, "init_scale", 0.1)):
+            cfg = json.loads(bytes(saved["config_json"]).decode())
+            (cfg[group] if group else cfg)[field] = value
+            arrays = dict(saved, config_json=np.frombuffer(json.dumps(cfg).encode(),
+                                                           dtype=np.uint8))
+            np.savez(model_path, **arrays)
+            code, _, err = run_cli(capsys, "eval", "--model", str(model_path))
+            assert code == 1, field
+            assert "config error" in err and field in err, field
 
 
 class TestSynth:

@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from hgdiff.diffusion import (
     reverse_denoise,
     sinusoidal_table,
 )
-from hgdiff.numerics import Rng, ShapeError, grad_check
+from hgdiff.numerics import LEAKY_SLOPE, Rng, ShapeError, grad_check
 
 from conftest import WORKER_COUNTS
 
@@ -119,7 +120,7 @@ def reference_predict(params, h_t, t):
     t_rows = np.full(h_t.shape[0], t) if np.ndim(t) == 0 else np.asarray(t)
     x = np.concatenate([h_t, params.time_emb[t_rows - 1]], axis=1)
     pre = x @ params.w1 + params.b1
-    hidden = np.where(pre >= 0, pre, params.slope * pre)
+    hidden = np.where(pre >= 0, pre, LEAKY_SLOPE * pre)
     return hidden @ params.w2 + params.b2
 
 
@@ -129,8 +130,8 @@ def reference_predict_vjp(params, h_t, t, upstream):
     t_rows = np.full(h_t.shape[0], t) if np.ndim(t) == 0 else np.asarray(t)
     x = np.concatenate([h_t, params.time_emb[t_rows - 1]], axis=1)
     pre = x @ params.w1 + params.b1
-    hidden = np.where(pre >= 0, pre, params.slope * pre)
-    g_pre = (upstream @ params.w2.T) * np.where(pre >= 0, 1.0, params.slope)
+    hidden = np.where(pre >= 0, pre, LEAKY_SLOPE * pre)
+    g_pre = (upstream @ params.w2.T) * np.where(pre >= 0, 1.0, LEAKY_SLOPE)
     g_x = g_pre @ params.w1.T
     g_temb = np.zeros_like(params.time_emb)
     np.add.at(g_temb, t_rows - 1, g_x[:, h_t.shape[1]:])
@@ -139,9 +140,16 @@ def reference_predict_vjp(params, h_t, t, upstream):
     return grads, g_x[:, :h_t.shape[1]]
 
 
+def walk(params, schedule, rows, infer_steps, rng=None, **kw):
+    """:func:`reverse_denoise` of one side, "x", corrupted from
+    ``rng.derive("x")``."""
+    return reverse_denoise(params, schedule, {"x": rows}, infer_steps, rng=rng, **kw)["x"]
+
+
 def reference_reverse(params, schedule, source, infer_steps, rng):
-    """Reverse walk with a fresh array per step."""
-    h = q_sample(source, infer_steps, schedule, rng=rng)
+    """Reverse walk of the side :func:`walk` takes, with a fresh array per
+    step."""
+    h = q_sample(source, infer_steps, schedule, rng=rng.derive("x"))
     for t in range(infer_steps, 0, -1):
         pred = denoise_predict(params, h, t)
         if t == 1:
@@ -341,8 +349,7 @@ class TestDiffusionLoss:
         res = run(base, source)
         for name in ("w1", "w2", "time_emb"):
             def f(flat, _n=name):
-                p = base.copy()
-                setattr(p, _n, flat.reshape(getattr(base, _n).shape))
+                p = replace(base, **{_n: flat.reshape(getattr(base, _n).shape)})
                 return run(p, source).loss
             err = grad_check(f, getattr(res.grads, name), getattr(base, name), h=1e-6)
             assert err < 1e-4, f"{name} per-row grad err {err}"
@@ -373,8 +380,7 @@ class TestDiffusionLoss:
 
         def param_fn(name):
             def f(flat):
-                p = base.copy()
-                setattr(p, name, flat.reshape(getattr(base, name).shape))
+                p = replace(base, **{name: flat.reshape(getattr(base, name).shape)})
                 return loss_with(p, source).loss
             return f
 
@@ -393,13 +399,13 @@ class TestReverse:
         s = small_schedule()
         params = zero_denoiser(3, 2)
         src = Rng(4).normal(4, 3)
-        out = reverse_denoise(params, s, src, 0)
+        out = walk(params, s, src, 0)
         assert np.array_equal(out, src)
 
     def test_constant_network_collapse(self):
         s = small_schedule()
         params = zero_denoiser(3, 2, constant=1.25)
-        out = reverse_denoise(params, s, Rng(5).normal(4, 3), 1, rng=Rng(6))
+        out = walk(params, s, Rng(5).normal(4, 3), 1, rng=Rng(6))
         assert np.allclose(out, 1.25)
 
     def test_perfect_denoiser_recovers_exactly(self, monkeypatch, cpus):
@@ -419,7 +425,7 @@ class TestReverse:
             for steps in (1, 3, 8):
                 calls["blocks"].clear()
                 calls["final"].clear()
-                out = reverse_denoise(params, s, source, steps, rng=Rng(9))
+                out = walk(params, s, source, steps, rng=Rng(9))
                 walked = list(range(steps, 1, -1))
                 expect = {first: [(size, t) for t in walked]
                           for first, size in ((0, 3), (3, 3), (6, 3), (9, 2))}
@@ -435,7 +441,7 @@ class TestReverse:
         params = DenoiserParams.init(4, steps, Rng(10))
         source = Rng(11).normal(6, 4)
         for infer in (1, 2, steps):
-            out = reverse_denoise(params, s, source, infer, rng=Rng(12))
+            out = walk(params, s, source, infer, rng=Rng(12))
             expect = reference_reverse(params, s, source, infer, Rng(12))
             assert np.array_equal(out, expect)
 
@@ -447,7 +453,7 @@ class TestReverse:
             monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
             for n in range(1, 41):
                 source = Rng(n).normal(n, 4)
-                out = reverse_denoise(params, s, source, steps, rng=Rng(14))
+                out = walk(params, s, source, steps, rng=Rng(14))
                 expect = reference_reverse(params, s, source, steps, Rng(14))
                 assert np.array_equal(out, expect), (rows, n)
 
@@ -458,7 +464,7 @@ class TestReverse:
         params = DenoiserParams.init(32, steps, Rng(15))
         assert diffusion._WALK_ROWS == 1024
         source = Rng(16).normal(1025, 32)
-        out = reverse_denoise(params, s, source, steps, rng=Rng(17))
+        out = walk(params, s, source, steps, rng=Rng(17))
         assert np.array_equal(out, reference_reverse(params, s, source, steps, Rng(17)))
 
     def test_blocks_are_near_equal_and_never_one_row(self, monkeypatch, cpus):
@@ -473,7 +479,7 @@ class TestReverse:
             for n in (*range(1, 41), 513):
                 calls["blocks"].clear()
                 calls["final"].clear()
-                reverse_denoise(params, s, Rng(n).normal(n, 2), steps, rng=Rng(19))
+                walk(params, s, Rng(n).normal(n, 2), steps, rng=Rng(19))
                 blocks = sorted(calls["blocks"].items())
                 sizes = [block[0][0] for _, block in blocks]
                 for _, block in blocks:
@@ -497,7 +503,7 @@ class TestReverse:
             expect = reference_reverse(params, s, source, steps, Rng(21))
             for workers in WORKER_COUNTS:
                 cpus(workers)
-                out = reverse_denoise(params, s, source, steps, rng=Rng(21))
+                out = walk(params, s, source, steps, rng=Rng(21))
                 assert np.array_equal(out, expect), (rows, n, workers)
 
     @pytest.mark.parametrize("dim", [4, 32])
@@ -514,8 +520,8 @@ class TestReverse:
                      for i, n in enumerate(sizes)}
             for infer, autoencoder in ((0, False), (1, False), (3, False), (steps, False),
                                        (None, True)):
-                alone = {name: reverse_denoise(params, s, rows, infer, rng=Rng(32).derive(name),
-                                               autoencoder=autoencoder)
+                alone = {name: reverse_denoise(params, s, {name: rows}, infer, rng=Rng(32),
+                                               autoencoder=autoencoder)[name]
                          for name, rows in sides.items()}
                 for workers in (1, 3):
                     cpus(workers)
@@ -533,13 +539,13 @@ class TestReverse:
         params = DenoiserParams.init(32, steps, Rng(22))
         source = Rng(23).normal(4097, 32)
         cpus(1)
-        expect = reverse_denoise(params, s, source, steps, rng=Rng(24))
+        expect = walk(params, s, source, steps, rng=Rng(24))
         cpus(4)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             for _ in range(20):
-                out = reverse_denoise(params, s, source, steps, rng=Rng(24))
+                out = walk(params, s, source, steps, rng=Rng(24))
                 assert np.array_equal(out, expect)
         finally:
             sys.setswitchinterval(interval)
@@ -564,7 +570,7 @@ class TestReverse:
         for workers in WORKER_COUNTS:
             cpus(workers)
             with pytest.raises(BlockFailed, match="block at row 9"):
-                reverse_denoise(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
+                walk(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
 
     def test_walk_step_outside_the_denoiser_is_refused_before_the_walk(
             self, monkeypatch, cpus):
@@ -578,13 +584,13 @@ class TestReverse:
         for workers in WORKER_COUNTS:
             cpus(workers)
             with pytest.raises(ShapeError, match="step 6 outside 1..3"):
-                reverse_denoise(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
+                walk(params, s, Rng(26).normal(40, 4), 6, rng=Rng(27))
             assert calls == {"blocks": {}, "final": []}
 
     def test_too_many_steps_rejected(self):
         s = small_schedule()
         with pytest.raises(ShapeError):
-            reverse_denoise(zero_denoiser(2, 2), s, np.ones((2, 2)), 3, rng=Rng(1))
+            walk(zero_denoiser(2, 2), s, np.ones((2, 2)), 3, rng=Rng(1))
 
 
 # every public entry point that takes steps, called on (params, schedule,

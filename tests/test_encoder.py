@@ -12,7 +12,7 @@ from hgdiff.encoder import (
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.harness import RunConfig, Trainer
 from hgdiff.hetgraph import GraphError, HeteroGraph, Relation, normalize
-from hgdiff.numerics import Rng, ShapeError, grad_check, spmm
+from hgdiff.numerics import LEAKY_SLOPE, Rng, ShapeError, grad_check, spmm
 
 
 def line_graph(n, name="e"):
@@ -42,7 +42,7 @@ class TestPropagate:
     def test_two_node_hand_computed(self):
         adj = two_node()
         e0 = np.eye(2)
-        cfg = EncoderConfig(layers=1, dim=2, activation="identity")
+        cfg = EncoderConfig(layers=1, dim=2)
         out = propagate_relation(adj, e0, cfg)
         assert np.allclose(out, np.ones((2, 2)))
 
@@ -89,7 +89,7 @@ class TestEncode:
     def test_identical_relations_mean_equals_branch(self):
         adjs = self.make_two_relation(identical=True)
         e0 = Rng(3).normal(4, 3)
-        out = encode(adjs, e0, EncoderConfig(layers=2, dim=3, pooling="mean"))
+        out = encode(adjs, e0, EncoderConfig(layers=2, dim=3))
         assert np.allclose(out.pooled, out.per_relation["a"])
 
     def test_mean_of_branches(self):
@@ -100,14 +100,6 @@ class TestEncode:
         branch_a = propagate_relation(adjs["a"], e0, cfg)
         branch_b = propagate_relation(adjs["b"], e0, cfg)
         assert np.allclose(out.pooled, (branch_a + branch_b) / 2)
-
-    def test_sum_pooling(self):
-        adjs = self.make_two_relation()
-        e0 = Rng(4).normal(4, 3)
-        cfg = EncoderConfig(layers=1, dim=3, pooling="sum")
-        out = encode(adjs, e0, cfg)
-        assert np.allclose(out.pooled,
-                           out.per_relation["a"] + out.per_relation["b"])
 
     def test_empty_relation_set_rejected(self):
         with pytest.raises(GraphError):
@@ -172,9 +164,7 @@ class TestSharedForward:
 
     def configs(self):
         for layers in (0, 1, 3):
-            for activation in ("leaky_relu", "identity"):
-                yield EncoderConfig(layers=layers, dim=5, activation=activation)
-        yield EncoderConfig(layers=2, dim=5, pooling="sum")
+            yield EncoderConfig(layers=layers, dim=5)
 
     def test_propagate_matches_vjp_forward(self):
         for g, e0 in self.graphs():
@@ -203,13 +193,12 @@ def reference_relation_vjp(adj, e0, cfg):
     """The relation forward and backward with np.where activations and
     boolean-mask copies of the nonzero-norm rows in the normalization
     gradient."""
-    identity = cfg.activation == "identity"
     saved = []
     total = e0.copy()
     prev = e0
     for _ in range(cfg.layers):
-        x = spmm(adj.normalized, prev)
-        z = x if identity else np.where(x >= 0, x, cfg.leaky_slope * x)
+        x = spmm(adj, prev)
+        z = np.where(x >= 0, x, LEAKY_SLOPE * x)
         norms = np.sqrt((z * z).sum(axis=1))
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
         prev = z * scale[:, None]
@@ -230,8 +219,7 @@ def reference_relation_vjp(adj, e0, cfg):
         chain = np.zeros_like(g)
         for x, z, norms in reversed(saved):
             g_z = normalize_vjp(z, norms, g + chain)
-            slope = np.ones_like(x) if identity else np.where(x >= 0, 1.0, cfg.leaky_slope)
-            chain = spmm(adj.normalized, g_z * slope)
+            chain = spmm(adj, g_z * np.where(x >= 0, 1.0, LEAKY_SLOPE))
         return g + chain
 
     return total, vjp
@@ -261,28 +249,18 @@ class TestReferenceBackward:
             upstream[0] = 0.0
             upstream[1, :3] = -0.0  # signed zeros must survive the chain sums
             for layers in (0, 1, 3):
-                for slope, activation in ((0.0, "leaky_relu"), (0.2, "leaky_relu"),
-                                          (1.0, "leaky_relu"), (0.2, "identity")):
-                    cfg = EncoderConfig(layers=layers, dim=6, activation=activation,
-                                        leaky_slope=slope)
-                    total, vjp = propagate_relation_vjp(adj, e0, cfg)
-                    ref_total, ref_vjp = reference_relation_vjp(adj, e0, cfg)
-                    assert np.array_equal(total.view(np.int64), ref_total.view(np.int64))
-                    kept = upstream.copy()
-                    grad = vjp(upstream)
-                    assert np.array_equal(grad.view(np.int64), ref_vjp(upstream).view(np.int64))
-                    assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
-                    # the saved forward state is left as it was
-                    assert np.array_equal(vjp(upstream).view(np.int64), grad.view(np.int64))
-                    if layers:
-                        assert np.array_equal(grad[11], upstream[11])  # isolated
-
-    def test_leaky_slope_must_lie_in_unit_interval(self):
-        for slope in (-0.01, 1.01, float("nan"), float("inf")):
-            with pytest.raises(ValueError, match="leaky_slope"):
-                EncoderConfig(leaky_slope=slope)
-        EncoderConfig(leaky_slope=0.0)
-        EncoderConfig(leaky_slope=1.0)
+                cfg = EncoderConfig(layers=layers, dim=6)
+                total, vjp = propagate_relation_vjp(adj, e0, cfg)
+                ref_total, ref_vjp = reference_relation_vjp(adj, e0, cfg)
+                assert np.array_equal(total.view(np.int64), ref_total.view(np.int64))
+                kept = upstream.copy()
+                grad = vjp(upstream)
+                assert np.array_equal(grad.view(np.int64), ref_vjp(upstream).view(np.int64))
+                assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
+                # the saved forward state is left as it was
+                assert np.array_equal(vjp(upstream).view(np.int64), grad.view(np.int64))
+                if layers:
+                    assert np.array_equal(grad[11], upstream[11])  # isolated
 
 
 class TestSavedState:

@@ -229,7 +229,7 @@ class TestViewSplit:
                     assert set(trainer.target_adj) | set(trainer.aux_adj) == set(g.relations)
                     # the source view keeps every auxiliary edge
                     for name in expect_aux:
-                        assert trainer.aux_adj[name].normalized.nnz \
+                        assert trainer.aux_adj[name].nnz \
                             == 2 * g.edge_count(name)
 
     def test_two_relations(self):
@@ -327,11 +327,11 @@ class TestTraining:
         trainer, _ = Trainer(cfg).train()
         draws = trainer.draw_epoch()
         total, parts, grads = trainer.compute_losses(draws)
-        tables = trainer.inference_tables(tag="probe")
+        tables = trainer.inference_tables()
         monkeypatch.setattr(harness, "diffusion_loss", reference_dae_loss)
         monkeypatch.setattr(harness, "reverse_denoise", reference_dae_inference)
         ref_total, ref_parts, ref_grads = trainer.compute_losses(draws)
-        ref_tables = trainer.inference_tables(tag="probe")
+        ref_tables = trainer.inference_tables()
         bits = lambda a: np.asarray(a, dtype=np.float64).view(np.int64)
         assert bits(total) == bits(ref_total)
         assert parts.keys() == ref_parts.keys()
@@ -402,8 +402,9 @@ def _train_positives(model):
 
 class TestEvaluation:
     def test_hand_set_scores_match_brute_force(self):
-        # provided features + zero layers + no auxiliary view make the fused
-        # table exactly the feature matrix, so scores are fully hand-set
+        # hand-set initial embeddings + zero layers + no auxiliary view make
+        # the fused table exactly the feature matrix, so scores are fully
+        # hand-set
         edges = [(0, 0), (0, 1), (1, 2), (1, 3)]  # held out: (0,1) and (1,3)
         g = HeteroGraph({"user": 2, "item": 4},
                         [Relation("buy", "user", "item", edges),
@@ -418,7 +419,8 @@ class TestEvaluation:
         cfg = RunConfig(synthetic=SyntheticSpec(), epochs=0, k=1, seed=0,
                         variant="-H", encoder=EncoderConfig(layers=0, dim=2),
                         diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9))
-        trainer = Trainer(cfg, graph=g, features=features)
+        trainer = Trainer(cfg, graph=g)
+        trainer.params.e0 = features
         model, trace = trainer.train()
         report = trace.evals[-1]
         # user 0 candidates {1,2,3}: scores 0.7, 0.5, 0.6 -> truth item 1 first
@@ -462,10 +464,6 @@ class TestEvaluation:
         with pytest.raises(ConfigError, match="needs labels"):
             Trainer(small_cfg(task="node"), graph=graph)
 
-    def test_features_of_another_shape_are_a_config_error(self):
-        with pytest.raises(ConfigError, match="features must be"):
-            Trainer(small_cfg(), features=np.zeros((3, 8)))
-
     def test_masked_scores_match_per_user_loop(self, monkeypatch):
         trainer = Trainer(small_cfg(epochs=2))
         model, _ = trainer.train()
@@ -503,7 +501,8 @@ class TestEvaluation:
         cfg = RunConfig(synthetic=SyntheticSpec(), epochs=0, k=5, seed=0, variant="-H",
                         encoder=EncoderConfig(layers=0, dim=8),
                         diffusion=DiffusionConfig(steps=4, b_max=0.99, b_min=0.9))
-        model = Trainer(cfg, graph=g, features=features)
+        model = Trainer(cfg, graph=g)
+        model.params.e0 = features
         if n_test == 10:  # 3 rows per block: blocks of 3, 3, 2 and 2 rows
             monkeypatch.setattr(tasks, "_RANK_BLOCK_ELEMENTS", 3 * n_items)
         seen = _capture_score_blocks(monkeypatch)
@@ -571,10 +570,10 @@ class TestEvaluation:
             monkeypatch.setattr(model.cfg.diffusion, "infer_steps", infer_steps)
             for workers in (1, 3):
                 cpus(workers)
-                joint = model.inference_tables(tag="probe")
+                joint = model.inference_tables()
                 with monkeypatch.context() as m:
                     m.setattr(harness, "reverse_denoise", per_side)
-                    alone = model.inference_tables(tag="probe")
+                    alone = model.inference_tables()
                 assert joint.keys() == alone.keys()
                 for name, table in joint.items():
                     assert np.array_equal(table.view(np.int64), alone[name].view(np.int64)), \
@@ -672,7 +671,7 @@ class TestDeskCallCounts:
         # acceptance seed's relations take 6 padded groups, seeds 2-5 at most 7
         for seed in (1, 2, 3, 4, 5):
             model = Trainer(self.desk_cfg(seed))
-            groups = [len(adj.normalized.degree_buckets())
+            groups = [len(adj.degree_buckets())
                       for adj in (*model.target_adj.values(), *model.aux_adj.values())]
             assert len(groups) == 3
             assert max(groups) <= (6 if seed == 1 else 7), (seed, groups)
@@ -824,9 +823,26 @@ class TestPersistenceAndExport:
         path = tmp_path / "emb.txt"
         export_embeddings(model, path, table="fused")
         back = read_embeddings(path)
-        expect = model.inference_tables(tag="export")["fused"]
+        expect = model.inference_tables()["fused"]
         assert np.array_equal(back["table"], expect)
         assert back["dim"] == expect.shape[1]
+
+    def test_every_evaluation_and_the_export_draw_from_one_stream(self, tmp_path):
+        # the corruption noise before the reverse walk comes from one stream,
+        # so equal parameters give equal tables and metrics wherever they are
+        # evaluated: during training, after it, or for export
+        cfg = small_cfg(epochs=4, eval_every=2)
+        _, trace = train(cfg)
+        trainer = Trainer(cfg)
+        for epoch in (1, 2):
+            trainer.run_epoch(epoch)
+        during, after = trace.evals[0], trainer.evaluate()
+        assert during.epoch == 2
+        assert (during.metrics, during.buckets) == (after.metrics, after.buckets)
+        path = tmp_path / "emb.txt"
+        export_embeddings(trainer, path)
+        assert np.array_equal(read_embeddings(path)["table"],
+                              trainer.inference_tables()["fused"])
 
     def test_export_row_count_and_header(self, tmp_path):
         model, _ = train(small_cfg(epochs=1))

@@ -570,7 +570,7 @@ class TestNormalize:
                             [Relation("follow", "user", "user", follows),
                              Relation("buy", "user", "item", buys)], "buy")
             for relation in g.relations:
-                got, expect = normalize(g, relation).normalized, normalize_reference(g, relation)
+                got, expect = normalize(g, relation), normalize_reference(g, relation)
                 assert np.array_equal(got.row_offsets, expect.row_offsets)
                 assert np.array_equal(got.col_indices, expect.col_indices)
                 assert np.array_equal(got.values.view(np.int64),
@@ -579,24 +579,24 @@ class TestNormalize:
     def test_single_edge_unit_degrees(self):
         g = HeteroGraph({"n": 2}, [Relation("e", "n", "n", [(0, 1)])], "e")
         adj = normalize(g, "e")
-        assert np.allclose(adj.normalized.to_dense(), [[0, 1], [1, 0]])
+        assert np.allclose(adj.to_dense(), [[0, 1], [1, 0]])
 
     def test_star_center_degree_two(self):
         g = HeteroGraph({"n": 3}, [Relation("e", "n", "n", [(0, 1), (0, 2)])], "e")
-        dense = normalize(g, "e").normalized.to_dense()
+        dense = normalize(g, "e").to_dense()
         assert abs(dense[0, 1] - 1 / np.sqrt(2)) < 1e-12
         assert abs(dense[1, 0] - 1 / np.sqrt(2)) < 1e-12
         assert dense[1, 2] == 0.0
 
     def test_isolated_node_zero_row(self):
         g = HeteroGraph({"n": 3}, [Relation("e", "n", "n", [(0, 1)])], "e")
-        dense = normalize(g, "e").normalized.to_dense()
+        dense = normalize(g, "e").to_dense()
         assert np.all(dense[2] == 0) and np.all(dense[:, 2] == 0)
 
     def test_bipartite_block_structure(self):
         g = toy_graph()
         adj = normalize(g, "buy")
-        dense = adj.normalized.to_dense()
+        dense = adj.to_dense()
         assert dense.shape == (5, 5)
         # user block and item block are zero; off-diagonal blocks mirror
         assert np.all(dense[:3, :3] == 0) and np.all(dense[3:, 3:] == 0)
@@ -618,14 +618,14 @@ class TestNormalize:
             deg = a.sum(1)
             inv = np.divide(1.0, np.sqrt(deg), out=np.zeros(n), where=deg > 0)
             expect = np.diag(inv) @ a @ np.diag(inv)
-            assert np.max(np.abs(adj.normalized.to_dense() - expect)) < 1e-12
+            assert np.max(np.abs(adj.to_dense() - expect)) < 1e-12
             # sparsity pattern preserved, entries bounded by 1
-            assert np.array_equal(adj.normalized.to_dense() != 0, a != 0)
-            assert adj.normalized.values.max(initial=0.0) <= 1.0
+            assert np.array_equal(adj.to_dense() != 0, a != 0)
+            assert adj.values.max(initial=0.0) <= 1.0
 
     def test_normalized_is_its_own_transpose(self):
-        # the encoder's backward multiplies by `normalized` in place of its
-        # transpose, so the two must agree bit for bit
+        # the encoder's backward multiplies by the normalized matrix in place
+        # of its transpose, so the two must agree bit for bit
         rng = np.random.default_rng(5)
         edges = np.unique(rng.integers(0, 9, size=(40, 2)), axis=0)
         graphs = [
@@ -634,7 +634,7 @@ class TestNormalize:
             (toy_graph(), "view"),  # user 2 and item 0 isolated
         ]
         for g, rel in graphs:
-            a = normalize(g, rel).normalized
+            a = normalize(g, rel)
             t = a.transpose()
             assert np.array_equal(a.row_offsets, t.row_offsets)
             assert np.array_equal(a.col_indices, t.col_indices)

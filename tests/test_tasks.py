@@ -1,5 +1,6 @@
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -350,8 +351,7 @@ class TestCe:
                           g_emb, emb, h=1e-6) < 1e-4
         for name in ("w1", "b1", "w2", "b2"):
             def f(flat, _name=name):
-                p = clf.copy()
-                setattr(p, _name, flat.reshape(getattr(clf, _name).shape))
+                p = replace(clf, **{_name: flat.reshape(getattr(clf, _name).shape)})
                 return ce_loss(emb, p, labels)[0]
             err = grad_check(f, getattr(g_clf, name), getattr(clf, name), h=1e-6)
             assert err < 1e-4, f"{name} grad err {err}"
