@@ -236,8 +236,9 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g = np.asarray(upstream, dtype=np.float64)
         g_b2 = g.sum(axis=0)
         g_w2 = hidden.T @ g
-        g_hidden = g @ params.w2.T
-        g_pre = g_hidden * np.where(sloped, LEAKY_SLOPE, 1.0)
+        # the hidden gradient, scaled in place into the pre-activation's
+        g_pre = g @ params.w2.T
+        g_pre *= np.where(sloped, LEAKY_SLOPE, 1.0)
         g_b1 = g_pre.sum(axis=0)
         g_w1 = x.T @ g_pre
         g_x = g_pre @ params.w1.T

@@ -113,9 +113,17 @@ def propagate_relation_vjp(adj: CsrMatrix, e0, cfg: EncoderConfig):
 
 
 def _pool(tables) -> EncoderOutput:
+    """Mean of the relation tables, bit for bit ``np.stack(...).mean(axis=0)``
+    without the (R, N, d) stack: like numpy's reduction, the sum starts from
+    +0.0 (so an entry that is -0.0 in every table pools to +0.0) and adds the
+    tables in relation order before dividing by R."""
     if not tables:
         raise GraphError("encode needs at least one relation")
-    return EncoderOutput(tables, np.stack(list(tables.values())).mean(axis=0))
+    pooled = np.zeros_like(next(iter(tables.values())))
+    for table in tables.values():
+        pooled += table
+    pooled /= len(tables)
+    return EncoderOutput(tables, pooled)
 
 
 def encode(adjacencies, e0, cfg: EncoderConfig) -> EncoderOutput:
@@ -127,13 +135,18 @@ def encode(adjacencies, e0, cfg: EncoderConfig) -> EncoderOutput:
 def encode_vjp(adjacencies, e0, cfg: EncoderConfig):
     """:func:`encode` plus a closure mapping upstream gradients of the pooled
     table to d/d e0."""
-    packs = {name: propagate_relation_vjp(adj, e0, cfg) for name, adj in adjacencies.items()}
-    out = _pool({name: table for name, (table, _) in packs.items()})
+    tables, backs = {}, []
+    for name, adj in adjacencies.items():
+        tables[name], back = propagate_relation_vjp(adj, e0, cfg)
+        backs.append(back)
+    # the closure keeps only the backward state, so a caller that drops the
+    # output frees the relation tables
+    out = _pool(tables)
 
     def vjp(upstream):
-        branch = upstream / len(packs)
+        branch = upstream / len(backs)
         total = np.zeros_like(np.asarray(upstream, dtype=np.float64))
-        for _, back in packs.values():
+        for back in backs:
             total += back(branch)
         return total
 

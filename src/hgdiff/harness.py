@@ -627,12 +627,16 @@ class Trainer(TrainedModel):
         """
         cfg, plan = self.cfg, self.plan
         params = params or self.params
-        target_out, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
-        e_target = target_out.pooled
-        e_source = vjp_s = denoised = None
+        # each array is held only until its last use: an encoder output is
+        # rebound to its pooled table, so its per-relation tables go at
+        # once, the forward tables go after the fusion and the task loss,
+        # and each side's diffusion result after that side's backward
+        e_target, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
+        e_target = e_target.pooled
+        vjp_s = None
         if plan.has_source:
-            source_out, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
-            e_source = source_out.pooled
+            e_source, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
+            e_source = e_source.pooled
             denoised = e_source.copy()
 
         side_results = {}
@@ -643,7 +647,12 @@ class Trainer(TrainedModel):
                 t=draws.side_t[side], noise=draws.side_noise[side], autoencoder=plan.dae)
             denoised[sl] = res.denoised
         deno = float(np.mean([r.loss for r in side_results.values()])) if side_results else 0.0
-        fused = fuse(e_target, denoised) if plan.has_source else e_target
+        if plan.has_source:
+            fused = fuse(e_target, denoised)
+            del e_source, denoised
+        else:
+            fused = e_target
+        del e_target
 
         clf_grads = None
         if cfg.task == "link":
@@ -652,6 +661,7 @@ class Trainer(TrainedModel):
             main, g_fused, clf_grads = ce_loss(
                 fused, params.classifier, self.split.train,
                 row_offset=self.graph.offset(self.cfg.labeled_type))
+        del fused
 
         total, parts = joint_loss(main, deno, replace(cfg.loss, lam=plan.lam), params.e0)
         parts["total"] = total
@@ -660,7 +670,7 @@ class Trainer(TrainedModel):
         g_e_target = g_fused.copy()
         acc = None
         if plan.has_source:
-            g_source = np.zeros_like(e_source)
+            g_source = np.zeros_like(g_fused)
             for side in plan.raw_sides:
                 sl = self.graph.type_slice(side)
                 g_source[sl] += g_fused[sl]
@@ -670,7 +680,7 @@ class Trainer(TrainedModel):
                                          in params.denoiser.arrays().items()})
                 for side in plan.diffusion_sides:
                     sl = self.graph.type_slice(side)
-                    res = side_results[side]
+                    res = side_results.pop(side)
                     for name, arr in res.grads.arrays().items():
                         acc.arrays()[name] += coef * arr
                     g_source[sl] += coef * res.grad_source
@@ -681,9 +691,13 @@ class Trainer(TrainedModel):
                         for name, arr in extra.arrays().items():
                             acc.arrays()[name] += arr
                         g_source[sl] += res.scale * g_h
-            g_e0 = vjp_t(g_e_target) + vjp_s(g_source)
-        else:
-            g_e0 = vjp_t(g_e_target)
+                    del res
+        del g_fused
+        g_e0 = vjp_t(g_e_target)
+        del vjp_t, g_e_target
+        if vjp_s is not None:
+            # a += b is a + b bit for bit
+            g_e0 += vjp_s(g_source)
         g_e0 += 2.0 * cfg.loss.l2 * params.e0
         # gradients are shaped like the parameters, so they share their names
         return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()

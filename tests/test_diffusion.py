@@ -260,6 +260,40 @@ class TestDenoiser:
                     ref = ref_grads.arrays()[name]
                     assert np.array_equal(arr.view(np.int64), ref.view(np.int64)), name
 
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_vjp_keeps_no_float_pre_activation(self, allocations, per_row):
+        rows, dim, steps = 300, 16, 10
+        rng = Rng(72)
+        params = DenoiserParams.init(dim, steps, rng)
+        h = rng.normal(rows, dim)
+        t = np.asarray(rng.integers(1, steps + 1, size=rows)) if per_row else 4
+        (out, vjp), _, held = allocations(diffusion.denoise_predict_vjp, params, h, t)
+        # the closure's arrays are the layer input, the hidden activation, a
+        # bool slope mask and the integer steps, nothing else
+        arrays = [c.cell_contents for c in vjp.__closure__
+                  if isinstance(c.cell_contents, np.ndarray)]
+        floats = sorted(a.shape for a in arrays if a.dtype == np.float64)
+        assert floats == [(rows, dim), (rows, 2 * dim)]
+        assert [a.shape for a in arrays if a.dtype == bool] == [(rows, dim)]
+        assert all(a.dtype.kind in "iu" and a.ndim == 1 for a in arrays
+                   if a.dtype not in (np.float64, bool))
+        # the output, x, hidden and the mask; a float64 pre-activation
+        # would add 8 bytes per hidden entry
+        table = rows * dim * 8
+        assert held < table + 2 * table + table + rows * dim + rows * 8 + 4096, held
+        upstream = rng.normal(rows, dim)
+        kept = upstream.copy()
+        first, peak, _ = allocations(vjp, upstream)
+        # the hidden gradient is scaled in place into the pre-activation's:
+        # a separate array for each would take one more table
+        assert peak < 7 * table, peak / table
+        second = vjp(upstream)
+        assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
+        assert np.array_equal(first[1].view(np.int64), second[1].view(np.int64))
+        for name, arr in first[0].arrays().items():
+            assert np.array_equal(arr.view(np.int64),
+                                  second[0].arrays()[name].view(np.int64)), name
+
     def test_shape_rejection(self):
         params = zero_denoiser(3, steps=2)
         with pytest.raises(ShapeError):

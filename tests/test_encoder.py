@@ -3,6 +3,7 @@ import pytest
 
 from hgdiff.encoder import (
     EncoderConfig,
+    _pool,
     encode,
     encode_vjp,
     propagate_relation,
@@ -277,6 +278,41 @@ class TestSavedState:
         # 7 bytes per entry
         table = n * d * 8
         assert held < table + layers * (table + n * d + n * 8) + 4096, held
+
+
+class TestPooling:
+    @staticmethod
+    def assert_stack_mean(out):
+        expect = np.stack(list(out.per_relation.values())).mean(axis=0)
+        assert np.array_equal(out.pooled.view(np.int64), expect.view(np.int64))
+
+    @pytest.mark.parametrize("relations", [1, 2, 3])
+    def test_pooled_is_the_stacked_mean_bit_for_bit(self, relations):
+        n, d = 12, 5
+        rng = Rng(40 + relations)
+        names = "efg"[:relations]
+        graphs = [random_graph(rng.derive(name), n, 18, name=name) for name in names]
+        adjs = {name: relation_adjacencies(g)[name] for name, g in zip(names, graphs)}
+        e0 = rng.normal(n, d)
+        e0[0] = -0.0
+        e0[1, :2] = -0.0
+        for layers in (0, 2):
+            cfg = EncoderConfig(layers=layers, dim=d)
+            self.assert_stack_mean(encode(adjs, e0, cfg))
+            self.assert_stack_mean(encode_vjp(adjs, e0, cfg)[0])
+
+    @pytest.mark.parametrize("relations", [1, 2, 3])
+    def test_signed_zeros_pool_like_the_stacked_mean(self, relations):
+        # relation tables whose entries mix -0.0 and +0.0; numpy's mean sums
+        # from +0.0, so an entry that is -0.0 in every table pools to +0.0,
+        # where a sum started from the first table would keep -0.0
+        signs = np.array([[-0.0, -0.0, 0.0, 0.0, -0.0, 1.5],
+                          [-0.0, 0.0, -0.0, 0.0, -0.0, -2.5],
+                          [-0.0, -0.0, -0.0, -0.0, 0.0, 0.25]])
+        tables = {f"r{i}": np.tile(signs[i], (3, 1)) for i in range(relations)}
+        out = _pool(tables)
+        self.assert_stack_mean(out)
+        assert not np.signbit(out.pooled[:, 0]).any()
 
 
 class TestStructuralProperties:

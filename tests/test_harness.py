@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from dataclasses import is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -343,6 +344,57 @@ class TestTraining:
         assert tables.keys() == ref_tables.keys()
         for name, arr in tables.items():
             assert np.array_equal(bits(arr), bits(ref_tables[name])), name
+
+
+def _bits(value):
+    """`value`'s arrays and numbers as bytes, through dataclasses, dicts,
+    tuples and lists, so that equal results mean equal bits."""
+    if value is None:
+        return None
+    if is_dataclass(value):
+        return _bits(vars(value))
+    if isinstance(value, dict):
+        return {key: _bits(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_bits(item) for item in value]
+    array = np.asarray(value)
+    return array.dtype.str, array.shape, array.tobytes()
+
+
+class TestTrainingStep:
+    @pytest.mark.parametrize("task", ["link", "node"])
+    @pytest.mark.parametrize("variant", harness.VARIANTS)
+    def test_compute_losses_leaves_its_inputs_and_repeats(self, task, variant):
+        # certify.py calls compute_losses many times on the same draws
+        cfg = small_cfg(task=task, variant=variant, epochs=2, train_labels_per_class=5,
+                        diffusion=DiffusionConfig(steps=10, b_max=0.99, b_min=0.9,
+                                                  per_row_t=True))
+        trainer, _ = Trainer(cfg).train()
+        draws = trainer.draw_epoch()
+        inputs = _bits(draws), _bits(trainer.params.arrays())
+        first = trainer.compute_losses(draws)
+        assert (_bits(draws), _bits(trainer.params.arrays())) == inputs
+        assert _bits(trainer.compute_losses(draws)) == _bits(first)
+
+    @pytest.mark.parametrize("task", ["link", "node"])
+    def test_step_peak_in_initial_tables(self, allocations, task):
+        # about 5 edges per user, as on the benchmark's mid graph
+        cfg = RunConfig(synthetic=SyntheticSpec(users=1000, items=500, density=0.01),
+                        task=task, epochs=0, encoder=EncoderConfig(layers=3, dim=16),
+                        diffusion=DiffusionConfig(steps=10, b_max=0.99, b_min=0.9,
+                                                  per_row_t=True))
+        trainer = Trainer(cfg)
+        draws = trainer.draw_epoch()
+        trainer.compute_losses(draws)  # builds the adjacencies' lazy kernel plans once
+        _, peak, _ = allocations(trainer.compute_losses, draws)
+        # At its peak the step holds each relation's backward state (per
+        # layer an activation, its row norms and a bool mask, about 3.4
+        # tables a relation over three relations), the upstream gradients of
+        # the fused, target and source tables, both sides' diffusion results
+        # and one side's denoiser backward: 22-26 tables. Holding every
+        # forward table and diffusion result to the end took 33-35.
+        tables = peak / trainer.params.e0.nbytes
+        assert tables < 28, tables
 
 
 def _dae_input(schedule, rows, noise):
