@@ -187,22 +187,30 @@ class DenoiserParams:
                 "time_emb": self.time_emb}
 
 
+def _layer_input(params: DenoiserParams, h_t, t_rows):
+    """The first layer's input x = h_t || s_t. `t_rows` is a checked
+    :func:`_step_vector`; one of length 1 writes its single step-embedding
+    row into the time half of x by broadcast instead of gathering one row
+    per input row."""
+    d = params.dim
+    x = np.empty((h_t.shape[0], 2 * d))
+    x[:, :d] = h_t
+    x[:, d:] = params.time_emb[t_rows - 1]
+    return x
+
+
 def _denoise_forward(params: DenoiserParams, h_t, t_rows):
     """The denoiser's one forward pass, shared by inference and training.
 
     Returns (x, pre, hidden, out) where x = h_t || s_t is the first layer's
-    input, pre its pre-activation, hidden = leaky_relu(pre) and out the
-    prediction. `t_rows` is a checked :func:`_step_vector`; one of length 1
-    writes its single step-embedding row into the time half of x by
-    broadcast instead of gathering one row per input row.
+    input (see :func:`_layer_input`), pre its pre-activation, hidden =
+    leaky_relu(pre) and out the prediction.
     """
     h_t = np.asarray(h_t, dtype=np.float64)
     d = params.dim
     if h_t.ndim != 2 or h_t.shape[1] != d:
         raise ShapeError(f"expected rows of width {d}, got {h_t.shape}")
-    x = np.empty((h_t.shape[0], 2 * d))
-    x[:, :d] = h_t
-    x[:, d:] = params.time_emb[t_rows - 1]
+    x = _layer_input(params, h_t, t_rows)
     pre = x @ params.w1
     pre += params.b1
     # leaky ReLU as max(pre, slope * pre) (see LEAKY_SLOPE)
@@ -226,11 +234,14 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
     t_rows = _step_vector(t, len(h_t), params.time_emb.shape[0])
     x, pre, hidden, out = _denoise_forward(params, h_t, t_rows)
     # the backward needs only where the pre-activation is below 0 or NaN,
-    # so the closure keeps that bool mask instead of the float rows
+    # so the closure keeps that bool mask instead of the float rows, and
+    # it keeps h_t, not x, rebuilding x when the weight gradient needs it
     sloped = ~(pre >= 0)
     d = params.dim
+    h_t = x[:, :d].copy()
+    del x, pre
     # the step-embedding gradient accumulates row by row in row order
-    t_rows = np.broadcast_to(t_rows, x.shape[:1])
+    t_all = np.broadcast_to(t_rows, h_t.shape[:1])
 
     def vjp(upstream):
         g = np.asarray(upstream, dtype=np.float64)
@@ -240,9 +251,10 @@ def denoise_predict_vjp(params: DenoiserParams, h_t, t):
         g_pre = g @ params.w2.T
         g_pre *= np.where(sloped, LEAKY_SLOPE, 1.0)
         g_b1 = g_pre.sum(axis=0)
-        g_w1 = x.T @ g_pre
+        g_w1 = _layer_input(params, h_t, t_rows).T @ g_pre
         g_x = g_pre @ params.w1.T
-        g_temb = scatter_add(t_rows - 1, g_x[:, d:], params.time_emb.shape[0])
+        del g_pre
+        g_temb = scatter_add(t_all - 1, g_x[:, d:], params.time_emb.shape[0])
         return DenoiserParams(g_w1, g_b1, g_w2, g_b2, g_temb), g_x[:, :d]
 
     return out, vjp
@@ -287,13 +299,15 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
     n = source.shape[0]
     if n == 0:
         raise ShapeError("empty batch")
-    h_t = q_sample(source, t, schedule, noise=noise, keep_signal=autoencoder)
-    pred, vjp = denoise_predict_vjp(params, h_t, t)
+    # the closure keeps its own copy of the corrupted rows
+    pred, vjp = denoise_predict_vjp(
+        params, q_sample(source, t, schedule, noise=noise, keep_signal=autoencoder), t)
     diff = pred - target
     w_rows = 1.0 if autoencoder else np.reshape(loss_weight(schedule, t), (-1, 1))
     scale = _corruption(schedule, t, n, autoencoder)[0]
     loss = float((w_rows * diff * diff).sum()) / n
     g_pred = (2.0 / n) * w_rows * diff
+    del diff
     grads, g_ht = vjp(g_pred)
     return DiffusionLossResult(loss, pred, grads, scale * g_ht, -g_pred, vjp, scale)
 
@@ -304,7 +318,7 @@ _WALK_ROWS = 1024
 
 
 def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
-                    sides, infer_steps, rng: Rng = None, autoencoder=False):
+                    sides, infer_steps, rng: Rng, autoencoder=False):
     """Corrupt each side's rows to step `infer_steps` (None: T), then walk the
     posterior mean back to step zero. No sampling noise is added on the way
     down, so the output is a deterministic function of (params, rows,

@@ -60,7 +60,7 @@ def _propagate(adj: CsrMatrix, e0, cfg: EncoderConfig, outputs=None, saved=None)
     activation, row norms) to `saved` when those lists are given; the
     backward needs only `saved`, so a forward-only call keeps nothing. The
     slope mask is ``~(x >= 0)`` of the pre-activation x, True where x < 0 or
-    NaN.
+    NaN, packed 8 entries a byte by np.packbits.
     """
     e0 = np.asarray(e0, dtype=np.float64)
     if e0.shape[0] != adj.rows:
@@ -70,7 +70,7 @@ def _propagate(adj: CsrMatrix, e0, cfg: EncoderConfig, outputs=None, saved=None)
     scratch = np.empty_like(e0)
     for _ in range(cfg.layers):
         x = spmm(adj, prev)
-        sloped = ~(x >= 0) if saved is not None else None
+        sloped = np.packbits(~(x >= 0)) if saved is not None else None
         # leaky ReLU written over the pre-activation (see LEAKY_SLOPE)
         z = np.maximum(x, np.multiply(x, LEAKY_SLOPE, out=scratch), out=x)
         prev, norms = _row_normalize(z)
@@ -103,6 +103,7 @@ def propagate_relation_vjp(adj: CsrMatrix, e0, cfg: EncoderConfig):
         for sloped, z, norms in reversed(saved):
             chain += g  # equals g + chain: addition commutes bit for bit
             g_x = _row_normalize_vjp(z, norms, chain)
+            sloped = np.unpackbits(sloped, count=z.size).view(bool).reshape(z.shape)
             # g * 1.0 is g, so this is np.where(x >= 0, g, slope * g)
             g_x *= np.where(sloped, LEAKY_SLOPE, 1.0)
             # the normalized adjacency is its own transpose (see normalize)
@@ -144,9 +145,12 @@ def encode_vjp(adjacencies, e0, cfg: EncoderConfig):
     out = _pool(tables)
 
     def vjp(upstream):
-        branch = upstream / len(backs)
-        total = np.zeros_like(np.asarray(upstream, dtype=np.float64))
-        for back in backs:
+        # x / 1 is x, so one relation takes the upstream itself
+        branch = upstream if len(backs) == 1 else upstream / len(backs)
+        # the sum starts from +0.0 as _pool's does: r + 0.0 is 0.0 + r
+        total = backs[0](branch)
+        total += 0.0
+        for back in backs[1:]:
             total += back(branch)
         return total
 

@@ -646,6 +646,7 @@ class Trainer(TrainedModel):
                 params.denoiser, self.schedule, e_source[sl], e_target[sl],
                 t=draws.side_t[side], noise=draws.side_noise[side], autoencoder=plan.dae)
             denoised[sl] = res.denoised
+            res.denoised = None  # only the fusion reads the prediction
         deno = float(np.mean([r.loss for r in side_results.values()])) if side_results else 0.0
         if plan.has_source:
             fused = fuse(e_target, denoised)
@@ -685,13 +686,16 @@ class Trainer(TrainedModel):
                         acc.arrays()[name] += coef * arr
                     g_source[sl] += coef * res.grad_source
                     g_e_target[sl] += coef * res.grad_target
-                    up = g_fused[sl]
-                    if np.any(up):
-                        extra, g_h = res.predict_vjp(up)
+                    # the fused upstream's backward needs only the closure
+                    predict_vjp, scale = res.predict_vjp, res.scale
+                    del res
+                    if np.any(g_fused[sl]):
+                        extra, g_h = predict_vjp(g_fused[sl])
                         for name, arr in extra.arrays().items():
                             acc.arrays()[name] += arr
-                        g_source[sl] += res.scale * g_h
-                    del res
+                        g_source[sl] += scale * g_h
+                        del extra, g_h
+                    del predict_vjp
         del g_fused
         g_e0 = vjp_t(g_e_target)
         del vjp_t, g_e_target

@@ -203,12 +203,19 @@ def spmm(a: CsrMatrix, b) -> np.ndarray:
     return out
 
 
+# values one np.bincount call of scatter_add takes: wider scatters run over
+# column blocks, so their int64 keys and copied values stay near 0.5 MB each
+_SCATTER_VALUES = 1 << 16
+
+
 def scatter_add(index, values, rows):
     """``np.add.at(np.zeros(...), index, values)`` over `rows` rows, bit for bit.
 
     `values` is 1-d or (len(index), d). np.bincount adds each value into its
     bin in input order starting from +0.0, which is the order add.at uses,
-    without add.at's per-element dispatch.
+    without add.at's per-element dispatch. Each column's sums are the same
+    whichever columns share a call, so more than `_SCATTER_VALUES` values
+    are summed a block of columns at a time.
     """
     index = np.asarray(index, dtype=np.int64)
     values = np.asarray(values, dtype=np.float64)
@@ -217,10 +224,18 @@ def scatter_add(index, values, rows):
     if index.size and (index.min() < 0 or index.max() >= rows):
         raise ShapeError(f"scatter index outside 0..{rows - 1}")
     d = values.shape[1] if values.ndim == 2 else 1
-    keys = (index[:, None] * d + np.arange(d)).ravel()
-    # bincount returns int64 zeros when it is given no values at all
-    out = np.bincount(keys, weights=values.ravel(), minlength=rows * d)
-    return out.astype(np.float64, copy=False).reshape((rows,) + values.shape[1:])
+    columns = values.reshape(index.size, d)
+    width = max(1, _SCATTER_VALUES // max(1, index.size))
+    out = np.empty((rows, d))
+    for start in range(0, d, width):
+        block = columns[:, start:start + width]
+        w = block.shape[1]
+        keys = (index[:, None] * w + np.arange(w)).ravel()
+        # bincount returns int64 zeros when it is given no values at all;
+        # the assignment casts them
+        out[:, start:start + w] = np.bincount(
+            keys, weights=block.ravel(), minlength=rows * w).reshape(rows, w)
+    return out.reshape((rows,) + values.shape[1:])
 
 
 def row_blocks(a, rows):

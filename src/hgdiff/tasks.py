@@ -148,9 +148,11 @@ def bpr_loss(emb, batch: TripletBatch, chunk=None):
     buf = np.empty(3 * n)
     user_term, pos_term, neg_term = buf[:n], buf[n:2 * n], buf[2 * n:]
     grad = np.empty((n_rows, d))
-    columns = np.ascontiguousarray(emb.T)
     for j in range(d):
-        col = columns[j]
+        if j % _BPR_COLUMNS == 0:
+            # contiguous copies of a few columns at a time, not of all of emb
+            columns = np.ascontiguousarray(emb[:, j:j + _BPR_COLUMNS].T)
+        col = columns[j % _BPR_COLUMNS]
         # the gathers above checked every index; "wrap" maps the negative
         # ones as indexing does and lets take write straight into `out`
         np.take(col, batch.pos, out=user_term, mode="wrap")
@@ -167,6 +169,7 @@ def bpr_loss(emb, batch: TripletBatch, chunk=None):
 
 
 _BPR_BLOCK_ELEMENTS = 1 << 16  # gathered elements per role in a bpr_loss row block
+_BPR_COLUMNS = 8  # embedding columns bpr_loss copies contiguous at a time
 
 
 def _sigmoid(x):
@@ -423,14 +426,14 @@ def _binary_auc(score, is_pos):
 
 
 def _midranks(values):
+    """1-based ranks of `values` in ascending order, each run of equal
+    values taking the mean of its ranks; NaN equals nothing, so each NaN
+    ranks alone."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2 + 1
-        i = j + 1
+    s = values[order]
+    # a run starts wherever a sorted value differs from the one before it
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    ends = np.append(starts[1:], s.size) - 1
+    ranks = np.empty(s.size)
+    ranks[order] = np.repeat((starts + ends) / 2 + 1, ends - starts + 1)
     return ranks

@@ -140,7 +140,7 @@ def reference_predict_vjp(params, h_t, t, upstream):
     return grads, g_x[:, :h_t.shape[1]]
 
 
-def walk(params, schedule, rows, infer_steps, rng=None, **kw):
+def walk(params, schedule, rows, infer_steps, rng, **kw):
     """:func:`reverse_denoise` of one side, "x", corrupted from
     ``rng.derive("x")``."""
     return reverse_denoise(params, schedule, {"x": rows}, infer_steps, rng=rng, **kw)["x"]
@@ -268,25 +268,30 @@ class TestDenoiser:
         h = rng.normal(rows, dim)
         t = np.asarray(rng.integers(1, steps + 1, size=rows)) if per_row else 4
         (out, vjp), _, held = allocations(diffusion.denoise_predict_vjp, params, h, t)
-        # the closure's arrays are the layer input, the hidden activation, a
-        # bool slope mask and the integer steps, nothing else
+        # the closure's arrays are a copy of the rows, the hidden activation,
+        # a bool slope mask and the integer steps, nothing else
         arrays = [c.cell_contents for c in vjp.__closure__
                   if isinstance(c.cell_contents, np.ndarray)]
         floats = sorted(a.shape for a in arrays if a.dtype == np.float64)
-        assert floats == [(rows, dim), (rows, 2 * dim)]
+        assert floats == [(rows, dim), (rows, dim)]
+        assert not any(np.shares_memory(a, h) for a in arrays)
         assert [a.shape for a in arrays if a.dtype == bool] == [(rows, dim)]
         assert all(a.dtype.kind in "iu" and a.ndim == 1 for a in arrays
                    if a.dtype not in (np.float64, bool))
-        # the output, x, hidden and the mask; a float64 pre-activation
-        # would add 8 bytes per hidden entry
+        # the output, the rows, hidden and the mask; keeping the layer input
+        # h_t || s_t would add a table, a float64 pre-activation 8 bytes per
+        # hidden entry
         table = rows * dim * 8
-        assert held < table + 2 * table + table + rows * dim + rows * 8 + 4096, held
+        assert held < table + table + table + rows * dim + rows * 8 + 4096, held
+        # the backward reads its own copy of the rows, not the caller's
+        h[:] = np.nan
         upstream = rng.normal(rows, dim)
         kept = upstream.copy()
         first, peak, _ = allocations(vjp, upstream)
-        # the hidden gradient is scaled in place into the pre-activation's:
-        # a separate array for each would take one more table
-        assert peak < 7 * table, peak / table
+        # the hidden gradient is scaled in place into the pre-activation's,
+        # which is freed before the step-embedding scatter: a separate array
+        # for each, or one living to the end, would take one more table
+        assert peak < 6 * table, peak / table
         second = vjp(upstream)
         assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
         assert np.array_equal(first[1].view(np.int64), second[1].view(np.int64))
@@ -433,7 +438,7 @@ class TestReverse:
         s = small_schedule()
         params = zero_denoiser(3, 2)
         src = Rng(4).normal(4, 3)
-        out = walk(params, s, src, 0)
+        out = walk(params, s, src, 0, rng=Rng(5))
         assert np.array_equal(out, src)
 
     def test_constant_network_collapse(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hgdiff import encoder
 from hgdiff.encoder import (
     EncoderConfig,
     _pool,
@@ -190,15 +191,15 @@ class TestSharedForward:
                     assert np.array_equal(table, twin.per_relation[name])
 
 
-def reference_relation_vjp(adj, e0, cfg):
+def reference_relation_vjp(adj, e0, cfg, product=spmm):
     """The relation forward and backward with np.where activations and
     boolean-mask copies of the nonzero-norm rows in the normalization
-    gradient."""
+    gradient; the forward takes its products from `product`."""
     saved = []
     total = e0.copy()
     prev = e0
     for _ in range(cfg.layers):
-        x = spmm(adj, prev)
+        x = product(adj, prev)
         z = np.where(x >= 0, x, LEAKY_SLOPE * x)
         norms = np.sqrt((z * z).sum(axis=1))
         scale = np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0)
@@ -264,6 +265,37 @@ class TestReferenceBackward:
                     assert np.array_equal(grad[11], upstream[11])  # isolated
 
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_packed_masks_match_the_reference_at_edge_values(self, monkeypatch):
+        # a product's row sum starts from +0.0 and is never -0.0, so every
+        # forward product is overwritten: row 0 holds -0.0, row 1 the
+        # subnormal -5e-324 and row 11 NaN. Leaky ReLU takes both -0.0 and
+        # -5e-324 to -0.0, so only a mask saved from the pre-activation
+        # tells that the second one is sloped.
+        tiny = -5e-324
+        assert np.signbit(np.maximum(tiny, LEAKY_SLOPE * tiny)) and tiny < 0
+        real = encoder.spmm
+
+        def edited(adj, b):
+            out = real(adj, b)
+            out[0, 0], out[1, 0], out[11, 2] = -0.0, tiny, np.nan
+            return out
+
+        adj = normalize(line_graph(12), "e")
+        rng = Rng(46)
+        e0, upstream = rng.normal(12, 4), rng.normal(12, 4)
+        for layers in (1, 2, 3):
+            cfg = EncoderConfig(layers=layers, dim=4)
+            monkeypatch.setattr(encoder, "spmm", edited)
+            total, vjp = propagate_relation_vjp(adj, e0, cfg)
+            monkeypatch.setattr(encoder, "spmm", real)
+            ref_total, ref_vjp = reference_relation_vjp(adj, e0, cfg, product=edited)
+            assert np.array_equal(total.view(np.int64), ref_total.view(np.int64))
+            grad = vjp(upstream)
+            assert np.array_equal(grad.view(np.int64), ref_vjp(upstream).view(np.int64))
+            assert np.isfinite(grad[:2]).all()
+
+
 class TestSavedState:
     def test_vjp_keeps_no_float_pre_activation(self, allocations):
         n, d, layers = 400, 16, 3
@@ -274,10 +306,10 @@ class TestSavedState:
         propagate_relation_vjp(adj, e0, cfg)  # fills the adjacency's memoized buckets
         _, _, held = allocations(propagate_relation_vjp, adj, e0, cfg)
         # the output, then per layer the activation, its row norms and a
-        # one-byte slope mask; a float64 pre-activation per layer would add
-        # 7 bytes per entry
+        # slope mask packed 8 entries a byte; a bool mask would add 7 bytes
+        # per 8 entries, a float64 pre-activation 63
         table = n * d * 8
-        assert held < table + layers * (table + n * d + n * 8) + 4096, held
+        assert held < table + layers * (table + n * d // 8 + n * 8) + 4096, held
 
 
 class TestPooling:
@@ -300,6 +332,28 @@ class TestPooling:
             cfg = EncoderConfig(layers=layers, dim=d)
             self.assert_stack_mean(encode(adjs, e0, cfg))
             self.assert_stack_mean(encode_vjp(adjs, e0, cfg)[0])
+
+    @pytest.mark.parametrize("relations", [1, 2, 3])
+    def test_backward_sums_from_zeros_bit_for_bit(self, relations):
+        # the pooled table's gradient: each relation's backward of
+        # upstream / R, added in relation order into a table of +0.0
+        n, d = 12, 5
+        rng = Rng(50 + relations)
+        names = "efg"[:relations]
+        graphs = [random_graph(rng.derive(name), n, 18, name=name) for name in names]
+        adjs = {name: relation_adjacencies(g)[name] for name, g in zip(names, graphs)}
+        e0 = rng.normal(n, d)
+        upstream = rng.normal(n, d)
+        upstream[0] = -0.0
+        kept = upstream.copy()
+        for layers in (0, 2):
+            cfg = EncoderConfig(layers=layers, dim=d)
+            expect = np.zeros((n, d))
+            for adj in adjs.values():
+                expect += propagate_relation_vjp(adj, e0, cfg)[1](upstream / relations)
+            grad = encode_vjp(adjs, e0, cfg)[1](upstream)
+            assert np.array_equal(grad.view(np.int64), expect.view(np.int64))
+            assert np.array_equal(upstream.view(np.int64), kept.view(np.int64))
 
     @pytest.mark.parametrize("relations", [1, 2, 3])
     def test_signed_zeros_pool_like_the_stacked_mean(self, relations):

@@ -242,6 +242,26 @@ class TestScatterAdd:
             assert np.array_equal(bits(scatter_add(index, column, rows)),
                                   bits(self.reference(index, column, rows)))
 
+    def test_column_blocks_match_add_at(self, monkeypatch):
+        # budgets below one column's values, of a few columns' and of all
+        for budget in (1, 7, 64, 1 << 16):
+            monkeypatch.setattr(numerics, "_SCATTER_VALUES", budget)
+            for index, values, rows in self.cases():
+                assert np.array_equal(bits(scatter_add(index, values, rows)),
+                                      bits(self.reference(index, values, rows))), budget
+
+    def test_wide_scatter_holds_no_whole_key_array(self, allocations):
+        # the step-embedding gradient of a mid-size side: 8000 rows, the
+        # strided time half of a (rows, 64) gradient, 100 steps
+        rng = Rng(72)
+        values = rng.standard_normal((8000, 64))[:, 32:]
+        index = rng.integers(0, 100, size=8000)
+        out, peak, _ = allocations(scatter_add, index, values, 100)
+        assert np.array_equal(bits(out), bits(self.reference(index, values, 100)))
+        # one call over all 256,000 values would hold 2 MB of int64 keys and
+        # a 2 MB contiguous copy of the values
+        assert peak < values.size * 8, peak
+
     def test_strided_values_and_dtype(self):
         rng = Rng(71)
         index = rng.integers(0, 6, size=30)

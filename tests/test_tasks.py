@@ -119,6 +119,22 @@ def brute_auc(scores, is_pos):
     return wins / (len(pos) * len(neg))
 
 
+def loop_midranks(values):
+    """Midranks by a walk over the stably sorted values: each run of values
+    equal to the run's first value takes the mean of its 1-based ranks."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    sorted_vals = values[order]
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2 + 1
+        i = j + 1
+    return ranks
+
+
 # ---------------------------------------------------------------- fuse
 
 
@@ -246,6 +262,10 @@ class TestBpr:
                              r.integers(8000, 12000, size=n))
         _, peak, _ = allocations(bpr_loss, emb, batch, chunk=1024)
         assert peak < 3 * n * d * 8, peak
+        # the gradient, and contiguous copies of 8 embedding columns at a
+        # time: a transposed copy of the whole table would add most of one
+        # more table (3.4 against 4.1 tables here)
+        assert peak < 3.8 * emb.nbytes, peak / emb.nbytes
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_one_chunk_is_the_plain_mean(self):
@@ -589,6 +609,14 @@ class TestClassMetrics:
         micro, macro = brute_f1([1, 1, 0, 0, 1, 0], labels.tolist(), 2)
         assert abs(m.micro_f1 - micro) < 1e-12
         assert abs(m.macro_f1 - macro) < 1e-12
+
+    def test_midranks_match_the_loop_bit_for_bit(self):
+        rng = np.random.default_rng(13)
+        cases = [rng.normal(size=7900), np.round(rng.normal(size=500), 1),
+                 np.full(9, 2.5), np.array([3.0]), np.empty(0),
+                 np.array([np.nan, 0.0, -0.0, -np.inf, np.nan, 0.0, np.inf, -0.0])]
+        for values in cases:
+            assert np.array_equal(bits(tasks._midranks(values)), bits(loop_midranks(values)))
 
     def test_single_class_auc_undefined(self):
         m = class_metrics(np.random.default_rng(0).normal(size=(4, 2)),
