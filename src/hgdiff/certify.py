@@ -6,9 +6,9 @@ certifies, and the points at which it is checked. One loop reports the
 worst relative disagreement of a row's gradient with central differences,
 and the acceptance suite requires every entry below 1e-4.
 
-The joint rows cover (task, variant, per_row_t) x every key of the gradient
-dict `Trainer.compute_losses` returns, so a new parameter group or variant
-joins the table by itself. A new config lever joins it by adding its value
+The joint rows cover (task, each variant the task accepts, per_row_t) x
+every key of the gradient dict `Trainer.compute_losses` returns, so a new
+parameter group or variant joins the table by itself. A new config lever joins it by adding its value
 to the axes in `joint_trainers`; a new loss function by a row family like
 `_bpr_rows`. ``python -m hgdiff.certify`` prints one line per entry and
 exits 1 if any entry is above 1e-4.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .diffusion import DenoiserParams, DiffusionConfig, build_schedule, diffusion_loss
 from .encoder import EncoderConfig, encode_vjp, relation_adjacencies
-from .harness import VARIANTS, ModelParams, RunConfig, SyntheticSpec, Trainer
+from .harness import ModelParams, RunConfig, SyntheticSpec, Trainer, accepted_variants, load_dataset
 from .hetgraph import HeteroGraph, LabelSet, Relation
 from .numerics import Rng, grad_check
 from .tasks import ClassifierParams, TripletBatch, bpr_loss, ce_loss
@@ -79,8 +79,11 @@ def _denoiser_rows(n_points):
     def objective(a):
         a = dict(a)
         source = a.pop("source")
-        res = diffusion_loss(DenoiserParams(**a), schedule, source, target, t=4, noise=noise)
-        return res.loss, {**res.grads.arrays(), "source": res.grad_source}
+        params = DenoiserParams(**a)
+        loss, _, backward = diffusion_loss(params, schedule, source, target, t=4, noise=noise)
+        grads, g_source = params.zeros_like(), np.zeros_like(source)
+        backward(1.0, np.zeros_like(source), grads, g_source, np.zeros_like(target))
+        return loss, {**grads.arrays(), "source": g_source}
 
     def points(seed):  # the denoiser from Rng(seed + i), the source from Rng(seed + 10 + i)
         return [{**DenoiserParams.init(4, 6, Rng(seed + i)).arrays(),
@@ -149,38 +152,29 @@ def cell_name(task, variant, per_row_t, key):
         f"joint.{task}.{variant}{'.per_row_t' if per_row_t else ''}.{key}"
 
 
-def _joint_trainer(task, variant, per_row_t):
-    cfg = RunConfig(
+def _joint_config(task, variant="full", per_row_t=False):
+    return RunConfig(
         task=task,
         synthetic=SyntheticSpec(users=10, items=8, aux_relations=2,
                                 density=0.2, fidelity=0.8),
         encoder=EncoderConfig(layers=2, dim=4),
         diffusion=DiffusionConfig(steps=5, b_max=0.95, b_min=0.6, per_row_t=per_row_t),
         epochs=1, seed=61, batch_size=64, train_labels_per_class=2, variant=variant)
-    trainer = Trainer(cfg)
-    return trainer, trainer.draw_epoch()
 
 
 def joint_trainers():
     """Yield ((task, variant, per_row_t), trainer, draws) for every trainer
-    of the joint table. Per-row steps only change a variant that draws
-    steps: one that diffuses and is not DAE."""
+    of the joint table: each variant the task's data accepts. Per-row steps
+    only change a variant that draws steps: one that diffuses and is not
+    DAE."""
     for task in ("link", "node"):
-        for variant in VARIANTS:
-            trainer, draws = _joint_trainer(task, variant, False)
-            yield (task, variant, False), trainer, draws
-            if trainer.plan.diffusion_sides and not trainer.plan.dae:
-                yield (task, variant, True), *_joint_trainer(task, variant, True)
-
-
-def _model_params(a):
-    """The ModelParams whose `arrays()` is `a`."""
-    def group(cls, prefix):
-        named = {k[len(prefix):]: v for k, v in a.items() if k.startswith(prefix)}
-        return cls(**named) if named else None
-
-    return ModelParams(a["e0"], group(DenoiserParams, "denoiser."),
-                       group(ClassifierParams, "classifier."))
+        cfg = _joint_config(task)
+        for variant in accepted_variants(cfg, load_dataset(cfg)[0]):
+            for per_row_t in (False, True):
+                trainer = Trainer(_joint_config(task, variant, per_row_t))
+                yield (task, variant, per_row_t), trainer, trainer.draw_epoch()
+                if not trainer.plan.diffusion_sides or trainer.plan.dae:
+                    break
 
 
 def _joint_rows(n_points):
@@ -189,7 +183,7 @@ def _joint_rows(n_points):
     that group only."""
     for (task, variant, per_row_t), trainer, draws in joint_trainers():
         def objective(a, trainer=trainer, draws=draws):
-            total, _, grads = trainer.compute_losses(draws, params=_model_params(a))
+            total, _, grads = trainer.compute_losses(draws, params=ModelParams.from_arrays(a))
             return total, grads
 
         base = trainer.params.arrays()

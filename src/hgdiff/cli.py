@@ -134,8 +134,7 @@ def cmd_eval(args):
 def cmd_ablate(args):
     cfg = build_config(args)
     variants = tuple(args.variants.split(",")) if args.variants else None
-    reports = run_ablation(cfg, variants=variants) if variants \
-        else run_ablation(cfg)
+    reports = run_ablation(cfg, variants=variants)
     for variant, report in reports.items():
         metrics = " ".join(f"{k}={v}" for k, v in report.metrics.items())
         print(f"variant={variant} {metrics}")

@@ -186,6 +186,9 @@ class DenoiserParams:
         return {"w1": self.w1, "b1": self.b1, "w2": self.w2, "b2": self.b2,
                 "time_emb": self.time_emb}
 
+    def zeros_like(self):
+        return DenoiserParams(**{name: np.zeros_like(arr) for name, arr in self.arrays().items()})
+
 
 def _layer_input(params: DenoiserParams, h_t, t_rows):
     """The first layer's input x = h_t || s_t. `t_rows` is a checked
@@ -271,27 +274,19 @@ def loss_weight(schedule: DiffusionSchedule, t):
     return np.where(t_rows == 1, 1.0, snr_gap).reshape(np.shape(t))[()]
 
 
-@dataclass
-class DiffusionLossResult:
-    loss: float
-    denoised: np.ndarray       # clean-signal prediction for the sampled step
-    grads: DenoiserParams      # gradients, shaped like the parameters
-    grad_source: np.ndarray
-    grad_target: np.ndarray    # label slot is an encoder output, so it gets one
-    predict_vjp: object        # reusable closure for extra upstream gradients
-    scale: np.ndarray | float  # d h_t / d source: sqrt(alpha_bar_t), or 1 for DAE
-
-
 def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
                    source, target, t, noise, autoencoder=False):
     """Step-weighted squared error between the denoiser's clean-signal
-    prediction and the target rows, with gradients for the denoiser and the
-    source embeddings.
+    prediction and the target rows; returns (loss, prediction, backward).
 
     `t` is one step for the batch or one per row, and `noise` the corruption
     noise; the caller draws both. `autoencoder` gives the DAE variant's loss,
     taken at step T: weight 1, with the signal kept at full scale.
-    """
+    ``backward(weight, upstream, grads, g_source, g_target)`` adds the
+    gradients of ``weight * loss + <upstream, prediction>`` in place into
+    `grads` (a :class:`DenoiserParams`) and the source and target rows'
+    gradients: the loss's VJP runs there, then the upstream's if nonzero.
+    It writes `g_target` last, so that may be `upstream` itself."""
     source = np.asarray(source, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if source.shape != target.shape:
@@ -304,12 +299,25 @@ def diffusion_loss(params: DenoiserParams, schedule: DiffusionSchedule,
         params, q_sample(source, t, schedule, noise=noise, keep_signal=autoencoder), t)
     diff = pred - target
     w_rows = 1.0 if autoencoder else np.reshape(loss_weight(schedule, t), (-1, 1))
-    scale = _corruption(schedule, t, n, autoencoder)[0]
+    scale = _corruption(schedule, t, n, autoencoder)[0]  # d h_t / d source
     loss = float((w_rows * diff * diff).sum()) / n
     g_pred = (2.0 / n) * w_rows * diff
     del diff
-    grads, g_ht = vjp(g_pred)
-    return DiffusionLossResult(loss, pred, grads, scale * g_ht, -g_pred, vjp, scale)
+
+    def backward(weight, upstream, grads, g_source, g_target):
+        parts = [(weight, g_pred)]
+        if np.any(upstream):
+            parts.append((1.0, upstream))  # 1.0 * x is x bit for bit
+        for w, g in parts:
+            step_grads, g_h = vjp(g)
+            for name, arr in step_grads.arrays().items():
+                grads.arrays()[name] += w * arr
+            g_source += w * (scale * g_h)
+            # g_h views the VJP's (rows, 2d) output: freed before the next
+            del step_grads, g_h
+        g_target += weight * -g_pred
+
+    return loss, pred, backward
 
 
 # rows per block of the reverse walk, ~2 MB of working set at d = 32: two

@@ -110,8 +110,8 @@ class RunConfig:
             raise ConfigError(f"unknown task {self.task!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ConfigError("epochs >= 0, batch_size >= 1, lr > 0 required")
+        if self.epochs < 0 or self.batch_size < 1 or not 0 < self.lr < np.inf:
+            raise ConfigError("epochs >= 0, batch_size >= 1 and a finite lr > 0 required")
         for name, low in (("k", 1), ("eval_every", 0), ("patience", 0)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
@@ -168,39 +168,43 @@ def _build(cls, values, where):
         raise ConfigError(f"bad {where} config: {exc}") from None
 
 
-@dataclass
+@dataclass(frozen=True)
 class VariantPlan:
     has_source: bool
     diffusion_sides: tuple
-    raw_sides: tuple
-    lam: float
     dae: bool = False
 
 
-def resolve_variant(cfg: RunConfig, graph: HeteroGraph) -> VariantPlan:
-    """Map the variant selector onto which sides diffuse, which fuse raw
-    source embeddings, and the effective denoising weight."""
+def _variant_plans(cfg: RunConfig, graph: HeteroGraph):
+    """Each variant's plan, and each plan's first variant in VARIANTS. The
+    sides that may diffuse are the target relation's endpoint types for
+    link, users first, and the labeled type for node: -U diffuses all but
+    the first side, -I only the first."""
     target = graph.relations[graph.target]
-    if cfg.task == "link":
-        sides = tuple(dict.fromkeys((target.src_type, target.dst_type)))
-    else:
-        sides = (cfg.labeled_type,)
-    lam = cfg.loss.lam
-    v = cfg.variant
-    if v == "full":
-        active = sides
-    elif v == "-D":
-        active, lam = (), 0.0
-    elif v == "-U":
-        active = sides[1:] if len(sides) > 1 else ()
-    elif v == "-I":
-        active = sides[:-1] if len(sides) > 1 else sides
-    elif v == "-H":
-        return VariantPlan(False, (), (), 0.0)
-    else:  # DAE
-        return VariantPlan(True, sides, (), lam, dae=True)
-    raw = tuple(s for s in sides if s not in active)
-    return VariantPlan(True, active, raw, lam)
+    sides = ((cfg.labeled_type,) if cfg.task == "node"
+             else tuple(dict.fromkeys((target.src_type, target.dst_type))))
+    plans = {"full": VariantPlan(True, sides), "-D": VariantPlan(True, ()),
+             "-U": VariantPlan(True, sides[1:]), "-I": VariantPlan(True, sides[:1]),
+             "-H": VariantPlan(False, ()), "DAE": VariantPlan(True, sides, dae=True)}
+    return plans, {plan: v for v, plan in reversed(plans.items())}
+
+
+def accepted_variants(cfg: RunConfig, graph: HeteroGraph):
+    """The first variant of each distinct plan: in a task with one side, -U
+    has -D's plan and -I full's, so those two are left out."""
+    plans, first = _variant_plans(cfg, graph)
+    return tuple(v for v, plan in plans.items() if first[plan] == v)
+
+
+def resolve_variant(cfg: RunConfig, graph: HeteroGraph) -> VariantPlan:
+    """Whether `cfg`'s variant has a source view and which sides diffuse.
+    Refuses a variant that :func:`accepted_variants` leaves out."""
+    plans, first = _variant_plans(cfg, graph)
+    same = first[plans[cfg.variant]]
+    if same != cfg.variant:
+        raise ConfigError(f"variant {cfg.variant} trains the same model as {same} "
+                          f"for this task and data; use {same}")
+    return plans[cfg.variant]
 
 
 # ------------------------------------------------------------------ data
@@ -303,6 +307,16 @@ class ModelParams:
             if params is not None:
                 out.update((f"{group}.{name}", arr) for name, arr in params.arrays().items())
         return out
+
+    @classmethod
+    def from_arrays(cls, arrays):
+        """The inverse of `arrays()`; a group with no array is None."""
+        def group(params_cls, prefix):
+            named = {k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)}
+            return params_cls(**named) if named else None
+
+        return cls(arrays["e0"], group(DenoiserParams, "denoiser."),
+                   group(ClassifierParams, "classifier."))
 
 
 class TrainedModel:
@@ -483,12 +497,7 @@ class TrainedModel:
             if saved[key].shape != shape or saved[key].dtype != np.float64:
                 raise GraphError(f"{path}: {key} is {saved[key].dtype} {saved[key].shape}, "
                                  f"not float64 {shape}")
-        group = lambda name: {key.split(".")[1]: arr for key, arr in saved.items()
-                              if key.startswith(f"{name}.")}
-        model.params = ModelParams(
-            saved["e0"],
-            DenoiserParams(**group("denoiser")) if model.plan.diffusion_sides else None,
-            ClassifierParams(**group("classifier")) if cfg.task == "node" else None)
+        model.params = ModelParams.from_arrays(saved)
         return model
 
 
@@ -630,7 +639,7 @@ class Trainer(TrainedModel):
         # each array is held only until its last use: an encoder output is
         # rebound to its pooled table, so its per-relation tables go at
         # once, the forward tables go after the fusion and the task loss,
-        # and each side's diffusion result after that side's backward
+        # and each side's backward closure once it has run
         e_target, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
         e_target = e_target.pooled
         vjp_s = None
@@ -639,15 +648,14 @@ class Trainer(TrainedModel):
             e_source = e_source.pooled
             denoised = e_source.copy()
 
-        side_results = {}
+        losses, backwards = {}, {}
         for side in plan.diffusion_sides:
             sl = self.graph.type_slice(side)
-            res = side_results[side] = diffusion_loss(
+            # only the fusion reads the prediction, so it goes once copied
+            losses[side], denoised[sl], backwards[side] = diffusion_loss(
                 params.denoiser, self.schedule, e_source[sl], e_target[sl],
                 t=draws.side_t[side], noise=draws.side_noise[side], autoencoder=plan.dae)
-            denoised[sl] = res.denoised
-            res.denoised = None  # only the fusion reads the prediction
-        deno = float(np.mean([r.loss for r in side_results.values()])) if side_results else 0.0
+        deno = float(np.mean(list(losses.values()))) if losses else 0.0
         if plan.has_source:
             fused = fuse(e_target, denoised)
             del e_source, denoised
@@ -664,41 +672,25 @@ class Trainer(TrainedModel):
                 row_offset=self.graph.offset(self.cfg.labeled_type))
         del fused
 
-        total, parts = joint_loss(main, deno, replace(cfg.loss, lam=plan.lam), params.e0)
+        # with no diffused side deno is 0.0, so lam adds nothing
+        total, parts = joint_loss(main, deno, cfg.loss, params.e0)
         parts["total"] = total
 
-        # backward: fusion is an elementwise sum, so upstream passes through
-        g_e_target = g_fused.copy()
-        acc = None
+        # backward: fusion is an elementwise sum, so g_fused passes through
+        # to the target view, and each side's backward adds its rows to it
+        # after reading them as its upstream
         if plan.has_source:
-            g_source = np.zeros_like(g_fused)
-            for side in plan.raw_sides:
-                sl = self.graph.type_slice(side)
-                g_source[sl] += g_fused[sl]
-            if plan.diffusion_sides:
-                coef = plan.lam / len(plan.diffusion_sides)
-                acc = DenoiserParams(**{name: np.zeros_like(arr) for name, arr
-                                         in params.denoiser.arrays().items()})
-                for side in plan.diffusion_sides:
-                    sl = self.graph.type_slice(side)
-                    res = side_results.pop(side)
-                    for name, arr in res.grads.arrays().items():
-                        acc.arrays()[name] += coef * arr
-                    g_source[sl] += coef * res.grad_source
-                    g_e_target[sl] += coef * res.grad_target
-                    # the fused upstream's backward needs only the closure
-                    predict_vjp, scale = res.predict_vjp, res.scale
-                    del res
-                    if np.any(g_fused[sl]):
-                        extra, g_h = predict_vjp(g_fused[sl])
-                        for name, arr in extra.arrays().items():
-                            acc.arrays()[name] += arr
-                        g_source[sl] += scale * g_h
-                        del extra, g_h
-                    del predict_vjp
-        del g_fused
-        g_e0 = vjp_t(g_e_target)
-        del vjp_t, g_e_target
+            # denoised is the source on every row no side diffuses, so there the
+            # source gets g_fused (+ 0.0 maps -0.0 to +0.0, as a sum into zeros)
+            g_source = g_fused + 0.0
+        acc = params.denoiser.zeros_like() if plan.diffusion_sides else None
+        for side in plan.diffusion_sides:
+            sl = self.graph.type_slice(side)
+            g_source[sl] = 0.0  # the side's backward adds its rows' gradient
+            backwards.pop(side)(cfg.loss.lam / len(plan.diffusion_sides), g_fused[sl], acc,
+                                g_source[sl], g_fused[sl])
+        g_e0 = vjp_t(g_fused)
+        del vjp_t, g_fused
         if vjp_s is not None:
             # a += b is a + b bit for bit
             g_e0 += vjp_s(g_source)
@@ -755,17 +747,19 @@ def train(cfg: RunConfig, graph=None, labels=None):
 # ------------------------------------------------------------------ runners
 
 
-def run_ablation(cfg: RunConfig, variants=VARIANTS, graph=None, labels=None):
-    """Train every variant on identical data and seed; one report each."""
-    # every variant's config is checked before any data is loaded or trained on
-    configs = {variant: replace(cfg, variant=variant) for variant in variants}
+def run_ablation(cfg: RunConfig, variants=None, graph=None, labels=None):
+    """Train each variant on identical data and seed; one report each. With
+    no `variants`, every variant this data accepts (:func:`accepted_variants`)."""
+    # names are checked before any data loads, and plans before any training
+    configs = None if variants is None else {v: replace(cfg, variant=v) for v in variants}
     if graph is None:
         graph, labels = load_dataset(cfg)
-    reports = {}
-    for variant, variant_cfg in configs.items():
-        model, trace = train(variant_cfg, graph=graph, labels=labels)
-        reports[variant] = trace.evals[-1]
-    return reports
+    if configs is None:
+        configs = {v: replace(cfg, variant=v) for v in accepted_variants(cfg, graph)}
+    for variant_cfg in configs.values():
+        resolve_variant(variant_cfg, graph)
+    return {variant: train(variant_cfg, graph=graph, labels=labels)[1].evals[-1]
+            for variant, variant_cfg in configs.items()}
 
 
 @dataclass

@@ -246,8 +246,8 @@ class JointLossConfig:
     l2: float = 1e-3
 
     def __post_init__(self):
-        if self.lam < 0 or self.l2 < 0:
-            raise ValueError(f"loss weights must be nonnegative, got lam={self.lam}, "
+        if not (0 <= self.lam < np.inf and 0 <= self.l2 < np.inf):
+            raise ValueError(f"loss weights must be finite and >= 0, got lam={self.lam}, "
                              f"l2={self.l2}")
 
 

@@ -22,9 +22,12 @@ def test_joint_table_certifies_every_gradient_of_every_trainer():
         cells |= certified
     # no joint entry outside some trainer's gradient dict
     assert joint == cells, sorted(joint - cells)
-    # every task and variant, and per-row steps wherever the variant draws steps
+    # every variant each task accepts (the node task has one side, so -U
+    # and -I are refused there), and per-row steps wherever the variant
+    # draws steps
     stepped = {key for key, plan in plans.items() if plan.diffusion_sides and not plan.dae}
-    assert set(plans) == {(task, v) for task in ("link", "node") for v in VARIANTS}
+    assert set(plans) == ({("link", v) for v in VARIANTS}
+                          | {("node", v) for v in ("full", "-D", "-H", "DAE")})
     assert combos == ({key + (False,) for key in plans} | {key + (True,) for key in stepped})
 
 
@@ -34,8 +37,8 @@ def test_named_cells_keep_their_names():
     assert certify.cell_name("link", "DAE", False, "e0") == "joint.e0_dae"
     assert certify.cell_name("link", "full", False, "denoiser.w1") == "joint.denoiser_w1"
     assert certify.cell_name("node", "full", False, "e0") == "joint.node_e0"
-    assert certify.cell_name("node", "-I", True, "classifier.b2") \
-        == "joint.node.-I.per_row_t.classifier.b2"
+    assert certify.cell_name("link", "-I", True, "denoiser.b2") \
+        == "joint.link.-I.per_row_t.denoiser.b2"
 
 
 def test_the_loop_reports_a_wrong_gradient():

@@ -94,6 +94,21 @@ class TestTrain:
         assert code == 1
         assert "config error" in err and "activation" in err
 
+    def test_non_finite_weights_are_config_errors(self, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("loaded data")
+
+        monkeypatch.setattr(harness, "load_dataset", refuse)
+        for flag in ("--lam", "--l2", "--lr"):
+            code, out, err = run_cli(capsys, "train", *BASE, flag, "nan")
+            assert code == 1 and out == "", flag
+            assert err.startswith("config error:") and flag[2:] in err, flag
+
+    def test_one_side_alias_variant_is_a_config_error(self, capsys):
+        code, out, err = run_cli(capsys, "train", *BASE, "--task", "node", "--variant", "-U")
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and "same model as -D" in err
+
     def test_config_file_that_is_not_a_json_object_is_a_config_error(self, capsys, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         for text, problem in (("{", "not valid JSON"), ("[1, 2]", "not a JSON object"),

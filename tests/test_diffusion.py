@@ -307,6 +307,42 @@ class TestDenoiser:
             denoise_predict(params, np.ones((2, 3)), 3)
 
 
+def backward_into_zeros(params, s, source, target, t, noise, weight=1.0, upstream=None,
+                        autoencoder=False):
+    """diffusion_loss with its backward run into zero accumulators: (loss,
+    prediction, denoiser gradients, source gradient, target gradient)."""
+    loss, pred, backward = diffusion_loss(params, s, source, target, t=t, noise=noise,
+                                          autoencoder=autoencoder)
+    grads, g_source, g_target = params.zeros_like(), np.zeros_like(source), np.zeros_like(target)
+    backward(weight, np.zeros_like(pred) if upstream is None else upstream,
+             grads, g_source, g_target)
+    return loss, pred, grads, g_source, g_target
+
+
+def reference_backward(params, s, source, target, t, noise, autoencoder,
+                       weight, upstream, grads, g_source, g_target):
+    """diffusion_loss and its backward written out from denoise_predict_vjp:
+    the loss's VJP and the upstream's, each added in that order."""
+    pred, vjp = diffusion.denoise_predict_vjp(
+        params, q_sample(source, t, s, noise=noise, keep_signal=autoencoder), t)
+    n = source.shape[0]
+    w_rows = 1.0 if autoencoder else np.reshape(loss_weight(s, t), (-1, 1))
+    scale = 1.0 if autoencoder else np.sqrt(s.alpha_bar[np.reshape(t, (-1, 1)) - 1])
+    diff = pred - target
+    g_pred = (2.0 / n) * w_rows * diff
+    loss_grads, g_h = vjp(g_pred)
+    for name, arr in loss_grads.arrays().items():
+        grads.arrays()[name] += weight * arr
+    g_source += weight * (scale * g_h)
+    if np.any(upstream):
+        extra, g_h = vjp(upstream)
+        for name, arr in extra.arrays().items():
+            grads.arrays()[name] += arr
+        g_source += scale * g_h
+    g_target += weight * -g_pred
+    return float((w_rows * diff * diff).sum()) / n, pred
+
+
 class TestDiffusionLoss:
     def test_weight_anchor(self):
         s = small_schedule()
@@ -322,9 +358,9 @@ class TestDiffusionLoss:
         source = Rng(1).normal(6, 3)
         s = small_schedule()
         for t in (1, 2):
-            res = diffusion_loss(params, s, source, target, t=t,
-                                 noise=np.zeros((6, 3)))
-            assert res.loss == 0.0
+            loss, _, _ = diffusion_loss(params, s, source, target, t=t,
+                                        noise=np.zeros((6, 3)))
+            assert loss == 0.0
 
     def test_loss_positive(self):
         s = small_schedule()
@@ -332,9 +368,9 @@ class TestDiffusionLoss:
         params = DenoiserParams.init(3, 2, rng)
         source, target = rng.normal(5, 3), rng.normal(5, 3)
         t = int(rng.integers(1, s.steps + 1))
-        res = diffusion_loss(params, s, source, target, t=t,
-                             noise=rng.standard_normal((5, 3)))
-        assert res.loss > 0
+        loss, _, _ = diffusion_loss(params, s, source, target, t=t,
+                                    noise=rng.standard_normal((5, 3)))
+        assert loss > 0
 
     def test_loss_nonnegative_random_sweep(self):
         s = build_schedule(DiffusionConfig(steps=12, b_max=0.97, b_min=0.4))
@@ -343,9 +379,9 @@ class TestDiffusionLoss:
             params = DenoiserParams.init(3, 12, rng.derive(f"p{trial}"))
             source, target = rng.normal(4, 3), rng.normal(4, 3)
             t = rng.integers(1, 13, size=4) if trial % 2 else int(rng.integers(1, 13))
-            res = diffusion_loss(params, s, source, target, t=t,
-                                 noise=rng.standard_normal((4, 3)))
-            assert res.loss >= 0.0
+            loss, _, _ = diffusion_loss(params, s, source, target, t=t,
+                                        noise=rng.standard_normal((4, 3)))
+            assert loss >= 0.0
 
     def test_per_row_t_matches_scalar_when_uniform(self):
         # a single step broadcasts its one step-embedding row, where equal
@@ -360,19 +396,68 @@ class TestDiffusionLoss:
             noise = rng.standard_normal((n, 4))
             upstream = rng.normal(n, 4)
             for t in (1, 2, 37, 100):
-                scalar = diffusion_loss(params, s, source, target, t=t, noise=noise)
-                vector = diffusion_loss(params, s, source, target,
-                                        t=np.full(n, t), noise=noise)
-                assert bits(scalar.loss) == bits(vector.loss), (n, t)
-                for name in ("denoised", "grad_source", "grad_target"):
-                    assert np.array_equal(bits(getattr(scalar, name)),
-                                          bits(getattr(vector, name))), (n, t, name)
-                extra = [res.predict_vjp(upstream) for res in (scalar, vector)]
-                assert np.array_equal(bits(extra[0][1]), bits(extra[1][1])), (n, t)
-                for grads in ((scalar.grads, vector.grads), (extra[0][0], extra[1][0])):
-                    for name, arr in grads[0].arrays().items():
-                        assert np.array_equal(bits(arr), bits(grads[1].arrays()[name])), \
+                # the loss's backward alone, then the upstream's alone
+                for weight, up in ((1.0, None), (0.0, upstream)):
+                    scalar, vector = (
+                        backward_into_zeros(params, s, source, target, steps, noise,
+                                            weight=weight, upstream=up)
+                        for steps in (t, np.full(n, t)))
+                    assert bits(scalar[0]) == bits(vector[0]), (n, t)
+                    for i in (1, 3, 4):  # prediction, source and target gradients
+                        assert np.array_equal(bits(scalar[i]), bits(vector[i])), (n, t, i)
+                    for name, arr in scalar[2].arrays().items():
+                        assert np.array_equal(bits(arr), bits(vector[2].arrays()[name])), \
                             (n, t, name)
+
+    @pytest.mark.parametrize("case", ["scalar", "per_row", "dae"])
+    def test_backward_matches_reference_bit_for_bit(self, monkeypatch, case):
+        s = build_schedule(DiffusionConfig(steps=6, b_max=0.95, b_min=0.6))
+        rng = Rng(36)
+        params = DenoiserParams.init(4, 6, rng)
+        params.w1 = params.w1 + rng.normal(8, 4)
+        n = 9
+        source, target = rng.normal(n, 4), rng.normal(n, 4)
+        noise = rng.standard_normal((n, 4))
+        t = {"scalar": 3, "per_row": rng.integers(1, 7, size=n), "dae": 6}[case]
+        autoencoder = case == "dae"
+        calls = []
+        real = diffusion.denoise_predict_vjp
+
+        def counted(*args):
+            out, vjp = real(*args)
+            return out, lambda g: calls.append(1) or vjp(g)
+
+        monkeypatch.setattr(diffusion, "denoise_predict_vjp", counted)
+        bits = lambda a: np.asarray(a, dtype=np.float64).view(np.int64)
+        for weight in (0.0, 0.7):
+            # an all-zero upstream, a nonzero one, and the target rows
+            # themselves, as compute_losses passes them
+            for upstream in (np.zeros((n, 4)), rng.normal(n, 4), "target"):
+                # nonzero accumulators, and the side's rows inside larger tables
+                start = {name: rng.normal(arr.size, 1).reshape(arr.shape)
+                         for name, arr in params.arrays().items()}
+                start["source"], start["target"] = rng.normal(n + 3, 4), rng.normal(n + 3, 4)
+                got, want = ({k: v.copy() for k, v in start.items()} for _ in range(2))
+                got_grads, want_grads = (
+                    DenoiserParams(**{k: a[k] for k in params.arrays()}) for a in (got, want))
+                calls.clear()
+                loss, pred, backward = diffusion_loss(params, s, source, target, t=t,
+                                                      noise=noise, autoencoder=autoencoder)
+                assert calls == []  # the forward runs no VJP
+                alias = isinstance(upstream, str)
+                got_up = got["target"][2:2 + n] if alias else upstream
+                want_up = want["target"][2:2 + n] if alias else upstream
+                expect_calls = 2 if np.any(got_up) else 1
+                backward(weight, got_up, got_grads,
+                         got["source"][2:2 + n], got["target"][2:2 + n])
+                assert len(calls) == expect_calls
+                ref_loss, ref_pred = reference_backward(
+                    params, s, source, target, t, noise, autoencoder, weight, want_up,
+                    want_grads, want["source"][2:2 + n], want["target"][2:2 + n])
+                assert bits(loss) == bits(ref_loss)
+                assert np.array_equal(bits(pred), bits(ref_pred))
+                for name in start:
+                    assert np.array_equal(bits(got[name]), bits(want[name])), (weight, name)
 
     def test_per_row_t_gradients_certified(self):
         s = build_schedule(DiffusionConfig(steps=6, b_max=0.95, b_min=0.6))
@@ -383,17 +468,17 @@ class TestDiffusionLoss:
         t_rows = np.asarray(rng.integers(1, 7, size=8), dtype=np.int64)
 
         def run(params, src):
-            return diffusion_loss(params, s, src, target, t=t_rows, noise=noise)
+            return backward_into_zeros(params, s, src, target, t_rows, noise)
 
-        res = run(base, source)
+        _, _, grads, g_source, _ = run(base, source)
         for name in ("w1", "w2", "time_emb"):
             def f(flat, _n=name):
                 p = replace(base, **{_n: flat.reshape(getattr(base, _n).shape)})
-                return run(p, source).loss
-            err = grad_check(f, getattr(res.grads, name), getattr(base, name), h=1e-6)
+                return run(p, source)[0]
+            err = grad_check(f, getattr(grads, name), getattr(base, name), h=1e-6)
             assert err < 1e-4, f"{name} per-row grad err {err}"
-        err = grad_check(lambda f: run(base, f.reshape(8, 4)).loss,
-                         res.grad_source, source, h=1e-6)
+        err = grad_check(lambda f: run(base, f.reshape(8, 4))[0],
+                         g_source, source, h=1e-6)
         assert err < 1e-4
 
     def test_empty_batch_rejected(self):
@@ -413,23 +498,23 @@ class TestDiffusionLoss:
         t = 4
 
         def loss_with(params, src):
-            return diffusion_loss(params, s, src, target, t=t, noise=noise)
+            return backward_into_zeros(params, s, src, target, t, noise)
 
-        res = loss_with(base, source)
+        _, _, grads, g_source, _ = loss_with(base, source)
 
         def param_fn(name):
             def f(flat):
                 p = replace(base, **{name: flat.reshape(getattr(base, name).shape)})
-                return loss_with(p, source).loss
+                return loss_with(p, source)[0]
             return f
 
         for name in ("w1", "b1", "w2", "b2", "time_emb"):
-            err = grad_check(param_fn(name), getattr(res.grads, name),
+            err = grad_check(param_fn(name), getattr(grads, name),
                              getattr(base, name), h=1e-6)
             assert err < 1e-4, f"{name} grad err {err}"
 
-        err = grad_check(lambda f: loss_with(base, f.reshape(8, 4)).loss,
-                         res.grad_source, source, h=1e-6)
+        err = grad_check(lambda f: loss_with(base, f.reshape(8, 4))[0],
+                         g_source, source, h=1e-6)
         assert err < 1e-4, f"source grad err {err}"
 
 
@@ -639,7 +724,7 @@ STEP_ENTRY_POINTS = {
     "denoise_predict": lambda p, s, rows, t: denoise_predict(p, rows, t),
     "denoise_predict_vjp": lambda p, s, rows, t: diffusion.denoise_predict_vjp(p, rows, t)[0],
     "diffusion_loss": lambda p, s, rows, t: diffusion_loss(
-        p, s, rows, rows + 1.0, t=t, noise=np.zeros_like(rows)).denoised,
+        p, s, rows, rows + 1.0, t=t, noise=np.zeros_like(rows))[1],
 }
 
 

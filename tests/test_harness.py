@@ -4,19 +4,14 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
-from dataclasses import is_dataclass
+from dataclasses import is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from hgdiff import cli, diffusion, harness, tasks
-from hgdiff.diffusion import (
-    DiffusionConfig,
-    DiffusionLossResult,
-    denoise_predict,
-    denoise_predict_vjp,
-)
+from hgdiff.diffusion import DiffusionConfig, denoise_predict, denoise_predict_vjp
 from hgdiff.encoder import EncoderConfig, encode_vjp
 from hgdiff.harness import (
     ConfigError,
@@ -25,6 +20,8 @@ from hgdiff.harness import (
     SyntheticSpec,
     TrainedModel,
     Trainer,
+    VariantPlan,
+    accepted_variants,
     export_embeddings,
     labeled_node_split,
     leave_one_out_split,
@@ -48,6 +45,7 @@ from hgdiff.numerics import Rng, row_blocks
 from hgdiff.tasks import JointLossConfig
 
 from conftest import WORKER_COUNTS
+from step_digest import step_digest
 from test_cli import read_embeddings
 
 
@@ -182,22 +180,50 @@ class TestSplit:
             assert split.n_excluded == excluded
 
 
+def accepted_pairs():
+    """Every (task, variant) that small_cfg's data accepts."""
+    for task in ("link", "node"):
+        cfg = small_cfg(task=task)
+        for variant in accepted_variants(cfg, load_dataset(cfg)[0]):
+            yield task, variant
+
+
+ACCEPTED = list(accepted_pairs())
+
+
 class TestVariants:
     def test_plans(self):
         graph, _ = load_dataset(small_cfg())
-        plan = resolve_variant(small_cfg(), graph)
-        assert plan.has_source and plan.diffusion_sides == ("user", "item")
-        plan = resolve_variant(small_cfg(variant="-D"), graph)
-        assert plan.diffusion_sides == () and plan.raw_sides == ("user", "item")
-        assert plan.lam == 0.0
-        plan = resolve_variant(small_cfg(variant="-U"), graph)
-        assert plan.diffusion_sides == ("item",) and plan.raw_sides == ("user",)
-        plan = resolve_variant(small_cfg(variant="-I"), graph)
-        assert plan.diffusion_sides == ("user",) and plan.raw_sides == ("item",)
-        plan = resolve_variant(small_cfg(variant="-H"), graph)
-        assert not plan.has_source
-        plan = resolve_variant(small_cfg(variant="DAE"), graph)
-        assert plan.dae and plan.diffusion_sides == ("user", "item")
+        plans = {v: resolve_variant(small_cfg(variant=v), graph) for v in harness.VARIANTS}
+        assert plans == {"full": VariantPlan(True, ("user", "item")),
+                         "-D": VariantPlan(True, ()),
+                         "-U": VariantPlan(True, ("item",)),
+                         "-I": VariantPlan(True, ("user",)),
+                         "-H": VariantPlan(False, ()),
+                         "DAE": VariantPlan(True, ("user", "item"), dae=True)}
+
+    def one_side_graph(self):
+        """A link task whose target relation joins users to users."""
+        return HeteroGraph({"user": 4}, [Relation("follow", "user", "user", [(0, 1), (2, 3)]),
+                                         Relation("like", "user", "user", [(1, 2)])], "follow")
+
+    def test_accepted_variants_resolve_to_distinct_plans(self):
+        one_side = self.one_side_graph()
+        link, node = small_cfg(), small_cfg(task="node")
+        for cfg, graph, accepted in (
+                (link, load_dataset(link)[0], harness.VARIANTS),
+                (node, load_dataset(node)[0], ("full", "-D", "-H", "DAE")),
+                (link, one_side, ("full", "-D", "-H", "DAE"))):
+            assert accepted_variants(cfg, graph) == accepted
+            plans = [resolve_variant(replace(cfg, variant=v), graph) for v in accepted]
+            assert all(a != b for i, a in enumerate(plans) for b in plans[i + 1:]), plans
+
+    def test_one_side_aliases_are_refused(self):
+        node = small_cfg(task="node")
+        for cfg, graph in ((node, load_dataset(node)[0]), (small_cfg(), self.one_side_graph())):
+            for variant, same in (("-U", "-D"), ("-I", "full")):
+                with pytest.raises(ConfigError, match=f"same model as {same}"):
+                    resolve_variant(replace(cfg, variant=variant), graph)
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
@@ -269,15 +295,15 @@ class TestTraining:
         assert abs(parts["main"] + parts["deno_weighted"] + parts["l2"]
                    - parts["total"]) < 1e-12
 
-    def test_determinism_bitwise(self):
-        cfg = small_cfg(epochs=6)
-        model_a, trace_a = train(cfg)
-        model_b, trace_b = train(cfg)
-        assert trace_a.losses == trace_b.losses
-        assert np.array_equal(model_a.params.e0, model_b.params.e0)
-        pa = trace_a.evals[-1].reproducible_payload()
-        pb = trace_b.evals[-1].reproducible_payload()
-        assert json.dumps(pa, sort_keys=True) == json.dumps(pb, sort_keys=True)
+    @pytest.mark.parametrize("per_row_t", [False, True])
+    @pytest.mark.parametrize("task, variant", ACCEPTED)
+    def test_determinism_bitwise(self, task, variant, per_row_t):
+        # six steps' losses and gradients, then the parameters, inference
+        # tables and report, digested twice from fresh trainers
+        cfg = small_cfg(task=task, variant=variant, train_labels_per_class=5,
+                        diffusion=DiffusionConfig(steps=10, b_max=0.99, b_min=0.9,
+                                                  per_row_t=per_row_t))
+        assert step_digest(cfg, steps=6) == step_digest(cfg, steps=6)
 
     def test_different_seed_changes_result(self):
         _, trace_a = train(small_cfg(epochs=3))
@@ -362,8 +388,7 @@ def _bits(value):
 
 
 class TestTrainingStep:
-    @pytest.mark.parametrize("task", ["link", "node"])
-    @pytest.mark.parametrize("variant", harness.VARIANTS)
+    @pytest.mark.parametrize("variant, task", [(v, t) for t, v in ACCEPTED])
     def test_compute_losses_leaves_its_inputs_and_repeats(self, task, variant):
         # certify.py calls compute_losses many times on the same draws
         cfg = small_cfg(task=task, variant=variant, epochs=2, train_labels_per_class=5,
@@ -387,13 +412,16 @@ class TestTrainingStep:
         draws = trainer.draw_epoch()
         trainer.compute_losses(draws)  # builds the adjacencies' lazy kernel plans once
         _, peak, _ = allocations(trainer.compute_losses, draws)
-        # At its peak the step holds each relation's backward state (per
-        # layer an activation, its row norms and a packed mask, about 3.2
-        # tables a relation over three relations), both sides' diffusion
-        # results and the task loss's or one side's denoiser backward: 18.4
-        # tables for node, 22.6 for link. Keeping the denoiser's layer
-        # input, the predictions, bool masks and whole-table temporaries took
-        # 22.0 and 25.8; holding every forward table to the end, 33-35.
+        # At its peak, in the task loss for link and in the forward's
+        # denoiser for node, the step holds each relation's backward state
+        # (per layer an activation, its row norms and a packed mask, about
+        # 3.2 tables a relation over three relations), each diffused side's
+        # backward closure (its rows' copy, hidden activation, mask and loss
+        # gradient) and the running call's temporaries: 17.5 tables for
+        # node, 21.5 for link. Running the loss's VJP in the forward took
+        # 18.4 and 22.6; keeping the denoiser's layer input, the
+        # predictions, bool masks and whole-table temporaries 22.0 and 25.8;
+        # holding every forward table to the end, 33-35.
         tables = peak / trainer.params.e0.nbytes
         assert tables < {"link": 24, "node": 20}[task], tables
 
@@ -413,9 +441,22 @@ def reference_dae_loss(denoiser, schedule, source, target, t, noise, autoencoder
     diff = pred - target
     n = pred.shape[0]
     g_pred = (2.0 / n) * diff
-    grads, g_h = vjp(g_pred)
-    return DiffusionLossResult(float((diff * diff).sum()) / n, pred, grads, g_h,
-                               -g_pred, vjp, 1.0)
+
+    def backward(weight, upstream, grads, g_source, g_target):
+        # the loss's VJP, then the upstream's (the input holds the source at
+        # full scale); g_target last, as it may be the upstream
+        step_grads, g_h = vjp(g_pred)
+        for name, arr in step_grads.arrays().items():
+            grads.arrays()[name] += weight * arr
+        g_source += weight * g_h
+        if np.any(upstream):
+            step_grads, g_h = vjp(upstream)
+            for name, arr in step_grads.arrays().items():
+                grads.arrays()[name] += arr
+            g_source += g_h
+        g_target -= weight * g_pred
+
+    return float((diff * diff).sum()) / n, pred, backward
 
 
 def reference_dae_inference(denoiser, schedule, sides, infer_steps, rng, autoencoder):
@@ -751,6 +792,14 @@ class TestAblation:
         prints = {r.dataset_fingerprint for r in reports.values()}
         assert len(prints) == 1
 
+    def test_node_data_runs_each_distinct_variant_once(self, monkeypatch):
+        cfg = small_cfg(task="node", epochs=1, train_labels_per_class=5)
+        assert set(run_ablation(cfg)) == {"full", "-D", "-H", "DAE"}
+        # a named alias is refused before any variant trains
+        monkeypatch.setattr(harness, "train", lambda *a, **k: pytest.fail("trained"))
+        with pytest.raises(ConfigError, match="same model as full"):
+            run_ablation(cfg, variants=("full", "-I"))
+
     def test_redundant_auxiliary_matches_full(self):
         # when every auxiliary relation duplicates the target, -H and full see
         # the same structural information
@@ -930,6 +979,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig(synthetic=None)  # no dataset at all
             load_dataset(RunConfig(synthetic=None))
+
+    def test_non_finite_weights_and_lr_are_refused(self):
+        base = small_cfg().to_dict()
+        for group, key in (("loss", "lam"), ("loss", "l2"), (None, "lr")):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                d = json.loads(json.dumps(base))
+                (d[group] if group else d)[key] = value
+                with pytest.raises(ConfigError, match=key):
+                    RunConfig.from_dict(d)
 
     def test_needs_dataset(self):
         with pytest.raises(ConfigError):
