@@ -17,6 +17,7 @@ from .harness import (
     ConfigError,
     DivergenceError,
     RunConfig,
+    SyntheticSpec,
     TrainedModel,
     export_embeddings,
     run_ablation,
@@ -169,8 +170,10 @@ def cmd_noise_exp(args):
 
 
 def cmd_synth(args):
-    graph, labels = generate_synthetic(args.users, args.items, args.aux,
-                                       args.density, args.fidelity, args.seed)
+    spec = SyntheticSpec(args.users, args.items, args.aux, args.density, args.fidelity,
+                         args.seed)
+    graph, labels = generate_synthetic(spec.users, spec.items, spec.aux_relations,
+                                       spec.density, spec.fidelity, spec.seed)
     paths = write_dataset_files(graph, labels, args.out_dir)
     for kind, path in paths.items():
         print(f"{kind}={path}")

@@ -22,8 +22,10 @@ class EncoderConfig:
     dim: int = 32
 
     def __post_init__(self):
-        if self.layers < 0 or self.dim < 1:
-            raise ShapeError("need layers >= 0 and dim >= 1")
+        # at d = 1 row normalization maps every row to +-1, where the loss
+        # jumps and no gradient check holds
+        if self.layers < 0 or self.dim < 2:
+            raise ShapeError("need layers >= 0 and dim >= 2")
 
 
 @dataclass

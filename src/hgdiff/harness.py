@@ -26,12 +26,13 @@ from .diffusion import (
 )
 from .encoder import EncoderConfig, encode, encode_vjp, relation_adjacencies
 from .hetgraph import (
+    SPARSITY_LABELS,
     GraphError,
     HeteroGraph,
     LabelSet,
     NoiseSpec,
     Relation,
-    bucket_labels,
+    check_synthetic,
     generate_synthetic,
     inject_edge_noise,
     load_edge_list,
@@ -82,6 +83,12 @@ class SyntheticSpec:
     fidelity: float = 0.9
     seed: int | None = None  # falls back to the run seed
 
+    def __post_init__(self):
+        try:
+            check_synthetic(**asdict(self))
+        except GraphError as exc:
+            raise ConfigError(f"bad synthetic config: {exc}") from None
+
 
 @dataclass
 class RunConfig:
@@ -101,9 +108,7 @@ class RunConfig:
     seed: int = 0
     variant: str = "full"
     k: int = 20
-    bucket_boundaries: tuple = (2, 4, 8, 16)
     train_labels_per_class: int = 20
-    patience: int = 0  # stop after this many non-improving evals; 0 = fixed epochs
 
     def __post_init__(self):
         if self.task not in ("link", "node"):
@@ -112,20 +117,13 @@ class RunConfig:
             raise ConfigError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if self.epochs < 0 or self.batch_size < 1 or not 0 < self.lr < np.inf:
             raise ConfigError("epochs >= 0, batch_size >= 1 and a finite lr > 0 required")
-        for name, low in (("k", 1), ("eval_every", 0), ("patience", 0)):
+        for name, low in (("k", 1), ("eval_every", 0), ("seed", 0),
+                          ("train_labels_per_class", 1)):
             if getattr(self, name) < low:
                 raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)!r}")
-        b = self.bucket_boundaries
-        if not (isinstance(b, (list, tuple)) and all(type(x) is int for x in b)
-                and all(x < y for x, y in zip(b, b[1:]))):
-            raise ConfigError("bucket_boundaries must be a strictly increasing list "
-                              f"of integers, got {b!r}")
-        self.bucket_boundaries = tuple(b)
 
     def to_dict(self):
-        d = asdict(self)
-        d["bucket_boundaries"] = list(self.bucket_boundaries)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -415,14 +413,12 @@ class TrainedModel:
         train_edges = split.train_graph.relations[graph.target].edges
         positives = positive_keys(
             np.column_stack((row_of[train_edges[:, 0]], train_edges[:, 1])), items.shape[0])
-        ids = sparsity_buckets(split.train_graph, split.test_users,
-                               cfg.bucket_boundaries)
+        ids = sparsity_buckets(split.train_graph, split.test_users)
         recall, ndcg, per_bucket = rank_metrics(
             MaskedScores(users[split.test_users], items, positives), split.test_items,
             cfg.k, groups=ids)
         metrics = {f"recall@{cfg.k}": recall, f"ndcg@{cfg.k}": ndcg}
-        labels = bucket_labels(cfg.bucket_boundaries)
-        buckets = {labels[b]: {f"recall@{cfg.k}": r, f"ndcg@{cfg.k}": g, "n_users": m}
+        buckets = {SPARSITY_LABELS[b]: {f"recall@{cfg.k}": r, f"ndcg@{cfg.k}": g, "n_users": m}
                    for b, (r, g, m) in per_bucket.items()}
         return self._report(metrics, buckets, int(split.test_users.size),
                             split.n_excluded)
@@ -714,28 +710,15 @@ class Trainer(TrainedModel):
         """Run the epochs; returns (self, TrainTrace), the final report last."""
         cfg = self.cfg
         trace = TrainTrace()
-        best = None
-        stale = 0
-        last_epoch = 0
         for epoch in range(1, cfg.epochs + 1):
             started = time.perf_counter()
             parts = self.run_epoch(epoch)
             trace.epoch_seconds.append(time.perf_counter() - started)
             parts["epoch"] = epoch
             trace.losses.append(parts)
-            last_epoch = epoch
             if cfg.eval_every and epoch % cfg.eval_every == 0 and epoch < cfg.epochs:
-                report = self.evaluate(epoch=epoch, trace=trace)
-                trace.evals.append(report)
-                if cfg.patience:
-                    score = next(iter(report.metrics.values()))
-                    if best is None or (score is not None and score > best):
-                        best, stale = score, 0
-                    else:
-                        stale += 1
-                        if stale >= cfg.patience:
-                            break
-        trace.evals.append(self.evaluate(epoch=last_epoch, trace=trace))
+                trace.evals.append(self.evaluate(epoch=epoch, trace=trace))
+        trace.evals.append(self.evaluate(epoch=cfg.epochs, trace=trace))
         return self, trace
 
 

@@ -474,6 +474,20 @@ def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:
 _SYNTH_BLOCK_ELEMENTS = 1 << 20  # uniform draws held at once by the generator
 
 
+def check_synthetic(users, items, aux_relations, density, fidelity, seed):
+    """Raise GraphError naming the first generator argument out of its
+    range; a seed of None (left for the caller to choose) passes."""
+    for name, value, ok, rule in (
+            ("users", users, users >= 1, ">= 1"),
+            ("items", items, items >= 1, ">= 1"),
+            ("aux_relations", aux_relations, aux_relations >= 0, ">= 0"),
+            ("density", density, 0.0 < density <= 1.0, "in (0, 1]"),
+            ("fidelity", fidelity, 0.0 <= fidelity <= 1.0, "in [0, 1]"),
+            ("seed", seed, seed is None or seed >= 0, ">= 0")):
+        if not ok:
+            raise GraphError(f"{name} must be {rule}, got {value!r}")
+
+
 def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, seed):
     """Seeded two-community bipartite generator.
 
@@ -483,12 +497,7 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
     each target edge with probability `fidelity` and substitutes a uniform
     random pair otherwise. Labels are user community ids.
     """
-    if n_users <= 0 or n_items <= 0 or n_aux_relations < 0:
-        raise GraphError("sizes must be positive")
-    if not 0.0 < density <= 1.0:
-        raise GraphError(f"density must lie in (0,1], got {density}")
-    if not 0.0 <= fidelity <= 1.0:
-        raise GraphError(f"fidelity must lie in [0,1], got {fidelity}")
+    check_synthetic(n_users, n_items, n_aux_relations, density, fidelity, seed)
     rng = Rng(seed).derive("synth")
     user_comm = _balanced_communities(n_users, rng)
     item_comm = _balanced_communities(n_items, rng)
@@ -618,23 +627,20 @@ def _pair_lines(pairs, suffix=""):
     return line * len(pairs) % tuple(pairs.ravel().tolist())
 
 
-def sparsity_buckets(g: HeteroGraph, test_nodes, boundaries):
+# target-relation degrees that split the test users into sparsity buckets
+SPARSITY_BOUNDARIES = (2, 4, 8, 16)
+SPARSITY_LABELS = (*(f"<{b}" for b in SPARSITY_BOUNDARIES), f">={SPARSITY_BOUNDARIES[-1]}")
+
+
+def sparsity_buckets(g: HeteroGraph, test_nodes):
     """Assign each test node (source side of the target relation) to the first
-    bucket whose upper bound exceeds its target-relation degree.
+    bucket whose upper bound in SPARSITY_BOUNDARIES exceeds its
+    target-relation degree.
 
     Intervals are half-open, so a degree equal to a boundary falls in the next
     bucket; degrees past the last boundary share a final overflow bucket.
     """
-    boundaries = np.asarray(boundaries)
-    if boundaries.size and np.any(np.diff(boundaries) <= 0):
-        raise GraphError("bucket boundaries must be strictly increasing")
     rel = g.relations[g.target]
     degree = np.bincount(rel.edges[:, 0], minlength=g.node_counts[rel.src_type])
     test_nodes = np.asarray(test_nodes, dtype=np.int64)
-    return np.searchsorted(boundaries, degree[test_nodes], side="right")
-
-
-def bucket_labels(boundaries):
-    labels = [f"<{b}" for b in boundaries]
-    labels.append(f">={boundaries[-1]}" if len(boundaries) else "all")
-    return labels
+    return np.searchsorted(SPARSITY_BOUNDARIES, degree[test_nodes], side="right")

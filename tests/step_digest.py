@@ -1,15 +1,19 @@
-"""One digest per (size, task, variant, per_row_t) of what training computes.
+"""Two digests per (size, task, variant, per_row_t) of what training computes.
 
-Each digest covers two training steps (the losses, their parts and every
-gradient `Trainer.compute_losses` returns, each followed by its Adam
+The results digest covers two training steps (the losses, their parts and
+every gradient `Trainer.compute_losses` returns, each followed by its Adam
 update) and, at the small sizes, the parameters a saved model holds, every
-inference table and the evaluation report's reproducible payload. Equal
-digests mean equal bits, so a change that must not move a number can be
-checked against its parent checkout:
+inference table and the evaluation report's reproducible payload without
+the config it echoes. The config digest covers that echo (`config` and
+`config_fingerprint`), so a change to the config's fields moves the second
+column only. Equal digests mean equal bits, so a change that must not move a
+number can be checked against its parent checkout, running this script on
+both:
 
     PYTHONPATH=src python tests/step_digest.py > change.txt
     (cd ../parent && PYTHONPATH=src python "$OLDPWD/tests/step_digest.py") > parent.txt
-    diff parent.txt change.txt
+    diff <(cut -d' ' -f1-5 parent.txt) <(cut -d' ' -f1-5 change.txt)  # results
+    diff parent.txt change.txt  # results and config
 
 A cell whose variant the checkout refuses prints ``refused``. Uses numpy
 and hgdiff only; ``--sizes desk,small`` skips the mid graph, whose
@@ -62,8 +66,10 @@ def _feed(h, value):
 
 
 def step_digest(cfg: RunConfig, graph=None, labels=None, steps=2, report=True):
-    """A hex digest of `steps` training steps of a fresh trainer and, with
-    `report`, of the parameters, inference tables and report after them."""
+    """Hex digests (results, config echo) of `steps` training steps of a
+    fresh trainer and, with `report`, of the parameters, inference tables
+    and report after them; the config echo is the report's, or without
+    `report` the config's own."""
     trainer = Trainer(cfg, graph=graph, labels=labels)
     h = hashlib.sha256()
     for _ in range(steps):
@@ -71,11 +77,13 @@ def step_digest(cfg: RunConfig, graph=None, labels=None, steps=2, report=True):
         _feed(h, {"total": total, "parts": parts, "grads": grads})
         for key, arr in trainer.params.arrays().items():
             adam_step(trainer.adam[key], arr, grads[key])
+    echo = {"config": cfg.to_dict(), "config_fingerprint": cfg.fingerprint()}
     if report:
         _feed(h, {"params": trainer.params.arrays(), "tables": trainer.inference_tables()})
         payload = trainer.evaluate().reproducible_payload()
+        echo = {key: payload.pop(key) for key in echo}
         h.update(json.dumps(payload, sort_keys=True).encode())
-    return h.hexdigest()
+    return h.hexdigest(), hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
 
 
 def main(argv=None):
@@ -91,10 +99,10 @@ def main(argv=None):
                 for per_row_t in (False, True):
                     cfg = experiment_config(task, variant, per_row_t, users, items, density)
                     try:
-                        digest = step_digest(cfg, graph, labels, report=report)
+                        digests = step_digest(cfg, graph, labels, report=report)
                     except ConfigError:
-                        digest = "refused"
-                    print(size, task, variant, "per_row_t" if per_row_t else "-", digest,
+                        digests = ("refused",)
+                    print(size, task, variant, "per_row_t" if per_row_t else "-", *digests,
                           flush=True)
 
 

@@ -99,10 +99,16 @@ class TestTrain:
             raise AssertionError("loaded data")
 
         monkeypatch.setattr(harness, "load_dataset", refuse)
-        for flag in ("--lam", "--l2", "--lr"):
-            code, out, err = run_cli(capsys, "train", *BASE, flag, "nan")
+        # non-finite weights, a dim of 1, and negative seeds and synthetic
+        # specs out of range (which ended in a traceback or a data error) are
+        # refused before any data loads
+        for flag, value in (("--lam", "nan"), ("--l2", "nan"), ("--lr", "nan"),
+                            ("--seed", "-1"), ("--synth-seed", "-5"), ("--synth-users", "0"),
+                            ("--synth-density", "2"), ("--dim", "1")):
+            code, out, err = run_cli(capsys, "train", *BASE, flag, value)
             assert code == 1 and out == "", flag
-            assert err.startswith("config error:") and flag[2:] in err, flag
+            assert err.startswith("config error:") and "Traceback" not in err, flag
+            assert flag[2:].removeprefix("synth-") in err, flag
 
     def test_one_side_alias_variant_is_a_config_error(self, capsys):
         code, out, err = run_cli(capsys, "train", *BASE, "--task", "node", "--variant", "-U")
@@ -126,10 +132,12 @@ class TestTrain:
     def test_diffusion_fields_of_another_type_are_config_errors(self, capsys, tmp_path):
         # a non-empty string is truthy, 2.5 steps once reached range() and
         # 2.5 epochs still does, and true trained as one epoch: each must be
-        # refused by its type, with exit 1 and no traceback; so must k < 1, a
-        # negative eval_every or patience, and bucket boundaries that are not
-        # increasing integers, which trained and then exited 0, 2 or with a
-        # traceback
+        # refused by its type, with exit 1 and no traceback. So must values
+        # out of range: k < 1 and a negative eval_every trained and then
+        # exited 0, 2 or with a traceback, a negative seed or a synthetic spec
+        # out of range ended in a traceback or a data error, and no training
+        # labels per class was refused only once the data had loaded. So must
+        # a dim of 1 and the removed patience and bucket_boundaries fields.
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
         for config, field in (({"diffusion": {"per_row_t": "no"}}, "per_row_t"),
@@ -147,7 +155,6 @@ class TestTrain:
                               ({"seed": 1.5}, "seed"),
                               ({"k": 2.5}, "k"),
                               ({"eval_every": "1"}, "eval_every"),
-                              ({"patience": None}, "patience"),
                               ({"train_labels_per_class": 2.0}, "train_labels_per_class"),
                               ({"encoder": {"dim": 8.0}}, "dim"),
                               ({"encoder": {"layers": 1.5}}, "layers"),
@@ -157,8 +164,18 @@ class TestTrain:
                               ({"synthetic": {**synthetic, "seed": 1.0}}, "seed"),
                               ({"k": 0}, "k must be"), ({"k": -3}, "k must be"),
                               ({"eval_every": -1}, "eval_every must be"),
-                              ({"patience": -1}, "patience must be"),
-                              *(({"bucket_boundaries": b}, "bucket_boundaries must be")
+                              ({"seed": -1}, "seed must be"),
+                              ({"train_labels_per_class": 0},
+                               "train_labels_per_class must be"),
+                              *(({"synthetic": {**synthetic, key: value}}, f"{key} must be")
+                                for key, value in (("users", 0), ("items", -2),
+                                                   ("aux_relations", -1), ("density", 0),
+                                                   ("density", 2), ("fidelity", -0.1),
+                                                   ("fidelity", 1.5), ("seed", -5))),
+                              ({"encoder": {"dim": 1}}, "dim >= 2"),
+                              ({"patience": None}, "patience"),
+                              ({"patience": -1}, "patience"),
+                              *(({"bucket_boundaries": b}, "bucket_boundaries")
                                 for b in ([4, 2], [2, 2], ["a"], [2, 4.0], [True, 2], 3,
                                           "24", None))):
             cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1, **config}))
@@ -327,7 +344,9 @@ class TestModelCommands:
                                     ("encoder", "activation", "leaky_relu"),
                                     ("encoder", "pooling", "mean"),
                                     ("encoder", "leaky_slope", 0.2),
-                                    (None, "init_scale", 0.1)):
+                                    (None, "init_scale", 0.1),
+                                    (None, "patience", 0),
+                                    (None, "bucket_boundaries", [2, 4, 8, 16])):
             cfg = json.loads(bytes(saved["config_json"]).decode())
             (cfg[group] if group else cfg)[field] = value
             arrays = dict(saved, config_json=np.frombuffer(json.dumps(cfg).encode(),
@@ -357,6 +376,16 @@ class TestSynth:
         dataset = [l for l in out2.splitlines() if l.startswith("dataset=")]
         assert fingerprint[0].split("=")[1] == dataset[0].split("=")[1]
 
+
+    def test_bad_specs_are_config_errors(self, capsys, tmp_path):
+        out_dir = tmp_path / "ds"
+        for flag, value in (("--seed", "-1"), ("--users", "0"), ("--items", "0"),
+                            ("--aux", "-1"), ("--density", "2"), ("--fidelity", "-1")):
+            code, out, err = run_cli(capsys, "synth", flag, value, "--out-dir", str(out_dir))
+            assert code == 1 and out == "", flag
+            assert err.startswith("config error:") and "Traceback" not in err, flag
+            assert {"--aux": "aux_relations"}.get(flag, flag[2:]) in err, flag
+        assert not out_dir.exists()
 
     def test_label_files_that_do_not_fit_are_data_errors(self, capsys, tmp_path):
         out_dir = tmp_path / "ds"

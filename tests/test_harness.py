@@ -299,11 +299,13 @@ class TestTraining:
     @pytest.mark.parametrize("task, variant", ACCEPTED)
     def test_determinism_bitwise(self, task, variant, per_row_t):
         # six steps' losses and gradients, then the parameters, inference
-        # tables and report, digested twice from fresh trainers
+        # tables and report, digested twice from fresh trainers: the results
+        # and the config the report echoes
         cfg = small_cfg(task=task, variant=variant, train_labels_per_class=5,
                         diffusion=DiffusionConfig(steps=10, b_max=0.99, b_min=0.9,
                                                   per_row_t=per_row_t))
-        assert step_digest(cfg, steps=6) == step_digest(cfg, steps=6)
+        results, echo = step_digest(cfg, steps=6)
+        assert step_digest(cfg, steps=6) == (results, echo)
 
     def test_different_seed_changes_result(self):
         _, trace_a = train(small_cfg(epochs=3))
@@ -323,15 +325,8 @@ class TestTraining:
         cfg_b = small_cfg(epochs=6)
         model_a, trace_a = train(cfg_a)
         model_b, trace_b = train(cfg_b)
-        assert len(trace_a.evals) == 3  # epochs 2, 4 and the final one
+        assert [r.epoch for r in trace_a.evals] == [2, 4, 6]  # the last one final
         assert np.array_equal(model_a.params.e0, model_b.params.e0)
-
-    def test_patience_stops_early(self):
-        # an lr of zero can never improve, so patience trips immediately
-        cfg = small_cfg(epochs=20, eval_every=1, patience=2, lr=1e-12)
-        _, trace = train(cfg)
-        assert len(trace.losses) < 20
-        assert trace.evals[-1].epoch == len(trace.losses)
 
     def test_node_task(self):
         cfg = small_cfg(task="node", epochs=10,
@@ -966,10 +961,6 @@ class TestConfig:
     def test_round_trip(self):
         cfg = small_cfg(variant="-U", epochs=12)
         assert RunConfig.from_dict(cfg.to_dict()) == cfg
-        for boundaries in ([], [1], [-1, 0, 5], (3, 7)):
-            cfg = small_cfg(bucket_boundaries=boundaries)
-            assert cfg.bucket_boundaries == tuple(boundaries)
-            assert RunConfig.from_dict(cfg.to_dict()) == cfg
 
     def test_validation(self):
         with pytest.raises(ConfigError):

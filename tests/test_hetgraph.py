@@ -6,12 +6,13 @@ import pytest
 
 from hgdiff import hetgraph
 from hgdiff.hetgraph import (
+    SPARSITY_BOUNDARIES,
+    SPARSITY_LABELS,
     GraphError,
     HeteroGraph,
     LabelSet,
     NoiseSpec,
     Relation,
-    bucket_labels,
     generate_synthetic,
     inject_edge_noise,
     load_edge_list,
@@ -809,6 +810,8 @@ class TestSynthetic:
             generate_synthetic(10, 10, 1, 0.0, 0.5, seed=1)
         with pytest.raises(GraphError):
             generate_synthetic(10, 10, 1, 0.1, 1.5, seed=1)
+        with pytest.raises(GraphError, match="seed must be >= 0, got -1"):
+            generate_synthetic(10, 10, 1, 0.1, 0.5, seed=-1)
 
 
 class TestBuckets:
@@ -822,25 +825,21 @@ class TestBuckets:
         )
 
     def test_first_bucket(self):
-        g = self.graph_with_degrees([3, 10])
-        ids = sparsity_buckets(g, [0, 1], (8, 65))
-        assert list(ids) == [0, 1]
+        g = self.graph_with_degrees([1, 20])
+        ids = sparsity_buckets(g, [0, 1])
+        assert list(ids) == [0, 4]
 
     def test_boundary_goes_to_next_bucket(self):
-        g = self.graph_with_degrees([8])
-        assert sparsity_buckets(g, [0], (8, 65))[0] == 1
+        g = self.graph_with_degrees(list(SPARSITY_BOUNDARIES))
+        assert list(sparsity_buckets(g, [0, 1, 2, 3])) == [1, 2, 3, 4]
 
     def test_all_below_first_boundary(self):
-        g = self.graph_with_degrees([1, 2, 3])
-        assert set(sparsity_buckets(g, [0, 1, 2], (8, 65))) == {0}
+        g = self.graph_with_degrees([0, 1, 1])
+        assert set(sparsity_buckets(g, [0, 1, 2])) == {0}
 
     def test_labels(self):
-        assert bucket_labels((8, 65)) == ["<8", "<65", ">=65"]
-
-    def test_nonincreasing_boundaries_rejected(self):
-        g = self.graph_with_degrees([1])
-        with pytest.raises(GraphError):
-            sparsity_buckets(g, [0], (8, 8))
+        assert SPARSITY_BOUNDARIES == (2, 4, 8, 16)
+        assert SPARSITY_LABELS == ("<2", "<4", "<8", "<16", ">=16")
 
 
 class TestGraphValidation:
