@@ -65,10 +65,6 @@ class DiffusionSchedule:
         self._check_t(t)
         return self.alpha_bar[t - 1]
 
-    def alpha_bar_before(self, t):
-        self._check_t(t)
-        return 1.0 if t == 1 else self.alpha_bar[t - 2]
-
     def beta_at(self, t):
         self._check_t(t)
         return self.beta[t - 1]

@@ -8,11 +8,13 @@ bit-reproducible; wall-clock timings are kept out of the reproducible payload.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import time
+import typing
 import zipfile
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -128,15 +130,7 @@ class RunConfig:
     @classmethod
     def from_dict(cls, d):
         """Build a config from plain values. A bad value raises ConfigError
-        naming the group it is in; an unknown field is named by its key."""
-        d = dict(d)
-        for key, sub in (("synthetic", SyntheticSpec), ("encoder", EncoderConfig),
-                         ("diffusion", DiffusionConfig), ("loss", JointLossConfig)):
-            if isinstance(d.get(key), dict):
-                d[key] = _build(sub, d[key], key)
-            elif key in d and not (isinstance(d[key], sub)
-                                   or key == "synthetic" and d[key] is None):
-                raise ConfigError(f"{key} config must be a JSON object, not {d[key]!r}")
+        naming its field; an unknown field is named by its key."""
         return _build(cls, d, "run")
 
     def fingerprint(self):
@@ -144,22 +138,42 @@ class RunConfig:
         return hashlib.sha256(blob).hexdigest()[:16]
 
 
-# exact types a field's annotation admits: a config file may hold 2.5 or
-# "no" where an integer or a flag belongs, and bool is an int subclass
-_EXACT_TYPES = {"int": ((int,), "an integer"),
-                "int | None": ((int, type(None)), "an integer or null"),
-                "bool": ((bool,), "true or false")}
+@functools.cache
+def _field_types(cls):
+    """Each field's annotated types by name, (X, NoneType) for `X | None`,
+    resolved once per class: `hgdiff eval` builds a config on every reload."""
+    return {name: typing.get_args(hint) or (hint,)
+            for name, hint in typing.get_type_hints(cls).items()}
+
+
+# what an error message calls the values of an annotated type
+_WANTED = {int: "an integer", float: "a number", bool: "true or false", str: "a string",
+           type(None): "null"}
 
 
 def _build(cls, values, where):
-    for f in fields(cls):
-        if f.type in _EXACT_TYPES and f.name in values:
-            allowed, wanted = _EXACT_TYPES[f.type]
-            if type(values[f.name]) not in allowed:
-                raise ConfigError(f"bad {where} config: {f.name} must be {wanted}, "
-                                  f"got {values[f.name]!r}")
+    """`cls(**values)`, each value held to its field's annotated types: a
+    `float` field admits an integer too, and only a `bool` field admits
+    true or false (a config file may hold 2.5, "no" or true where an integer
+    belongs, and bool is an int subclass). A config group admits an object,
+    built the same way, or an instance. A bad value raises ConfigError
+    naming its field."""
+    types, built = _field_types(cls), dict(values)
+    for name, value in values.items():
+        if name not in types:
+            continue  # cls(**built) names it
+        kinds = types[name]
+        group = next((kind for kind in kinds if is_dataclass(kind)), None)
+        if group is not None and isinstance(value, dict):
+            built[name] = _build(group, value, name)
+        elif group is not None and not isinstance(value, kinds):
+            raise ConfigError(f"{name} config must be a JSON object, not {value!r}")
+        elif not isinstance(value, kinds + (int,) if float in kinds else kinds) \
+                or isinstance(value, bool) and bool not in kinds:
+            wanted = " or ".join(_WANTED[kind] for kind in kinds)
+            raise ConfigError(f"bad {where} config: {name} must be {wanted}, got {value!r}")
     try:
-        return cls(**values)
+        return cls(**built)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -339,6 +353,9 @@ class TrainedModel:
         else:
             if labels is None:
                 raise ConfigError("node task needs labels")
+            if labels.node_type != cfg.labeled_type:
+                raise ConfigError(f"the labels are on {labels.node_type!r} nodes, but "
+                                  f"labeled_type is {cfg.labeled_type!r}")
             self.split = labeled_node_split(labels, cfg.train_labels_per_class, cfg.seed)
             self.train_graph = graph
         if self.plan.has_source and not graph.auxiliary_names():

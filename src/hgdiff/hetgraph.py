@@ -81,10 +81,8 @@ class HeteroGraph:
     def auxiliary_names(self):
         return [n for n in self.relations if n != self.target]
 
-    def edge_count(self, relation=None):
-        if relation is None:
-            return sum(r.edges.shape[0] for r in self.relations.values())
-        return self.relations[relation].edges.shape[0]
+    def edge_count(self):
+        return sum(r.edges.shape[0] for r in self.relations.values())
 
     def offset(self, node_type):
         return self.type_offsets[node_type]
@@ -383,7 +381,7 @@ def load_edge_list(path, schema: Schema) -> HeteroGraph:
     return HeteroGraph(counts, relations, schema.target)
 
 
-def load_labels(path, node_type, n_classes=None, node_count=None) -> LabelSet:
+def load_labels(path, node_type, node_count=None) -> LabelSet:
     """Read `node_id class_id` lines. Each node is listed once, and its id
     lies in [0, node_count) when `node_count` is given."""
     table = _Rows(path, 2, lambda line: "expected 'node_id class_id'")
@@ -398,9 +396,7 @@ def load_labels(path, node_type, n_classes=None, node_count=None) -> LabelSet:
     table.first(repeated, lambda line: f"node {int(line.split()[0])} listed twice")
     table.check()
     classes = pairs[:, 1]
-    if n_classes is None:
-        n_classes = int(classes.max(initial=-1)) + 1
-    return LabelSet(node_type, ids, classes, n_classes)
+    return LabelSet(node_type, ids, classes, int(classes.max(initial=-1)) + 1)
 
 
 def normalize(g: HeteroGraph, relation) -> CsrMatrix:

@@ -45,8 +45,7 @@ class CsrMatrix:
 
     Invariants: row_offsets is nondecreasing with length rows+1, column
     indices are strictly increasing within each row, and all values are
-    finite. Construct through :meth:`from_coo` or :meth:`identity` unless
-    you already have valid CSR arrays.
+    finite. :func:`hetgraph.normalize` builds every matrix a run uses.
     """
 
     rows: int
@@ -89,39 +88,6 @@ class CsrMatrix:
     def nnz(self):
         return int(self.values.size)
 
-    @classmethod
-    def from_coo(cls, rows, cols, row_idx, col_idx, values):
-        """Build CSR from coordinate triplets; duplicate entries are summed."""
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        values = np.asarray(values, dtype=np.float64)
-        if not (row_idx.shape == col_idx.shape == values.shape):
-            raise ShapeError("coordinate arrays must share one length")
-        if row_idx.size:
-            if row_idx.min() < 0 or row_idx.max() >= rows:
-                raise ShapeError("row index out of range")
-            if col_idx.min() < 0 or col_idx.max() >= cols:
-                raise ShapeError("column index out of range")
-            # a stable sort keeps duplicates in input order for their sum
-            keys = row_idx * cols + col_idx
-            order = np.argsort(keys, kind="stable")
-            row_idx, col_idx, values, keys = (row_idx[order], col_idx[order],
-                                              values[order], keys[order])
-            first = np.ones(keys.size, dtype=bool)
-            first[1:] = keys[1:] != keys[:-1]
-            starts = np.flatnonzero(first)
-            values = np.add.reduceat(values, starts)
-            row_idx, col_idx = row_idx[starts], col_idx[starts]
-        counts = np.bincount(row_idx, minlength=rows)
-        offsets = np.zeros(rows + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        return cls(rows, cols, offsets, col_idx, values)
-
-    @classmethod
-    def identity(cls, n):
-        idx = np.arange(n, dtype=np.int64)
-        return cls(n, n, np.arange(n + 1, dtype=np.int64), idx, np.ones(n))
-
     def to_dense(self):
         out = np.zeros((self.rows, self.cols))
         row_of = np.repeat(np.arange(self.rows), np.diff(self.row_offsets))
@@ -129,8 +95,13 @@ class CsrMatrix:
         return out
 
     def transpose(self):
+        # a stable sort by column keeps each new row's columns (the old rows)
+        # increasing
+        order = np.argsort(self.col_indices, kind="stable")
         row_of = np.repeat(np.arange(self.rows, dtype=np.int64), np.diff(self.row_offsets))
-        return CsrMatrix.from_coo(self.cols, self.rows, self.col_indices, row_of, self.values)
+        offsets = np.zeros(self.cols + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.col_indices, minlength=self.cols), out=offsets[1:])
+        return CsrMatrix(self.cols, self.rows, offsets, row_of[order], self.values[order])
 
     def degree_buckets(self):
         """Rows grouped for :func:`spmm`, memoized on the instance (safe

@@ -68,20 +68,17 @@ def _is_positive(keys, users, items, n_items):
     return keys[at] == probe
 
 
-def sample_triplets(edges, n_items, user_offset, item_offset, rng: Rng,
-                    positives=None):
+def sample_triplets(edges, n_items, user_offset, item_offset, rng: Rng, positives):
     """One uniformly drawn negative per observed edge, avoiding each user's
     known positives. Edge order is shuffled; everything comes off `rng`.
 
-    `positives` holds the :func:`positive_keys` of the known positives, by
-    default those of `edges`. Negatives are drawn in vectorized rounds,
-    redrawing only the slots that collided with a known positive.
+    `positives` holds the :func:`positive_keys` of the known positives.
+    Negatives are drawn in vectorized rounds, redrawing only the slots that
+    collided with a known positive.
     """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.shape[0] == 0:
         raise ShapeError("no edges to sample triplets from")
-    if positives is None:
-        positives = positive_keys(edges, n_items)
     order = rng.permutation(edges.shape[0])
     users = edges[order, 0]
     pos = edges[order, 1]

@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 
@@ -137,10 +138,15 @@ class TestTrain:
         # exited 0, 2 or with a traceback, a negative seed or a synthetic spec
         # out of range ended in a traceback or a data error, and no training
         # labels per class was refused only once the data had loaded. So must
-        # a dim of 1 and the removed patience and bucket_boundaries fields.
+        # a dim of 1 and the removed patience and bucket_boundaries fields. A
+        # number given as a string was refused by a comparison that named no
+        # field, true trained as 1 where a number belongs, and a schema file
+        # of 0 read the schema from stdin and closed it.
         cfg_path = tmp_path / "cfg.json"
         synthetic = {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15}
-        for config, field in (({"diffusion": {"per_row_t": "no"}}, "per_row_t"),
+        edges = tmp_path / "edges.txt"
+        edges.write_text("0 0 buy\n")
+        cases = (({"diffusion": {"per_row_t": "no"}}, "per_row_t"),
                               ({"diffusion": {"per_row_t": 1}}, "per_row_t"),
                               ({"diffusion": {"per_row_t": None}}, "per_row_t"),
                               ({"diffusion": {"steps": 2.5}}, "steps"),
@@ -177,12 +183,33 @@ class TestTrain:
                               ({"patience": -1}, "patience"),
                               *(({"bucket_boundaries": b}, "bucket_boundaries")
                                 for b in ([4, 2], [2, 2], ["a"], [2, 4.0], [True, 2], 3,
-                                          "24", None))):
-            cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1, **config}))
-            code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
-            assert code == 1, config
-            assert err.startswith("config error:") and field in err, config
-            assert "Traceback" not in err
+                                          "24", None)),
+                              ({"synthetic": {**synthetic, "density": "0.1"}}, "density"),
+                              ({"loss": {"lam": "1"}}, "lam"),
+                              ({"lr": True}, "lr"), ({"loss": {"lam": False}}, "lam"),
+                              ({"synthetic": {**synthetic, "density": True}}, "density"),
+                              ({"synthetic": None, "edge_file": str(edges), "schema_file": 0},
+                               "schema_file"),
+                              ({"labeled_type": 1}, "labeled_type"))
+        # stdin holds a schema that no refusal may read
+        schema = b"node user 1\nnode item 1\nrelation buy user item\ntarget buy\n"
+        read_end, write_end = os.pipe()
+        os.write(write_end, schema)
+        os.close(write_end)
+        stdin = os.dup(0)
+        os.dup2(read_end, 0)
+        os.close(read_end)
+        try:
+            for config, field in cases:
+                cfg_path.write_text(json.dumps({"synthetic": synthetic, "epochs": 1, **config}))
+                code, _, err = run_cli(capsys, "train", "--config", str(cfg_path))
+                assert code == 1, config
+                assert err.startswith("config error:") and field in err, config
+                assert "Traceback" not in err
+            assert os.read(0, len(schema) + 1) == schema
+        finally:
+            os.dup2(stdin, 0)
+            os.close(stdin)
         for per_row_t in (False, True):
             cfg_path.write_text(json.dumps({
                 "synthetic": {**synthetic, "seed": None}, "epochs": 1,
@@ -425,6 +452,19 @@ class TestSynth:
         code, _, _ = run_cli(capsys, *node, "--labeled-type", "item", "--report", str(report))
         assert code == 0
         assert json.loads(report.read_text())["config"]["labeled_type"] == "item"
+        # synthetic data labels users: with item rows labeled a run trained
+        # user labels on item rows, and ended in a traceback with fewer items
+        # than users or a node type the graph lacks
+        for command, flags in (("train", ("--labeled-type", "item", "--synth-items", "120")),
+                               ("train", ("--labeled-type", "item")),
+                               ("train", ("--labeled-type", "shop")),
+                               ("ablate", ("--labeled-type", "item")),
+                               ("noise-exp", ("--labeled-type", "shop"))):
+            code, out, err = run_cli(capsys, command, *BASE, "--task", "node",
+                                     "--synth-users", "60", *flags)
+            assert code == 1 and out == "", flags
+            assert err.startswith("config error:") and "Traceback" not in err, flags
+            assert "'user'" in err and repr(flags[1]) in err, flags
 
 
 class TestExperimentCommands:

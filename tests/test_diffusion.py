@@ -155,7 +155,7 @@ def reference_reverse(params, schedule, source, infer_steps, rng):
         if t == 1:
             return pred
         ab = schedule.alpha_bar_at(t)
-        ab_prev = schedule.alpha_bar_before(t)
+        ab_prev = schedule.alpha_bar[t - 2]  # t > 1 here
         coef_pred = math.sqrt(ab_prev) * schedule.beta_at(t) / (1.0 - ab)
         coef_h = math.sqrt(schedule.alpha_at(t)) * (1.0 - ab_prev) / (1.0 - ab)
         h = coef_pred * pred + coef_h * h

@@ -147,7 +147,7 @@ class TestSplit:
         # user 0's last edge is (0,1); user 1's is (1,0); user 2's is (2,1)
         held = dict(zip(split.test_users.tolist(), split.test_items.tolist()))
         assert held == {0: 1, 1: 0, 2: 1}
-        assert split.train_graph.edge_count("buy") == 2
+        assert len(split.train_graph.relations["buy"].edges) == 2
         assert split.n_excluded == 1  # user 3 has no target edge
 
     def test_partition_preserved(self):
@@ -256,8 +256,7 @@ class TestViewSplit:
                     assert set(trainer.target_adj) | set(trainer.aux_adj) == set(g.relations)
                     # the source view keeps every auxiliary edge
                     for name in expect_aux:
-                        assert trainer.aux_adj[name].nnz \
-                            == 2 * g.edge_count(name)
+                        assert trainer.aux_adj[name].nnz == 2 * len(g.relations[name].edges)
 
     def test_two_relations(self):
         trainer = Trainer(self.cfg(), graph=self.graph(("buy", "view")))

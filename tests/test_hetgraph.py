@@ -132,7 +132,7 @@ def load_edge_list_loop(path, schema):
     return HeteroGraph(counts, rels, schema.target)
 
 
-def load_labels_loop(path, node_type, n_classes=None, node_count=None):
+def load_labels_loop(path, node_type, node_count=None):
     """Reference for load_labels: one line at a time."""
     ids, classes = [], []
     with open(path, "r", encoding="utf-8") as fh:
@@ -153,10 +153,8 @@ def load_labels_loop(path, node_type, n_classes=None, node_count=None):
                 raise GraphError(f"{path}:{lineno}: node {node} listed twice")
             ids.append(node)
             classes.append(cls)
-    if n_classes is None:
-        n_classes = max(classes, default=-1) + 1
     return LabelSet(node_type, np.array(ids, dtype=np.int64),
-                    np.array(classes, dtype=np.int64), n_classes)
+                    np.array(classes, dtype=np.int64), max(classes, default=-1) + 1)
 
 
 def write_dataset_files_loop(g, labels, out_dir):
@@ -277,7 +275,7 @@ class TestLoading:
         p = tmp_path / "edges.txt"
         p.write_text("0 1 purchase\n0 1 purchase\n")
         g = load_edge_list(p, schema)
-        assert g.edge_count("purchase") == 1
+        assert len(g.relations["purchase"].edges) == 1
 
     def test_empty_file_declared_counts(self, tmp_path):
         schema = parse_schema("node user 5\nnode item 7\nrelation buy user item\ntarget buy")
@@ -539,21 +537,20 @@ class TestWriterMatchesReference:
 
 
 def normalize_reference(g, relation):
-    """Reference for hetgraph.normalize: sum the symmetrized coordinates,
-    clamp each entry to 1, take row sums as degrees, and scale each entry
+    """Reference for hetgraph.normalize, built dense: mark the symmetrized
+    coordinates once, take row sums as degrees, and scale each marked entry
     by its row's and then its column's inverse square-root degree."""
+    n = g.num_nodes
     e = g.global_edges(relation)
-    rows = np.concatenate([e[:, 0], e[:, 1]])
-    cols = np.concatenate([e[:, 1], e[:, 0]])
-    raw = CsrMatrix.from_coo(g.num_nodes, g.num_nodes, rows, cols, np.ones(rows.size))
-    values = np.minimum(raw.values, 1.0)
-    row_of = np.repeat(np.arange(g.num_nodes), np.diff(raw.row_offsets))
-    deg = np.zeros(g.num_nodes)
-    np.add.at(deg, row_of, values)
-    inv_sqrt = np.zeros(g.num_nodes)
+    a = np.zeros((n, n))
+    a[e[:, 0], e[:, 1]] = 1.0
+    a[e[:, 1], e[:, 0]] = 1.0
+    deg = a.sum(axis=1)
+    inv_sqrt = np.zeros(n)
     inv_sqrt[deg > 0] = 1.0 / np.sqrt(deg[deg > 0])
-    return CsrMatrix(raw.rows, raw.cols, raw.row_offsets, raw.col_indices,
-                     values * inv_sqrt[row_of] * inv_sqrt[raw.col_indices])
+    rows, cols = np.nonzero(a)
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    return CsrMatrix(n, n, offsets, cols, inv_sqrt[rows] * inv_sqrt[cols])
 
 
 class TestNormalize:
@@ -862,7 +859,7 @@ class TestGraphValidation:
         p = tmp_path / "edges.txt"
         p.write_text("0 0 View\n0 0 View\n0 0 Favorite\n1 1 Cart\n1 0 Purchase\n")
         loaded = load_edge_list(p, schema)
-        assert loaded.edge_count("View") == 1
+        assert len(loaded.relations["View"].edges) == 1
         assert sorted_edges == [2, 1, 1, 1]
         sorted_edges.clear()
         synthetic, _ = generate_synthetic(30, 20, 3, 0.2, 0.5, seed=3)

@@ -21,11 +21,24 @@ from hgdiff.numerics import (
 from conftest import WORKER_COUNTS
 
 
+def csr(rows, cols, r, c, values):
+    """A rows x cols CSR matrix of distinct entries (r[i], c[i]) = values[i],
+    given in any order."""
+    r, c = np.asarray(r, dtype=np.int64), np.asarray(c, dtype=np.int64)
+    order = np.lexsort((c, r))
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(r, minlength=rows))])
+    return CsrMatrix(rows, cols, offsets, c[order], np.asarray(values, dtype=np.float64)[order])
+
+
+def identity(n):
+    return csr(n, n, np.arange(n), np.arange(n), np.ones(n))
+
+
 def random_csr(rng, rows, cols, density=0.3):
     mask = rng.uniform((rows, cols)) < density
     r, c = np.nonzero(mask)
     vals = rng.standard_normal(r.size)
-    return CsrMatrix.from_coo(rows, cols, r, c, vals)
+    return csr(rows, cols, r, c, vals)
 
 
 def spread_degree_csr(rng, rows, cols):
@@ -33,7 +46,7 @@ def spread_degree_csr(rng, rows, cols):
     nonzero counts spread over many degrees, some rows left empty."""
     mask = rng.uniform((rows, cols)) < rng.uniform((rows, 1)) ** 2
     r, c = np.nonzero(mask)
-    return CsrMatrix.from_coo(rows, cols, r, c, rng.standard_normal(r.size))
+    return csr(rows, cols, r, c, rng.standard_normal(r.size))
 
 
 def spmm_per_degree(a, b):
@@ -51,15 +64,15 @@ def spmm_per_degree(a, b):
 class TestCsr:
     def test_identity_spmm(self):
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        assert np.array_equal(spmm(CsrMatrix.identity(2), b), b)
+        assert np.array_equal(spmm(identity(2), b), b)
 
     def test_zero_matrix_annihilates(self):
-        a = CsrMatrix.from_coo(3, 3, [], [], [])
+        a = csr(3, 3, [], [], [])
         b = np.arange(9.0).reshape(3, 3)
         assert np.array_equal(spmm(a, b), np.zeros((3, 3)))
 
     def test_swap_rows(self):
-        a = CsrMatrix.from_coo(2, 2, [0, 1], [1, 0], [1.0, 1.0])
+        a = csr(2, 2, [0, 1], [1, 0], [1.0, 1.0])
         b = np.array([[1.0, 2.0], [3.0, 4.0]])
         assert np.array_equal(spmm(a, b), np.array([[3.0, 4.0], [1.0, 2.0]]))
 
@@ -74,17 +87,17 @@ class TestCsr:
                           rng.derive(f"b{trial}").standard_normal((inner, cols))))
         # empty rows between and around filled ones
         gaps = rng.derive("gaps")
-        cases.append((CsrMatrix.from_coo(7, 5, [1, 1, 4, 4, 4], [0, 3, 1, 2, 4],
+        cases.append((csr(7, 5, [1, 1, 4, 4, 4], [0, 3, 1, 2, 4],
                                          gaps.standard_normal(5)),
                       gaps.standard_normal((5, 3))))
         # skewed degrees: one row holds most nonzeros
         skew = rng.derive("skew")
         r = np.concatenate([np.zeros(60, dtype=np.int64), [2, 5, 5]])
         c = np.concatenate([np.arange(60), [3, 7, 59]])
-        cases.append((CsrMatrix.from_coo(9, 60, r, c, skew.standard_normal(r.size)),
+        cases.append((csr(9, 60, r, c, skew.standard_normal(r.size)),
                       skew.standard_normal((60, 4))))
         # nnz == 0
-        cases.append((CsrMatrix.from_coo(4, 6, [], [], []),
+        cases.append((csr(4, 6, [], [], []),
                       rng.derive("zero").standard_normal((6, 2))))
         # d = 1 and d = 32
         for d in (1, 32):
@@ -105,12 +118,12 @@ class TestCsr:
             cases.append(spread_degree_csr(rng.derive(f"spread{trial}"), rows, inner))
         cases.append(random_csr(rng.derive("random"), 50, 40))
         # empty rows between and around filled ones
-        cases.append(CsrMatrix.from_coo(7, 5, [1, 1, 4, 4, 4, 6], [0, 3, 1, 2, 4, 0],
+        cases.append(csr(7, 5, [1, 1, 4, 4, 4, 6], [0, 3, 1, 2, 4, 0],
                                         rng.derive("gaps").standard_normal(6)))
         # one dominant row over rows of one and two nonzeros
         r = np.concatenate([np.zeros(60, dtype=np.int64), [2, 5, 5, 7, 8, 8]])
         c = np.concatenate([np.arange(60), [3, 7, 59, 0, 1, 2]])
-        cases.append(CsrMatrix.from_coo(9, 60, r, c, rng.derive("skew").standard_normal(r.size)))
+        cases.append(csr(9, 60, r, c, rng.derive("skew").standard_normal(r.size)))
         padded = 0
         for a in cases:
             padded += sum(int((vals == 0.0).sum()) for _, _, vals in a.degree_buckets())
@@ -153,40 +166,29 @@ class TestCsr:
                 assert counts[upper].min() > counts[lower].max()
 
     def test_spmm_shape_mismatch(self):
-        a = CsrMatrix.identity(3)
+        a = identity(3)
         with pytest.raises(ShapeError):
             spmm(a, np.ones((2, 2)))
 
-    def test_from_coo_sums_duplicates(self):
-        a = CsrMatrix.from_coo(2, 2, [0, 0, 1], [1, 1, 0], [2.0, 3.0, 1.0])
-        assert a.nnz == 2
-        assert np.array_equal(a.to_dense(), np.array([[0.0, 5.0], [1.0, 0.0]]))
-
-    def test_from_coo_sums_duplicates_in_input_order(self):
-        # numpy's sum of (1, 1e16, -1e16) is 1 and of (1e16, 1, -1e16) is 0,
-        # so a sum that saw the duplicates out of input order differs
-        big = 1e16
-        a = CsrMatrix.from_coo(2, 3, [1, 0, 1, 0, 1, 0], [2, 1, 2, 1, 2, 1],
-                               [1.0, big, big, 1.0, -big, -big])
-        assert np.array_equal(a.to_dense(), [[0.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
-        rng = np.random.default_rng(4)
-        for rows, cols, n in ((1, 1, 9), (5, 7, 60), (40, 3, 300), (3, 50, 300)):
-            r, c = rng.integers(0, rows, n), rng.integers(0, cols, n)
-            v = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n)
-            pairs = set(zip(r.tolist(), c.tolist()))
-            dense = np.zeros((rows, cols))
-            for i, j in pairs:
-                dense[i, j] = np.add.reduceat(v[(r == i) & (c == j)], [0])[0]
-            m = CsrMatrix.from_coo(rows, cols, r, c, v)
-            assert np.array_equal(m.to_dense(), dense)
-            assert m.nnz == len(pairs)
-
     def test_transpose_round_trip(self):
         rng = Rng(11)
-        a = random_csr(rng, 6, 9)
-        at = a.transpose()
-        assert np.array_equal(at.to_dense(), a.to_dense().T)
-        assert np.array_equal(at.transpose().to_dense(), a.to_dense())
+        cases = [random_csr(rng, 6, 9),
+                 # empty rows and columns between and around filled ones
+                 csr(5, 7, [3, 1, 1, 3], [5, 2, 5, 0], rng.derive("gaps").standard_normal(4)),
+                 csr(4, 6, [], [], []),  # nnz == 0
+                 random_csr(rng.derive("row"), 1, 8, 0.6),  # 1 x n
+                 random_csr(rng.derive("col"), 8, 1, 0.6),  # n x 1
+                 csr(0, 3, [], [], []), csr(3, 0, [], [], [])]
+        for a in cases:
+            at = a.transpose()
+            assert (at.rows, at.cols) == (a.cols, a.rows)
+            assert np.array_equal(at.to_dense(), a.to_dense().T)
+            back = at.transpose()
+            assert (back.rows, back.cols) == (a.rows, a.cols)
+            for name in ("row_offsets", "col_indices", "values"):
+                got, was = getattr(back, name), getattr(a, name)
+                assert got.dtype == was.dtype and np.array_equal(got.view(np.int64),
+                                                                 was.view(np.int64)), name
 
     def test_invariant_violations_rejected(self):
         with pytest.raises(ShapeError):

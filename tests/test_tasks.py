@@ -280,7 +280,7 @@ class TestSampleTriplets:
     def test_negatives_avoid_positives(self):
         edges = np.array([[0, 0], [0, 1], [1, 2]])
         batch = sample_triplets(edges, n_items=4, user_offset=0, item_offset=10,
-                                rng=Rng(7))
+                                rng=Rng(7), positives=positive_keys(edges, 4))
         pos_sets = {0: {0, 1}, 1: {2}}
         for u, n in zip(batch.users, batch.neg):
             assert (n - 10) not in pos_sets[int(u)]
@@ -288,8 +288,8 @@ class TestSampleTriplets:
 
     def test_deterministic(self):
         edges = np.array([[0, 0], [1, 1], [2, 2]])
-        a = sample_triplets(edges, 5, 0, 3, Rng(8))
-        b = sample_triplets(edges, 5, 0, 3, Rng(8))
+        a = sample_triplets(edges, 5, 0, 3, Rng(8), positive_keys(edges, 5))
+        b = sample_triplets(edges, 5, 0, 3, Rng(8), positive_keys(edges, 5))
         assert np.array_equal(a.neg, b.neg) and np.array_equal(a.users, b.users)
 
     def test_matches_dict_of_sets_reference(self):
@@ -308,8 +308,7 @@ class TestSampleTriplets:
             for seed in range(3):
                 ref_rng, rng = Rng(100 * trial + seed), Rng(100 * trial + seed)
                 ref = reference_sample_triplets(edges, n_items, 3, 50, ref_rng)
-                keys = positive_keys(edges, n_items) if seed == 2 else None
-                got = sample_triplets(edges, n_items, 3, 50, rng, positives=keys)
+                got = sample_triplets(edges, n_items, 3, 50, rng, positive_keys(edges, n_items))
                 for name in ("users", "pos", "neg"):
                     assert np.array_equal(getattr(got, name), getattr(ref, name))
                 # the same number of draws left the stream at the same place
