@@ -198,47 +198,47 @@ def _layer_input(params: DenoiserParams, h_t, t_rows):
     return x
 
 
-def _denoise_forward(params: DenoiserParams, h_t, t_rows):
+def _denoise_forward(params: DenoiserParams, h_t, t_rows, sloped=None):
     """The denoiser's one forward pass, shared by inference and training.
 
-    Returns (x, pre, hidden, out) where x = h_t || s_t is the first layer's
-    input (see :func:`_layer_input`), pre its pre-activation, hidden =
-    leaky_relu(pre) and out the prediction.
+    Returns (x, hidden, out) where x = h_t || s_t is the first layer's
+    input (see :func:`_layer_input`), hidden = leaky_relu(pre) written over
+    its pre-activation pre, and out the prediction; a bool `sloped` gets
+    ``~(pre >= 0)``.
     """
     h_t = np.asarray(h_t, dtype=np.float64)
     d = params.dim
     if h_t.ndim != 2 or h_t.shape[1] != d:
         raise ShapeError(f"expected rows of width {d}, got {h_t.shape}")
     x = _layer_input(params, h_t, t_rows)
-    pre = x @ params.w1
-    pre += params.b1
+    hidden = x @ params.w1
+    hidden += params.b1
+    if sloped is not None:
+        np.invert(np.greater_equal(hidden, 0, out=sloped), out=sloped)
     # leaky ReLU as max(pre, slope * pre) (see LEAKY_SLOPE)
-    hidden = np.multiply(pre, LEAKY_SLOPE)
-    np.maximum(pre, hidden, out=hidden)
+    np.maximum(hidden, np.multiply(hidden, LEAKY_SLOPE), out=hidden)
     out = hidden @ params.w2
     out += params.b2
-    return x, pre, hidden, out
+    return x, hidden, out
 
 
 def denoise_predict(params: DenoiserParams, h_t, t):
     """Predict clean rows from corrupted rows at step t (scalar or per-row),
     forward only: linear(leaky_relu(linear(h_t || s_t))) per row."""
     t_rows = _step_vector(t, len(h_t), params.time_emb.shape[0])
-    return _denoise_forward(params, h_t, t_rows)[3]
+    return _denoise_forward(params, h_t, t_rows)[2]
 
 
 def denoise_predict_vjp(params: DenoiserParams, h_t, t):
     """:func:`denoise_predict` plus a closure mapping upstream gradients to
     (gradients as DenoiserParams, d/d h_t)."""
     t_rows = _step_vector(t, len(h_t), params.time_emb.shape[0])
-    x, pre, hidden, out = _denoise_forward(params, h_t, t_rows)
-    # the backward needs only where the pre-activation is below 0 or NaN,
-    # so the closure keeps that bool mask instead of the float rows, and
-    # it keeps h_t, not x, rebuilding x when the weight gradient needs it
-    sloped = ~(pre >= 0)
+    # the closure keeps a bool mask of where the pre-activation is below 0
+    # or NaN, not its float rows, and h_t, not x, which the backward rebuilds
     d = params.dim
+    sloped = np.empty((len(h_t), d), dtype=bool)
+    x, hidden, out = _denoise_forward(params, h_t, t_rows, sloped)
     h_t = x[:, :d].copy()
-    del x, pre
     # the step-embedding gradient accumulates row by row in row order
     t_all = np.broadcast_to(t_rows, h_t.shape[:1])
 
@@ -361,7 +361,7 @@ def reverse_denoise(params: DenoiserParams, schedule: DiffusionSchedule,
     def walk_block(block):
         # a view of the stacked corrupted rows, walked in place
         for t_rows, coef_h, coef_pred in walk:
-            pred = _denoise_forward(params, block, t_rows)[3]
+            pred = _denoise_forward(params, block, t_rows)[2]
             # coef_h*h + coef_pred*pred bit for bit (addition commutes)
             block *= coef_h
             block += coef_pred * pred

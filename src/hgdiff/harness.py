@@ -153,11 +153,11 @@ _WANTED = {int: "an integer", float: "a number", bool: "true or false", str: "a 
 
 def _build(cls, values, where):
     """`cls(**values)`, each value held to its field's annotated types: a
-    `float` field admits an integer too, and only a `bool` field admits
-    true or false (a config file may hold 2.5, "no" or true where an integer
-    belongs, and bool is an int subclass). A config group admits an object,
-    built the same way, or an instance. A bad value raises ConfigError
-    naming its field."""
+    `float` field admits an integer too, stored as a float (1 and 1.0 make
+    one fingerprint), and only a `bool` field admits true or false (a config
+    file may hold 2.5, "no" or true where an integer belongs, and bool is an
+    int subclass). A config group admits an object, built the same way, or
+    an instance. A bad value raises ConfigError naming its field."""
     types, built = _field_types(cls), dict(values)
     for name, value in values.items():
         if name not in types:
@@ -172,6 +172,11 @@ def _build(cls, values, where):
                 or isinstance(value, bool) and bool not in kinds:
             wanted = " or ".join(_WANTED[kind] for kind in kinds)
             raise ConfigError(f"bad {where} config: {name} must be {wanted}, got {value!r}")
+        elif float in kinds and isinstance(value, int):
+            try:
+                built[name] = float(value)
+            except OverflowError:
+                raise ConfigError(f"bad {where} config: {name} is too large for a float") from None
     try:
         return cls(**built)
     except ConfigError:
@@ -650,35 +655,32 @@ class Trainer(TrainedModel):
         cfg, plan = self.cfg, self.plan
         params = params or self.params
         # each array is held only until its last use: an encoder output is
-        # rebound to its pooled table, so its per-relation tables go at
-        # once, the forward tables go after the fusion and the task loss,
-        # and each side's backward closure once it has run
+        # rebound to its pooled table, so its per-relation tables go at once,
+        # the draws' noise after the forward, the fused table after the task
+        # loss, and each side's backward closure once it has run
         e_target, vjp_t = encode_vjp(self.target_adj, params.e0, cfg.encoder)
         e_target = e_target.pooled
         vjp_s = None
         if plan.has_source:
             e_source, vjp_s = encode_vjp(self.aux_adj, params.e0, cfg.encoder)
             e_source = e_source.pooled
-            denoised = e_source.copy()
 
         losses, backwards = {}, {}
         for side in plan.diffusion_sides:
             sl = self.graph.type_slice(side)
-            # only the fusion reads the prediction, so it goes once copied
-            losses[side], denoised[sl], backwards[side] = diffusion_loss(
+            # once read, the side's source rows take its prediction, and
+            # the fusion then goes over the denoised table
+            losses[side], e_source[sl], backwards[side] = diffusion_loss(
                 params.denoiser, self.schedule, e_source[sl], e_target[sl],
                 t=draws.side_t[side], noise=draws.side_noise[side], autoencoder=plan.dae)
+        triplets, draws = draws.triplets, None
         deno = float(np.mean(list(losses.values()))) if losses else 0.0
-        if plan.has_source:
-            fused = fuse(e_target, denoised)
-            del e_source, denoised
-        else:
-            fused = e_target
-        del e_target
+        fused = fuse(e_target, e_source, out=e_source) if plan.has_source else e_target
+        e_target = e_source = None
 
         clf_grads = None
         if cfg.task == "link":
-            main, g_fused = bpr_loss(fused, draws.triplets, chunk=cfg.batch_size)
+            main, g_fused = bpr_loss(fused, triplets, chunk=cfg.batch_size)
         else:
             main, g_fused, clf_grads = ce_loss(
                 fused, params.classifier, self.split.train,
@@ -712,8 +714,8 @@ class Trainer(TrainedModel):
         return total, parts, ModelParams(g_e0, acc, clf_grads).arrays()
 
     def run_epoch(self, epoch):
-        draws = self.draw_epoch()
-        total, parts, grads = self.compute_losses(draws)
+        # handed over with no reference kept, so the step frees the noise
+        total, parts, grads = self.compute_losses(self.draw_epoch())
         if not np.isfinite(total):
             raise DivergenceError(epoch, parts)
         self._apply(grads)

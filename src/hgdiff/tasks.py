@@ -25,13 +25,11 @@ from .numerics import (
 )
 
 
-def fuse(target_emb, denoised):
-    """Elementwise sum of the target-view table and the denoised source table."""
-    a = np.asarray(target_emb, dtype=np.float64)
-    b = np.asarray(denoised, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ShapeError(f"fuse shapes differ: {a.shape} vs {b.shape}")
-    return a + b
+def fuse(target_emb, denoised, out=None):
+    """Elementwise sum of the target-view and denoised source tables, into `out`."""
+    if target_emb.shape != denoised.shape:
+        raise ShapeError(f"fuse shapes differ: {target_emb.shape} vs {denoised.shape}")
+    return np.add(target_emb, denoised, out=out)
 
 
 @dataclass

@@ -16,8 +16,8 @@ both:
     diff parent.txt change.txt  # results and config
 
 A cell whose variant the checkout refuses prints ``refused``. Uses numpy
-and hgdiff only; ``--sizes desk,small`` skips the mid graph, whose
-generator peaks near 0.6 GB.
+and hgdiff only; ``--sizes desk,small`` skips the mid graph, which takes
+most of the run.
 """
 
 from __future__ import annotations

@@ -79,6 +79,25 @@ class TestTrain:
         assert a["config"]["seed"] == 5 and b["config"]["seed"] == 9
         assert a["config"]["encoder"]["dim"] == 8 == b["config"]["encoder"]["dim"]
 
+    def test_integer_for_a_float_field_trains_as_the_float(self, capsys, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        base = {"synthetic": {"users": 30, "items": 20, "aux_relations": 2, "density": 0.15},
+                "encoder": {"dim": 8, "layers": 2}, "diffusion": {"steps": 8},
+                "epochs": 2, "seed": 5, "k": 5}
+        outs = []
+        for lr in (1, 1.0):
+            cfg_path.write_text(json.dumps({**base, "lr": lr, "loss": {"lam": 1}}))
+            code, out, _ = run_cli(capsys, "train", "--config", str(cfg_path))
+            assert code == 0
+            outs.append([line for line in out.splitlines()
+                         if not line.startswith("wall_clock")])
+        assert outs[0] == outs[1]  # the config fingerprint among them
+        cfg_path.write_text(json.dumps({**base, "lr": 10 ** 400}))
+        code, out, err = run_cli(capsys, "train", "--config", str(cfg_path))
+        assert code == 1 and out == ""
+        assert err.startswith("config error:") and "lr is too large for a float" in err
+        assert "Traceback" not in err
+
     def test_exit_code_config_error(self, capsys):
         code, _, err = run_cli(capsys, "train", *BASE, "--variant", "full",
                                "--b-max", "1.5")

@@ -179,7 +179,7 @@ def hook_walk_forward(monkeypatch, predict):
             calls["final"].append((first, h.shape[0]))
         else:
             calls["blocks"].setdefault(first, []).append((h.shape[0], int(t)))
-        return None, None, None, predict(first, params, h, t_rows)
+        return None, None, predict(first, params, h, t_rows)
 
     monkeypatch.setattr(diffusion, "_denoise_forward", forward)
     return calls
@@ -596,7 +596,7 @@ class TestReverse:
         s = build_schedule(DiffusionConfig(steps=steps, b_max=0.99, b_min=0.5))
         params = DenoiserParams.init(2, steps, Rng(18))
         real = diffusion._denoise_forward
-        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[3])
+        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[2])
         cpus(3)
         for rows in (2, 3, 8, 512):
             monkeypatch.setattr(diffusion, "_WALK_ROWS", rows)
@@ -687,7 +687,7 @@ class TestReverse:
         def predict(first, p, h, t_rows):
             if first == 9 and t_rows[0] == 4:
                 raise BlockFailed(f"block at row {first}")
-            return real(p, h, t_rows)[3]
+            return real(p, h, t_rows)[2]
 
         hook_walk_forward(monkeypatch, predict)
         monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
@@ -703,7 +703,7 @@ class TestReverse:
         s = build_schedule(DiffusionConfig(steps=6, b_max=0.99, b_min=0.5))
         params = DenoiserParams.init(4, 3, Rng(25))
         real = diffusion._denoise_forward
-        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[3])
+        calls = hook_walk_forward(monkeypatch, lambda first, p, h, t: real(p, h, t)[2])
         monkeypatch.setattr(diffusion, "_WALK_ROWS", 3)
         for workers in WORKER_COUNTS:
             cpus(workers)

@@ -151,6 +151,8 @@ class TestFuse:
         a, b = Rng(3).normal(3, 2), Rng(4).normal(3, 2)
         expect = np.array([[a[i, j] + b[i, j] for j in range(2)] for i in range(3)])
         assert np.array_equal(fuse(a, b), expect)
+        # the step fuses over the denoised table it has finished reading
+        assert fuse(a, b, out=b) is b and np.array_equal(b, expect)
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
