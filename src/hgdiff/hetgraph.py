@@ -414,9 +414,9 @@ def normalize(g: HeteroGraph, relation) -> CsrMatrix:
         raise GraphError(f"unknown relation {relation!r}")
     e = g.global_edges(relation)
     n = g.num_nodes
-    # duplicate coordinates (self edges, both directions given) count once
-    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]),
-                   kind="stable")
+    # duplicate coordinates (self edges, both directions given) count once;
+    # sorted integers are the same whatever the sort's stability
+    keys = np.sort(np.concatenate([e[:, 0] * n + e[:, 1], e[:, 1] * n + e[:, 0]]))
     first = np.ones(keys.size, dtype=bool)
     first[1:] = keys[1:] != keys[:-1]
     keys = keys[first]
@@ -467,7 +467,14 @@ def inject_edge_noise(g: HeteroGraph, spec: NoiseSpec) -> HeteroGraph:
     return g.replace_relation(Relation(rel.name, rel.src_type, rel.dst_type, new_edges))
 
 
-_SYNTH_BLOCK_ELEMENTS = 1 << 20  # uniform draws held at once by the generator
+_SYNTH_BLOCK_ELEMENTS = 1 << 20  # users x items draws in one generator block
+_SYNTH_CHUNK_WORDS = 1 << 15  # raw words a generator block holds at once
+
+
+def _word_limit(p):
+    """The last 64-bit word w whose double, (w >> 11) * 2**-53, is below p
+    (0 < p <= 1): w >> 11 is below the exact product p * 2**53."""
+    return np.uint64(int(np.ceil(p * 2.0 ** 53)) * 2 ** 11 - 1)
 
 
 def check_synthetic(users, items, aux_relations, density, fidelity, seed):
@@ -503,35 +510,33 @@ def generate_synthetic(n_users, n_items, n_aux_relations, density, fidelity, see
     # O(block) per worker. A pair is an edge when its draw is below p_in
     # (same community) or p_out (across), so only the draws below p_in are
     # candidates; a block returns its edges' flat users x items indices.
+    # A block tests its draws as raw words against word limits, a chunk of
+    # words at a time; p_out is 0 at density 5e-324, and no draw is below 0.
     # Inline, the blocks continue one Philox stream; on worker threads each
     # block draws from a copy of the stream moved ahead to its first draw,
     # and the stream then moves past the whole draw. Either way the edges
     # equal those of a single dense draw.
+    in_limit = _word_limit(p_in)
+    out_limit = _word_limit(p_out) if p_out > 0 else None
     block = max(1, _SYNTH_BLOCK_ELEMENTS // n_items)
     starts = range(0, n_users, block)
-    workers = worker_count(len(starts), blas=False)
-    if workers > 1:
+    if worker_count(len(starts), blas=False) > 1:
         streams = [rng.ahead(start * n_items) for start in starts]
         rng = rng.ahead(n_users * n_items)
     else:
         streams = [rng] * len(starts)
-    # at most `workers` blocks run at once, and list.pop and list.append
-    # are atomic, so every block finds a free buffer and mask
-    size = min(block, n_users) * n_items
-    buffers = [(np.empty(size), np.empty(size, dtype=bool)) for _ in range(workers)]
 
     def draw_block(i):
-        start = starts[i]
-        buffer, below = buffers.pop()
-        try:
-            draws = streams[i].uniform(out=buffer[:min(block, n_users - start) * n_items])
-            cand = np.flatnonzero(np.less(draws, p_in, out=below[:draws.size]))
-            below_out = draws[cand] < p_out
-            cand += start * n_items
+        stop = min(starts[i] + block, n_users) * n_items
+        kept = []
+        for pos in range(starts[i] * n_items, stop, _SYNTH_CHUNK_WORDS):
+            words = streams[i].raw(min(_SYNTH_CHUNK_WORDS, stop - pos))
+            cand = np.flatnonzero(words <= in_limit)
+            across = words[cand] <= out_limit if out_limit is not None else False
+            cand += pos
             rows, cols = np.divmod(cand, n_items)
-            return cand[(user_comm[rows] == item_comm[cols]) | below_out]
-        finally:
-            buffers.append((buffer, below))
+            kept.append(cand[(user_comm[rows] == item_comm[cols]) | across])
+        return np.concatenate(kept)
 
     pairs = np.concatenate(map_blocks(draw_block, range(len(starts)), blas=False))
     target_edges = np.stack(np.divmod(pairs, n_items), axis=1)

@@ -302,8 +302,14 @@ class Rng:
     def standard_normal(self, shape):
         return self._gen.standard_normal(shape)
 
-    def uniform(self, size=None, out=None):
-        return self._gen.random(size, out=out)
+    def uniform(self, size=None):
+        return self._gen.random(size)
+
+    def raw(self, n):
+        """The stream's next n 64-bit words as uint64. `uniform` maps a word
+        w to exactly (w >> 11) * 2**-53 and takes one word per value, so n
+        words leave the stream where n doubles would."""
+        return self._gen.bit_generator.random_raw(n)
 
     def integers(self, low, high, size=None):
         return self._gen.integers(low, high, size=size)

@@ -1,6 +1,10 @@
-"""Two digests per (size, task, variant, per_row_t) of what training computes.
+"""Two digests per (size, task, variant, per_row_t) of what training computes,
+after one digest per size of what setup makes.
 
-The results digest covers two training steps (the losses, their parts and
+The setup line (``<size> setup <digest>``) covers the synthetic graph's
+fingerprint, its labels, and for the link and the node task the split's
+test arrays and every normalized adjacency the model propagates over. The
+results digest covers two training steps (the losses, their parts and
 every gradient `Trainer.compute_losses` returns, each followed by its Adam
 update) and, at the small sizes, the parameters a saved model holds, every
 inference table and the evaluation report's reproducible payload without
@@ -17,7 +21,7 @@ both:
 
 A cell whose variant the checkout refuses prints ``refused``. Uses numpy
 and hgdiff only; ``--sizes desk,small`` skips the mid graph, which takes
-most of the run.
+most of the run, and ``--setup-only`` prints the setup lines alone.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from hgdiff.diffusion import DiffusionConfig
 from hgdiff.encoder import EncoderConfig
-from hgdiff.harness import VARIANTS, ConfigError, RunConfig, SyntheticSpec, Trainer
+from hgdiff.harness import (VARIANTS, ConfigError, RunConfig, SyntheticSpec, TrainedModel,
+                            Trainer)
 from hgdiff.hetgraph import generate_synthetic
 from hgdiff.numerics import adam_step
 from hgdiff.tasks import JointLossConfig
@@ -65,6 +70,27 @@ def _feed(h, value):
         h.update(array.tobytes())
 
 
+def setup_digest(graph, labels, users, items, density):
+    """Hex digest of the graph's fingerprint, its labels, and for each task
+    the split's test arrays and the model's normalized adjacencies."""
+    h = hashlib.sha256(graph.fingerprint().encode())
+    _feed(h, {"node_ids": labels.node_ids, "class_ids": labels.class_ids,
+              "n_classes": labels.n_classes})
+    for task in ("link", "node"):
+        model = TrainedModel(experiment_config(task, "full", False, users, items, density),
+                             graph, labels)
+        split = model.split
+        if task == "link":
+            _feed(h, {"test_users": split.test_users, "test_items": split.test_items,
+                      "n_excluded": split.n_excluded})
+        else:
+            _feed(h, {"node_ids": split.test.node_ids, "class_ids": split.test.class_ids})
+        for name, adj in {**model.target_adj, **model.aux_adj}.items():
+            _feed(h, {name: {"row_offsets": adj.row_offsets, "col_indices": adj.col_indices,
+                             "values": adj.values}})
+    return h.hexdigest()
+
+
 def step_digest(cfg: RunConfig, graph=None, labels=None, steps=2, report=True):
     """Hex digests (results, config echo) of `steps` training steps of a
     fresh trainer and, with `report`, of the parameters, inference tables
@@ -90,10 +116,15 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(SIZES),
                         help=f"comma-separated subset of {', '.join(SIZES)}")
+    parser.add_argument("--setup-only", action="store_true",
+                        help="print the setup lines and train nothing")
     args = parser.parse_args(argv)
     for size in args.sizes.split(","):
         users, items, density, report = SIZES[size]
         graph, labels = generate_synthetic(users, items, 2, density, 0.9, seed=7001)
+        print(size, "setup", setup_digest(graph, labels, users, items, density), flush=True)
+        if args.setup_only:
+            continue
         for task in ("link", "node"):
             for variant in VARIANTS:
                 for per_row_t in (False, True):

@@ -758,11 +758,15 @@ class TestSynthetic:
         assert fingerprints() == fast
 
     def test_row_blocks_match_dense_draw(self, monkeypatch, cpus):
-        # p_in clamps to 1 from density 0.625 on; fidelity 0 and 1 take the
-        # copy draw's extremes; blocks run inline or on worker threads
-        sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (500, 300, 1, 0.02, 0.9),
-                 (29, 11, 2, 0.625, 0.0), (13, 7, 1, 1.0, 1.0), (40, 9, 2, 0.7, 0.3),
-                 (31, 17, 2, 0.2, 0.0), (23, 19, 1, 0.3, 1.0)]
+        # p_in clamps to 1 from density 0.625 on; density 0.3125 gives the
+        # dyadic p_in 0.5 and p_out 0.125; at density 5e-324, the smallest
+        # admitted, p_out rounds to 0; fidelity 0 and 1 take the copy draw's
+        # extremes; blocks run inline or on worker threads
+        sizes = [(1, 5, 2, 0.5, 0.9), (37, 23, 2, 0.1, 0.5), (29, 11, 2, 0.625, 0.0),
+                 (13, 7, 1, 1.0, 1.0), (40, 9, 2, 0.7, 0.3), (31, 17, 2, 0.2, 0.0),
+                 (23, 19, 1, 0.3, 1.0), (41, 27, 2, 0.3125, 0.5), (19, 13, 1, 5e-324, 0.5)]
+        large = (500, 300, 1, 0.02, 0.9)
+        assert 2.0 * 5e-324 - min(1.0, 1.6 * 5e-324) == 0.0
 
         def check(cases):
             for size in cases:
@@ -771,18 +775,45 @@ class TestSynthetic:
                     ref = generate_synthetic_dense(*size, seed=seed)
                     assert g.fingerprint() == ref.fingerprint()
 
-        default = hetgraph._SYNTH_BLOCK_ELEMENTS
+        block_default = hetgraph._SYNTH_BLOCK_ELEMENTS
+        chunk_default = hetgraph._SYNTH_CHUNK_WORDS
         for workers in WORKER_COUNTS:
             cpus(workers)
-            monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", default)
-            # more items than the block budget: one row per block
-            check([(3, default + 5, 1, 2e-5, 0.5)])
-            check(sizes)
+            monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", block_default)
+            monkeypatch.setattr(hetgraph, "_SYNTH_CHUNK_WORDS", chunk_default)
+            # more items than the block budget: one row per block, whose
+            # last chunk is shorter than the others
+            check([(3, block_default + 5, 1, 2e-5, 0.5)])
+            check(sizes + [large])
             # a budget that cuts blocks of one, two and several rows, the
             # last block shorter than the others
             for budget in (1, 50, 700):
                 monkeypatch.setattr(hetgraph, "_SYNTH_BLOCK_ELEMENTS", budget)
+                check(sizes + [large])
+            # chunks of one and three words, and chunks of 100 words that
+            # cut a block of 690 (30 rows of 23 items) into six and a part
+            for chunk in (1, 3, 100):
+                monkeypatch.setattr(hetgraph, "_SYNTH_CHUNK_WORDS", chunk)
                 check(sizes)
+
+    def test_word_limit_is_the_last_word_below_p(self):
+        # a word w decodes to the double (w >> 11) * 2**-53, as Rng.uniform
+        # maps it
+        def decode(word):
+            return (word >> 11) * 2.0 ** -53
+
+        near = [5e-324, 1e-323, 2e-5, 0.125, 0.3, 0.3125, 0.5, 1 - 2 ** -53, 1.0]
+        near += Rng(5).uniform(200).tolist()
+        probs = {p for q in near for p in (q, np.nextafter(q, 0.0), np.nextafter(q, 2.0))}
+        for p in sorted(q for q in probs if 0.0 < q <= 1.0):
+            limit = int(hetgraph._word_limit(p))
+            assert decode(limit) < p, p
+            if limit < 2 ** 64 - 1:
+                assert not decode(limit + 1) < p, p
+            else:
+                assert p == 1.0
+        assert [int(hetgraph._word_limit(p)) for p in (0.125, 0.5, 1.0)] == \
+            [2 ** 61 - 1, 2 ** 63 - 1, 2 ** 64 - 1]
 
     def test_threaded_blocks_give_one_graph_under_thread_switching(self, monkeypatch, cpus):
         # 40 blocks of 5 rows; a switch interval of 10 us makes the workers

@@ -457,6 +457,34 @@ class TestAhead:
                 assert np.array_equal(skipped.uniform(5), drawn.uniform(5)), (label, k)
 
 
+class TestRaw:
+    """Rng.raw(n) gives the words that `uniform`'s next n doubles are made
+    of, and leaves the stream where those doubles would."""
+
+    def streams(self):
+        half = Rng(41).derive("half")
+        half.integers(0, 5)  # a 32-bit draw leaves the other half cached
+        assert half._gen.bit_generator.state["has_uint32"] == 1
+        out = {"fresh": Rng(41), "half": half}
+        for label, rng in list(out.items()):
+            for k in (0, 1, 3, 4, 5, 4097):
+                out[f"{label}+{k}"] = rng.ahead(k)
+        return out
+
+    def test_words_are_the_doubles(self):
+        for label, rng in self.streams().items():
+            for n in (1, 3, 6, 11):
+                by_words, by_doubles = clone(rng), clone(rng)
+                words = by_words.raw(n)
+                assert words.dtype == np.uint64 and words.shape == (n,)
+                assert np.array_equal((words >> 11) * 2.0 ** -53, by_doubles.uniform(n)), \
+                    (label, n)
+                assert bit_state(by_words) == bit_state(by_doubles), (label, n)
+                assert np.array_equal(by_words.uniform(5), by_doubles.uniform(5)), (label, n)
+                assert np.array_equal(by_words.integers(0, 1000, size=3),
+                                      by_doubles.integers(0, 1000, size=3)), (label, n)
+
+
 def scalar_adam_trace(grads, lr=0.05, beta1=0.9, beta2=0.999, eps=1e-8, x0=1.0):
     # independent reference implementation, plain floats
     m = v = 0.0
